@@ -14,7 +14,6 @@ import argparse
 import cmath
 import configparser
 import csv
-import io
 import json
 import sys
 
@@ -87,7 +86,6 @@ def _build_run_config(args) -> RunConfig:
         seed=pick("seed", args.seed, int) or RunConfig.seed,
         filter=pick("filter", args.filter, str) or "*",
         fmt=pick("format", args.format, str) or "human",
-        jobs=pick("jobs", args.jobs, int) or 1,
         m_window=pick("m_window", args.m_window, int),
         a_max=pick("a_max", args.a_max, int),
     )
@@ -225,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--tol", type=float, default=None, help="tolerance override")
     ver.add_argument("--seed", type=int, default=None, help="seed for random points")
     ver.add_argument("--format", default=None, choices=("human", "json", "csv"))
-    ver.add_argument("--jobs", type=int, default=None, help="parallel workers")
     ver.add_argument("--m-window", dest="m_window", type=int, default=None)
     ver.add_argument("--a-max", dest="a_max", type=int, default=None)
     ver.add_argument("--config", default=None, help="INI config file")

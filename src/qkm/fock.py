@@ -14,15 +14,16 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
 from .context import QContext
 from .errors import (DomainError, EigensolverFailure, OverflowGuard,
                      TailTooFat, TruncationExhausted)
-from .orthopoly import scaled_poly_iter, scaled_poly_values
-from .qseries import (bracket, big_theta4_const, log_qpoch_inf_array,
-                      qpoch_finite, qpoch_inf, qpoch_inf_multi, tail_sum)
+from .orthopoly import overlap_sum, poly_rows, scaled_poly_values
+from .qseries import (bracket, big_theta4_const, log_qpoch_table, qpoch_finite,
+                      qpoch_inf, qpoch_inf_multi, tail_sum)
 from .report import make_report, relative_residual
 
 __all__ = [
@@ -295,22 +296,12 @@ def _brace_spin_sum(a: int, b: int, c: int, ctx: QContext, dps: int = 40) -> com
         q = mp.mpc(ctx.q)
         qh = mp.sqrt(q)  # principal branch, same as QContext.q_half
         n_top = max(a, b, c)
-
-        def scaled_rows(xi):
-            s = xi + 1 / xi
-            prev, cur = mp.mpc(0), mp.mpc(1)
-            out = []
-            for k in range(n_top + 1):
-                out.append(cur)
-                prev, cur = cur, qh ** (2 * k + 1) * s * cur + (1 - q ** (2 * k)) * prev
-            return out
-
         total = mp.mpc(0)
         peak = mp.mpf(0)
         below = 0
         for m in range(ctx.max_terms):
             xi = qh ** (2 * m + 1)
-            rows = scaled_rows(xi)
+            rows = list(islice(poly_rows(xi, q, qh, mp.mpc(1)), n_top + 1))
             t = ((-1) ** m * q ** (3 * m * (m + 1) // 2) * (xi - 1 / xi)
                  * rows[a] * rows[b] * rows[c])
             total += t
@@ -383,21 +374,9 @@ def weight_V_fock_from_overlaps(x, m: int, mp: int, ctx: QContext) -> complex:
     Sums (mu'/mu)^a <mu,m|lam,a><lam,a|mu',mp> over a with the tail rule;
     converges for |x| > |q|.
     """
-    x = complex(x)
-    q = ctx.q
-    if abs(x) <= abs(q):
-        raise DomainError("overlap sum converges for |x| > |q| only")
-
-    def terms():
-        f = 1.0 + 0.0j  # (-1)^a q^a x^{-a} / (q^2; q^2)_a
-        rows = zip(scaled_poly_iter(ctx.q_pow_half(2 * m + 1), ctx),
-                   scaled_poly_iter(ctx.q_pow_half(2 * mp + 1), ctx))
-        for a, (ra, rb) in enumerate(rows):
-            yield f * ra * rb
-            f *= -q / (x * (1 - (q * q) ** (a + 1)))
-
     pref = ctx.q_pow_half(m * (m + 1) + mp * (mp + 1)) / fock_norm_const(ctx)
-    return pref * tail_sum(terms(), ctx)
+    return pref * overlap_sum(ctx.q_pow_half(2 * m + 1), ctx.q_pow_half(2 * mp + 1),
+                              x, ctx)
 
 
 def weight_table(x, m_values, mp_values, ctx: QContext) -> np.ndarray:
@@ -414,17 +393,11 @@ def weight_table(x, m_values, mp_values, ctx: QContext) -> np.ndarray:
     y = 1.0 / x
     ms = np.asarray(m_values, dtype=int)[:, None]
     mps = np.asarray(mp_values, dtype=int)[None, :]
-    shape = np.broadcast_shapes(ms.shape, mps.shape)
-    log_v = np.full(shape, np.log(complex(ctx.q_half)) + 0j, dtype=complex)
-    log_v *= ms * (ms + 1) + mps * (mps + 1)
-    for expo in (2 + ms - mps, 2 - ms + mps, 3 + ms + mps, 1 - ms - mps):
-        log_v = log_v + log_qpoch_inf_array(y * q ** expo.astype(float), q * q, ctx)
+    log_v = np.log(complex(ctx.q_half)) * (ms * (ms + 1) + mps * (mps + 1))
+    factors = [(y, expo)
+               for expo in (2 + ms - mps, 2 - ms + mps, 3 + ms + mps, 1 - ms - mps)]
     den = qpoch_inf(q * q * y * y, q * q, ctx) * fock_norm_const(ctx)
-    if den == 0:
-        raise DomainError("weight evaluated on a pole of its closed form")
-    log_v -= np.log(den)
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        return np.exp(log_v)
+    return log_qpoch_table(log_v, factors, q, den, ctx)
 
 
 def kappa_fock(x, ctx: QContext) -> complex:

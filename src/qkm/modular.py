@@ -26,7 +26,7 @@ from .qseries import ThetaKind, qpoch_inf, theta_product
 from .report import make_report, relative_residual
 
 __all__ = [
-    "ModularContext", "HyperbolicPoint", "faddeev_phi", "phi_inversion_probe",
+    "ModularContext", "HyperbolicPoint", "faddeev_phi",
     "psi", "psi_eigen_check", "phi_mu", "weight_V_modular",
     "weight_V_modular_integral", "weight_Vbar_modular", "s_weight",
     "summation_check_modular", "adaptive_midpoint",
@@ -154,15 +154,6 @@ def _checked_qpoch(w, nome, ctx, pole: bool) -> complex:
             return out
         f *= nome
     raise TruncationExhausted("dilogarithm product has no tail")
-
-
-def phi_inversion_probe(mc: ModularContext, steps=(0.1, 0.05, 0.025)) -> dict:
-    """Informational probe of phi(x) phi(-x) against phi(0)^2 as x -> 0."""
-    p0 = faddeev_phi(0.0, mc) ** 2
-    return {
-        "phi0_squared": p0,
-        "products": {s: faddeev_phi(s, mc) * faddeev_phi(-s, mc) for s in steps},
-    }
 
 
 def _chi_pair(pt: HyperbolicPoint):

@@ -23,8 +23,9 @@ from .qseries import qpoch_finite, qpoch_inf, qpoch_inf_multi, tail_sum, big_the
 from .report import make_report, relative_residual
 
 __all__ = [
-    "PolyEvalMethod", "poly_P", "scaled_poly_iter", "scaled_poly_values",
-    "poly_P_difference_checks", "genfun_checks", "poly_norm_sum_check",
+    "PolyEvalMethod", "poly_P", "poly_rows", "scaled_poly_iter",
+    "scaled_poly_values", "overlap_sum", "poly_P_difference_checks",
+    "genfun_checks", "poly_norm_sum_check",
     "ChiParams", "chi", "chi_equation_checks",
 ]
 
@@ -93,7 +94,7 @@ def poly_P(n: int, xi, ctx: QContext,
     return level[0]
 
 
-def scaled_poly_iter(xi, ctx: QContext, scale: complex = 1.0):
+def poly_rows(xi, q, qh, scale):
     """Yield scale * q^{a^2/2} P_a(xi) for a = 0, 1, 2, ...
 
     The q^{a^2/2} weight is folded into the three-term recursion, whose
@@ -101,19 +102,25 @@ def scaled_poly_iter(xi, ctx: QContext, scale: complex = 1.0):
     lose the scale (plain P_a grows like q^{-a^2/2}).  ``scale`` folds a
     caller prefactor into the start value; on spin lattices xi = gamma q^m
     the natural site factor gamma^m q^{m^2/2} keeps every product bounded
-    by |gamma|-powers.
+    by |gamma|-powers.  The arithmetic is that of the arguments (complex
+    doubles through scaled_poly_iter, mpmath numbers in the extended-
+    precision lattice sums); ``qh`` is q^{1/2} on the caller's branch.
     """
-    xi = complex(xi)
-    if xi == 0:
-        raise DomainError("P_n needs xi != 0")
-    s = xi + 1.0 / xi
-    q = ctx.q
-    prev, cur = 0.0 + 0.0j, complex(scale)
+    s = xi + 1 / xi
+    prev, cur = scale - scale, scale
     a = 0
     while True:
         yield cur
-        prev, cur = cur, ctx.q_pow_half(2 * a + 1) * s * cur + (1 - q ** (2 * a)) * prev
+        prev, cur = cur, qh ** (2 * a + 1) * s * cur + (1 - q ** (2 * a)) * prev
         a += 1
+
+
+def scaled_poly_iter(xi, ctx: QContext, scale: complex = 1.0):
+    """poly_rows in complex double precision on the context's branch of q^{1/2}."""
+    xi = complex(xi)
+    if xi == 0:
+        raise DomainError("P_n needs xi != 0")
+    return poly_rows(xi, ctx.q, ctx.q_half, complex(scale))
 
 
 def scaled_poly_values(n_max: int, xi, ctx: QContext,
@@ -199,26 +206,39 @@ def genfun_checks(z, u, v, ctx: QContext):
                        res, ctx.tol_identity, started)
 
 
+def overlap_sum(xi_m, xi_mp, x, ctx: QContext, scale_m=1, scale_mp=1) -> complex:
+    """Tail-ruled sum over a of (-q/x)^a / (q^2;q^2)_a row_m(a) row_mp(a).
+
+    row_m(a) = scale_m q^{a^2/2} P_a(xi_m), likewise row_mp; the sum
+    converges for |x| > |q|.  This is the occupation overlap behind the
+    Fock and sector weights and the completeness relations.
+    """
+    x = complex(x)
+    q = ctx.q
+    if abs(x) <= abs(q):
+        raise DomainError("overlap sum converges for |x| > |q| only")
+
+    def terms():
+        f = 1.0 + 0.0j  # (-1)^a q^a x^{-a} / (q^2; q^2)_a
+        rows = zip(scaled_poly_iter(xi_m, ctx, scale=scale_m),
+                   scaled_poly_iter(xi_mp, ctx, scale=scale_mp))
+        for a, (ra, rb) in enumerate(rows):
+            yield f * ra * rb
+            f *= -q / (x * (1 - (q * q) ** (a + 1)))
+
+    return tail_sum(terms(), ctx)
+
+
 def poly_norm_sum_check(m: int, mp: int, ctx: QContext):
     """Diagonal specialisation of the double generating function.
 
     sum_n (-)^n q^{n(n+1)} P_n(q^{m+1/2}) P_n(q^{mp+1/2}) / (q^2;q^2)_n
-    is delta_{m,mp} (-)^m q^{-m^2} Theta_4 / (1 - q^{2m+1}).
+    is delta_{m,mp} (-)^m q^{-m^2} Theta_4 / (1 - q^{2m+1}); as
+    q^{n(n+1)} P_n P_n = q^n (q^{n^2/2} P_n)^2 it is the overlap sum at x = 1.
     """
     started = time.perf_counter()
     q = ctx.q
-    xi_m = ctx.q_pow_half(2 * m + 1)
-    xi_mp = ctx.q_pow_half(2 * mp + 1)
-
-    # q^{n(n+1)} P_n(xi_m) P_n(xi_mp) = q^n (q^{n^2/2}P_n)(q^{n^2/2}P_n)
-    def terms():
-        f = 1.0 + 0.0j  # (-q)^n / (q^2;q^2)_n
-        rows = zip(scaled_poly_iter(xi_m, ctx), scaled_poly_iter(xi_mp, ctx))
-        for n, (row_m, row_mp) in enumerate(rows):
-            yield f * row_m * row_mp
-            f *= -q / (1 - (q * q) ** (n + 1))
-
-    lhs = tail_sum(terms(), ctx)
+    lhs = overlap_sum(ctx.q_pow_half(2 * m + 1), ctx.q_pow_half(2 * mp + 1), 1, ctx)
     if m == mp:
         rhs = (-1) ** m * q ** (-m * m) * big_theta4_const(ctx) / (1 - q ** (2 * m + 1))
         res = relative_residual(lhs, rhs)

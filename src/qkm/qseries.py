@@ -23,7 +23,8 @@ from .report import make_report, relative_residual
 
 __all__ = [
     "tail_sum", "bilateral_sum", "qpoch_finite", "qpoch_inf",
-    "qpoch_inf_multi", "qpoch_inf_array", "log_qpoch_inf_array", "bracket", "ThetaKind",
+    "qpoch_inf_multi", "log_qpoch_inf_array", "log_qpoch_table", "bracket",
+    "ThetaKind",
     "theta", "theta_sum", "theta_product", "big_theta4_const",
     "jacobi_transform_check", "gauss_check", "gauss_double_sum_check",
     "pentagonal_check",
@@ -139,22 +140,23 @@ def log_qpoch_inf_array(xs, q, ctx: QContext) -> np.ndarray:
         return np.sum(np.log(1.0 - xs[..., None] * powers), axis=-1)
 
 
-def qpoch_inf_array(xs, q, ctx: QContext) -> np.ndarray:
-    """Vectorised qpoch_inf over an array of first arguments (shared nome)."""
-    xs = np.asarray(xs, dtype=complex)
-    q = complex(q)
-    top = float(np.max(np.abs(xs))) if xs.size else 0.0
-    if top == 0.0:
-        return np.ones_like(xs)
-    aq = abs(q)
-    if aq == 0.0:
-        return 1.0 - xs
-    k_cut = int(math.ceil((math.log(ctx.tail_cut) - math.log(top)) / math.log(aq))) + 3
-    k_cut = max(k_cut, 1)
-    if k_cut > ctx.max_terms:
-        raise TruncationExhausted("q-Pochhammer array product has no tail within max_terms")
-    powers = q ** np.arange(k_cut)
-    return np.prod(1.0 - xs[..., None] * powers, axis=-1)
+def log_qpoch_table(log_pref, factors, q, den, ctx: QContext) -> np.ndarray:
+    """exp(log_pref + sum_f log (c_f q^{e_f}; q^2)_inf) / den on a grid.
+
+    ``factors`` lists (c_f, e_f) pairs of a scalar coefficient and an
+    integer exponent grid; every grid broadcasts against ``log_pref``.
+    Summing the logarithms keeps wide spin windows clear of the overflow
+    of the raw products; entries whose weight leaves double range come
+    out as 0 or inf.
+    """
+    if den == 0:
+        raise DomainError("weight evaluated on a pole of its closed form")
+    log_v = log_pref
+    for coef, expo in factors:
+        log_v = log_v + log_qpoch_inf_array(coef * q ** expo.astype(float), q * q, ctx)
+    log_v = log_v - np.log(den)
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        return np.exp(log_v)
 
 
 def bracket(z) -> complex:

@@ -13,14 +13,15 @@ import cmath
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .context import QContext
 from .errors import DomainError, PoleHit, SingularMeasure, TailTooFat
 from .fock import _sqrt_qpoch2, brace
-from .orthopoly import scaled_poly_iter, scaled_poly_values
-from .qseries import (ThetaKind, bracket, log_qpoch_inf_array, qpoch_inf,
+from .orthopoly import overlap_sum, poly_rows, scaled_poly_values
+from .qseries import (ThetaKind, bracket, log_qpoch_table, qpoch_inf,
                       qpoch_inf_multi, tail_sum, theta_product)
 from .report import make_report, relative_residual
 
@@ -28,9 +29,8 @@ __all__ = [
     "GammaContext", "gamma_norm_const", "GammaDecomposition",
     "vgamma_decomposition", "weight_Veps", "weight_Veps_table",
     "weight_Veps_from_overlaps", "brace_gamma_check", "km_V", "km_S",
-    "km_Phi", "km_Vbar", "km_kappa", "KMWeightSet", "km_weight_set",
-    "star_triangle_km", "km_log_z", "km_partition_checks",
-    "windowed_bilateral_sum",
+    "km_Phi", "km_Vbar", "km_kappa", "star_triangle_km", "km_log_z",
+    "km_partition_checks", "windowed_bilateral_sum",
 ]
 
 
@@ -162,44 +162,25 @@ def weight_Veps_table(x, eps: int, m_values, mp_values, gc: GammaContext,
     g2 = gamma * gamma
     ms = np.asarray(m_values, dtype=int)[:, None]
     mps = np.asarray(mp_values, dtype=int)[None, :]
-    shape = np.broadcast_shapes(ms.shape, mps.shape)
     log_v = (ms * ms + mps * mps) * np.log(complex(ctx.q_half)) \
         + (ms + mps) * np.log(gamma)
-    log_v = np.broadcast_to(log_v, shape).astype(complex).copy()
-    for arg, expo in ((g2, 2 + ms + mps), (1 / g2, 2 - ms - mps),
-                      (1, 2 + ms - mps), (1, 2 - ms + mps)):
-        log_v = log_v + log_qpoch_inf_array(arg / x * q ** expo.astype(float),
-                                            q * q, ctx)
+    factors = [(g2 / x, 2 + ms + mps), (1 / g2 / x, 2 - ms - mps),
+               (1 / x, 2 + ms - mps), (1 / x, 2 - ms + mps)]
     den = qpoch_inf(q * q / (x * x), q * q, ctx) * gamma_norm_const(gc, ctx)
-    if den == 0:
-        raise DomainError("sector weight evaluated on a pole")
-    log_v -= np.log(den)
     signs = np.where((ms + mps) % 2 == 0, 1.0, float(eps)) * (-1.0) ** (ms % 2)
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        return signs * np.exp(log_v)
+    return signs * log_qpoch_table(log_v, factors, q, den, ctx)
 
 
 def weight_Veps_from_overlaps(x, eps: int, m: int, mp: int, gc: GammaContext,
                               ctx: QContext) -> complex:
     """Defining sector sum over one Fock tower (cross-check route)."""
-    x = complex(x)
-    q = ctx.q
-    if abs(x) <= abs(q):
-        raise DomainError("overlap sum converges for |x| > |q| only")
     gamma = gc.gamma
+    q = ctx.q
     sign = (-eps) ** m * eps ** mp
-
-    def terms():
-        f = 1.0 + 0.0j  # (-1)^a q^a x^{-a} / (q^2;q^2)_a
-        scale_m = gamma ** m * ctx.q_pow_half(m * m)
-        scale_mp = gamma ** mp * ctx.q_pow_half(mp * mp)
-        rows = zip(scaled_poly_iter(gamma * q ** m, ctx, scale=scale_m),
-                   scaled_poly_iter(gamma * q ** mp, ctx, scale=scale_mp))
-        for a, (ra, rb) in enumerate(rows):
-            yield f * ra * rb
-            f *= -q / (x * (1 - (q * q) ** (a + 1)))
-
-    return sign * tail_sum(terms(), ctx) / gamma_norm_const(gc, ctx)
+    total = overlap_sum(gamma * q ** m, gamma * q ** mp, x, ctx,
+                        scale_m=gamma ** m * ctx.q_pow_half(m * m),
+                        scale_mp=gamma ** mp * ctx.q_pow_half(mp * mp))
+    return sign * total / gamma_norm_const(gc, ctx)
 
 
 def _lattice_brace_sums(a: int, b: int, c: int, gamma, ctx: QContext,
@@ -221,12 +202,7 @@ def _lattice_brace_sums(a: int, b: int, c: int, gamma, ctx: QContext,
         for m in range(-m_window, m_window + 1):
             xi = gamma * q ** m
             site = gamma ** m * qh ** (m * m)
-            s = xi + 1 / xi
-            prev, cur = mp.mpc(0), site
-            rows = []
-            for k in range(top + 1):
-                rows.append(cur)
-                prev, cur = cur, qh ** (2 * k + 1) * s * cur + (1 - q ** (2 * k)) * prev
+            rows = list(islice(poly_rows(xi, q, qh, site), top + 1))
             f = (-1) ** m * (xi - 1 / xi)
             total += f * rows[a] * rows[b] * rows[c]
             norm += f * site ** 3
@@ -366,26 +342,6 @@ def km_kappa(x, gc: GammaContext, ctx: QContext) -> complex:
         return (qpoch_inf_multi((q * x, -q2 * x), q2, ctx)
                 / qpoch_inf_multi((q2 / x, -q2 * q / x), q2, ctx))
     raise DomainError("kappa closed form implemented for nu in {0, +-1/2}")
-
-
-@dataclass
-class KMWeightSet:
-    """Bundle of the model's weight functions for one (gamma, q) point."""
-    v: callable
-    s: callable
-    phi: callable
-    kappa: callable
-    vbar: callable
-
-
-def km_weight_set(gc: GammaContext, ctx: QContext) -> KMWeightSet:
-    return KMWeightSet(
-        v=lambda x, m, mp: km_V(x, m, mp, gc, ctx),
-        s=lambda m: km_S(m, gc, ctx),
-        phi=lambda x: km_Phi(x, gc, ctx),
-        kappa=lambda x: km_kappa(x, gc, ctx),
-        vbar=lambda x, m, mp: km_Vbar(x, m, mp, gc, ctx),
-    )
 
 
 def km_summation_check(x, y, a: int, c: int, gc: GammaContext, ctx: QContext):

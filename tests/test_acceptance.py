@@ -83,12 +83,16 @@ def test_criterion_04_completeness():
     ident = np.einsum("am,m,mb->ab", vm.chi, meas, vm.chi_bar) / vm.n_f
     worst = float(np.max(np.abs(ident - np.eye(a_max + 1))))
     # dual direction, adaptively truncated in the occupation label
-    from qkm.registry import _diagonal_overlap_sum
+    from qkm.orthopoly import overlap_sum
     for m in range(5):
-        target = (-1) ** m * vm.n_f / qseries.bracket(ctx.q_pow_half(2 * m + 1))
-        worst = max(worst, relative_residual(_diagonal_overlap_sum(m, m, ctx), target))
+        xi = ctx.q_pow_half(2 * m + 1)
+        target = (-1) ** m * vm.n_f / qseries.bracket(xi)
+        diag = ctx.q_pow_half(2 * m * (m + 1)) * overlap_sum(xi, xi, 1, ctx)
+        worst = max(worst, relative_residual(diag, target))
         if m:
-            worst = max(worst, abs(_diagonal_overlap_sum(m, m - 1, ctx)) / abs(target))
+            off = (ctx.q_pow_half(2 * m * m)
+                   * overlap_sum(xi, ctx.q_pow_half(2 * m - 1), 1, ctx))
+            worst = max(worst, abs(off) / abs(target))
     # antisymmetric window sum
     vm2 = fock.vform_matrices(fock.FockRepParams(), 10, 39, ctx, m_min=-40)
     br = np.array([qseries.bracket(ctx.q_pow_half(2 * int(m) + 1))

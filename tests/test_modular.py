@@ -7,7 +7,7 @@ import pytest
 
 from qkm.errors import DomainError, PoleHit, WindowTooSmall
 from qkm.modular import (HyperbolicPoint, ModularContext, adaptive_midpoint,
-                         faddeev_phi, phi_inversion_probe, psi,
+                         faddeev_phi, psi,
                          psi_eigen_check, s_weight, summation_check_modular,
                          weight_V_modular, weight_V_modular_integral,
                          weight_Vbar_modular)
@@ -51,12 +51,11 @@ def test_dilog_pole_reported():
 
 
 def test_phi_inversion_probe_informational():
-    probe = phi_inversion_probe(MC)
-    p0 = probe["phi0_squared"]
+    p0 = faddeev_phi(0.0, MC) ** 2
     assert abs(abs(p0) - 1) < 1e-12  # pure phase
-    # products converge to phi(0)^2 by continuity
-    steps = sorted(probe["products"], reverse=True)
-    errs = [abs(probe["products"][s] - p0) for s in steps]
+    # phi(x) phi(-x) converges to phi(0)^2 by continuity
+    errs = [abs(faddeev_phi(s, MC) * faddeev_phi(-s, MC) - p0)
+            for s in (0.1, 0.05, 0.025)]
     assert errs[-1] < errs[0]
     assert errs[-1] < 0.05
 

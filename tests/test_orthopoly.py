@@ -1,13 +1,17 @@
 """Tests for the Laurent polynomials and their q-hypergeometric extension."""
 
+from itertools import islice
+
+import mpmath as mp
 import numpy as np
 import pytest
 
 from qkm.context import QContext
 from qkm.errors import DegenerateArgument, DomainError, OverflowGuard
 from qkm.orthopoly import (ChiParams, PolyEvalMethod, chi, chi_equation_checks,
-                           genfun_checks, poly_norm_sum_check, poly_P,
-                           poly_P_difference_checks, scaled_poly_values)
+                           genfun_checks, overlap_sum, poly_norm_sum_check,
+                           poly_P, poly_P_difference_checks, poly_rows,
+                           scaled_poly_iter, scaled_poly_values)
 from qkm.qseries import qpoch_inf, qpoch_inf_multi
 
 CTX = QContext(q=0.4)
@@ -68,6 +72,27 @@ def test_scaled_rows_match_plain_values():
     for a in (0, 3, 9, 15):
         expect = CTX.q_pow_half(a * a) * poly_P(a, xi, CTX)
         assert abs(rows[a] - expect) < 1e-10 * max(abs(expect), 1.0)
+
+
+def test_poly_rows_mpmath_matches_double():
+    gamma = 0.7 * np.exp(0.4j)
+    cases = [(CTX, 1.1 + 0.3j, 1.0), (CTX, CTX.q_pow_half(5), 1.0),
+             (QContext(q=-0.3), 0.8 - 0.5j, 2.0 - 1.0j)]
+    for m in (-3, 0, 2):
+        cases.append((CTX, gamma * 0.4 ** m, gamma ** m * CTX.q_pow_half(m * m)))
+    for ctx, xi, scale in cases:
+        double = list(islice(scaled_poly_iter(xi, ctx, scale), 25))
+        with mp.workdps(30):
+            q = mp.mpc(ctx.q)
+            rows = poly_rows(mp.mpc(xi), q, mp.sqrt(q), mp.mpc(scale))
+            extended = [complex(row) for row in islice(rows, 25)]
+        for d, e in zip(double, extended):
+            assert abs(d - e) <= 1e-14 * abs(e)
+
+
+def test_overlap_sum_domain():
+    with pytest.raises(DomainError):
+        overlap_sum(1.1, 0.9, 0.3, CTX)
 
 
 def test_difference_equations():

@@ -11,7 +11,7 @@ from qkm.errors import DomainError, TruncationExhausted
 from qkm.qseries import (ThetaKind, bilateral_sum, bracket, big_theta4_const,
                          gauss_check, gauss_double_sum_check,
                          jacobi_transform_check, pentagonal_check,
-                         qpoch_finite, qpoch_inf, qpoch_inf_array,
+                         log_qpoch_table, qpoch_finite, qpoch_inf,
                          theta, theta_product, theta_sum)
 
 CTX = QContext(q=0.4)
@@ -55,11 +55,18 @@ def test_qpoch_inf_shift_property():
         assert abs(ratio - (1 - x)) < 1e-9
 
 
-def test_qpoch_inf_array_matches_scalar():
-    xs = np.array([0.3, -0.2 + 0.1j, 1.7, 0.0])
-    arr = qpoch_inf_array(xs, 0.16, CTX)
-    for x, v in zip(xs, arr):
-        assert abs(v - qpoch_inf(x, 0.16, CTX)) < 1e-12
+def test_log_qpoch_table_matches_scalar_products():
+    q = 0.4 + 0.0j
+    expo = np.arange(-2, 3)[:, None] + np.arange(3)[None, :]
+    pref = np.full(expo.shape, 0.25 + 0.5j)
+    den = 1.3 - 0.2j
+    tab = log_qpoch_table(pref, [(0.7j, expo), (-0.5, 2 - expo)], q, den, CTX)
+    for (i, j), e in np.ndenumerate(expo):
+        expect = (np.exp(0.25 + 0.5j) * qpoch_inf(0.7j * q ** e, q * q, CTX)
+                  * qpoch_inf(-0.5 * q ** (2 - e), q * q, CTX) / den)
+        assert abs(tab[i, j] - expect) < 1e-12 * abs(expect)
+    with pytest.raises(DomainError):
+        log_qpoch_table(pref, [(0.7j, expo)], q, 0.0, CTX)
 
 
 def test_truncation_exhausted_raised():
