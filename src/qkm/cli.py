@@ -73,6 +73,7 @@ def _build_run_config(args) -> RunConfig:
             return cast(file_vals[name])
         return None
 
+    seed = pick("seed", args.seed, int)
     gamma, gamma_nu = None, None
     gamma_text = args.gamma or file_vals.get("gamma")
     if gamma_text is not None:
@@ -83,7 +84,7 @@ def _build_run_config(args) -> RunConfig:
         gamma_nu=gamma_nu,
         b_theta=pick("theta", args.theta, float),
         tol=pick("tol", args.tol, float),
-        seed=pick("seed", args.seed, int) or RunConfig.seed,
+        seed=RunConfig.seed if seed is None else seed,
         filter=pick("filter", args.filter, str) or "*",
         fmt=pick("format", args.format, str) or "human",
         m_window=pick("m_window", args.m_window, int),

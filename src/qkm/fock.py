@@ -385,6 +385,9 @@ def weight_table(x, m_values, mp_values, ctx: QContext) -> np.ndarray:
     Assembled in log space: the four numerator products grow like
     q^{-(m+m')^2/4} before the q^{(m(m+1)+m'(m'+1))/2} prefactor tames
     them, which overflows plain double arithmetic on wide spin windows.
+    Each product depends only on m - m' or m + m', so ``log_qpoch_table``
+    evaluates it once per distinct value: O(M) q-products for M x M
+    entries.
     """
     x = complex(x)
     if x == 0:

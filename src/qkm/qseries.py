@@ -18,7 +18,8 @@ from enum import Enum
 import numpy as np
 
 from .context import QContext
-from .errors import DomainError, RepresentationMismatch, TruncationExhausted
+from .errors import (DomainError, OverflowGuard, RepresentationMismatch,
+                     TruncationExhausted)
 from .report import make_report, relative_residual
 
 __all__ = [
@@ -145,15 +146,25 @@ def log_qpoch_table(log_pref, factors, q, den, ctx: QContext) -> np.ndarray:
 
     ``factors`` lists (c_f, e_f) pairs of a scalar coefficient and an
     integer exponent grid; every grid broadcasts against ``log_pref``.
-    Summing the logarithms keeps wide spin windows clear of the overflow
-    of the raw products; entries whose weight leaves double range come
-    out as 0 or inf.
+    Each log q-product is evaluated once per distinct exponent and gathered
+    back onto its grid: a spin-grid weight has O(M) distinct m - m' and
+    m + m' but O(M^2) entries.  The set of arguments, hence the truncation,
+    is that of the full grid, so the gather changes no bit.  Summing the
+    logarithms keeps wide spin windows clear of the overflow of the raw
+    products; entries whose weight leaves double range come out as 0 or
+    inf.  A factor argument that itself overflows raises OverflowGuard.
     """
     if den == 0:
         raise DomainError("weight evaluated on a pole of its closed form")
     log_v = log_pref
     for coef, expo in factors:
-        log_v = log_v + log_qpoch_inf_array(coef * q ** expo.astype(float), q * q, ctx)
+        distinct, inverse = np.unique(expo, return_inverse=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            args = coef * q ** distinct.astype(float)
+        if not np.all(np.isfinite(args)):
+            raise OverflowGuard("q-product argument leaves double range; "
+                                "narrow the spin window")
+        log_v = log_v + log_qpoch_inf_array(args, q * q, ctx)[inverse.reshape(expo.shape)]
     log_v = log_v - np.log(den)
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         return np.exp(log_v)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import warnings
 
 import mpmath
 
@@ -124,6 +125,17 @@ def test_transitivity_pairs_redrawn_near_convergence_edge():
     assert all(r.verdict == "PASS" for r in reports)
 
 
+def test_seed_zero_is_honoured():
+    def points(*flags):
+        rc, out = run_cli(["verify", "--filter", "qseries.gauss.A_9",
+                           "--format", "json", *flags])
+        assert rc == 0
+        return [r["params"] for r in json.loads(out)]
+
+    assert points() == points("--seed", str(RunConfig.seed))
+    assert points("--seed", "0") != points()
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nfilter = qseries.gauss.A_9\nformat = json\nseed = 7\n")
@@ -142,6 +154,17 @@ def test_table_fock_grid():
     assert rc == 0
     lines = out.strip().splitlines()
     assert len(lines) == 37  # header + 36 grid points
+
+
+def test_table_overflow_is_classified(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = run_cli(["table", "fock.V", "--x", "0.7",
+                           "--m-range=0:800", "--mp-range=0:0"])
+    assert rc == 2
+    assert out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: OverflowGuard: ")
 
 
 def test_table_vbold_all_ones_at_x_q():

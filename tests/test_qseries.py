@@ -1,18 +1,20 @@
 """Tests for the q-series kernel."""
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qkm import fock, qseries, vgamma
 from qkm.context import QContext
-from qkm.errors import DomainError, TruncationExhausted
+from qkm.errors import DomainError, OverflowGuard, TruncationExhausted
 from qkm.qseries import (ThetaKind, bilateral_sum, bracket, big_theta4_const,
                          gauss_check, gauss_double_sum_check,
                          jacobi_transform_check, pentagonal_check,
-                         log_qpoch_table, qpoch_finite, qpoch_inf,
-                         theta, theta_product, theta_sum)
+                         log_qpoch_inf_array, log_qpoch_table, qpoch_finite,
+                         qpoch_inf, theta, theta_product, theta_sum)
 
 CTX = QContext(q=0.4)
 
@@ -67,6 +69,64 @@ def test_log_qpoch_table_matches_scalar_products():
         assert abs(tab[i, j] - expect) < 1e-12 * abs(expect)
     with pytest.raises(DomainError):
         log_qpoch_table(pref, [(0.7j, expo)], q, 0.0, CTX)
+
+
+def _grid_log_qpoch_table(log_pref, factors, q, den, ctx):
+    """log_qpoch_table without the gather: every factor on its full grid."""
+    log_v = log_pref
+    for coef, expo in factors:
+        log_v = log_v + log_qpoch_inf_array(coef * q ** expo.astype(float), q * q, ctx)
+    log_v = log_v - np.log(den)
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        return np.exp(log_v)
+
+
+@pytest.mark.parametrize("q", [0.4, -0.3, 0.35 * cmath.exp(0.2j)])
+def test_weight_tables_gather_is_exact(q, monkeypatch):
+    ctx = QContext(q=q)
+    gc = vgamma.GammaContext(gamma=0.7 * cmath.exp(0.4j))
+    x = 0.7 * cmath.exp(0.9j)
+    tables = {
+        "fock": lambda ms, mps: fock.weight_table(x, ms, mps, ctx),
+        "veps+": lambda ms, mps: vgamma.weight_Veps_table(x, 1, ms, mps, gc, ctx),
+        "veps-": lambda ms, mps: vgamma.weight_Veps_table(x, -1, ms, mps, gc, ctx),
+    }
+    # unsorted, sparse, with repeated spins
+    ms, mps = [7, -3, 0, 7, 15, -11, 2, -3], [1, 12, -3, 1, 0, 9, 5]
+    got = {name: table(ms, mps) for name, table in tables.items()}
+    # the deduplicated sorted window has the same exponent set, hence the
+    # same truncation, so its entries must match bit for bit
+    um, ump = sorted(set(ms)), sorted(set(mps))
+    rows, cols = [um.index(m) for m in ms], [ump.index(mp) for mp in mps]
+    for name, table in tables.items():
+        assert np.array_equal(table(um, ump)[np.ix_(rows, cols)], got[name]), name
+    monkeypatch.setattr(fock, "log_qpoch_table", _grid_log_qpoch_table)
+    monkeypatch.setattr(vgamma, "log_qpoch_table", _grid_log_qpoch_table)
+    for name, table in tables.items():
+        assert np.array_equal(table(ms, mps), got[name]), name
+
+
+def test_weight_table_evaluates_each_distinct_exponent_once(monkeypatch):
+    sizes = []
+    evaluate = qseries.log_qpoch_inf_array
+
+    def recording(xs, q, ctx):
+        sizes.append(np.size(xs))
+        return evaluate(xs, q, ctx)
+
+    monkeypatch.setattr(qseries, "log_qpoch_inf_array", recording)
+    window = np.arange(-80, 81)
+    fock.weight_table(0.7, window, window, CTX)
+    assert len(sizes) == 4
+    assert max(sizes) <= 2 * window.size - 1
+
+
+def test_log_qpoch_table_overflowing_argument_is_classified():
+    expo = np.arange(0, 801)[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowGuard):
+            log_qpoch_table(np.zeros(expo.shape), [(1.0, -expo)], 0.4, 1.0, CTX)
 
 
 def test_truncation_exhausted_raised():
