@@ -66,30 +66,33 @@ def _load_config_file(path: str) -> dict:
 def _build_run_config(args) -> RunConfig:
     file_vals = _load_config_file(args.config) if args.config else {}
 
-    def pick(name, flag_value, cast):
+    def pick(name, flag_value, cast, default=None):
         if flag_value is not None:
             return flag_value
         if name in file_vals:
             return cast(file_vals[name])
-        return None
+        return default
 
-    seed = pick("seed", args.seed, int)
     gamma, gamma_nu = None, None
-    gamma_text = args.gamma or file_vals.get("gamma")
+    gamma_text = pick("gamma", args.gamma, str)
     if gamma_text is not None:
-        gamma, gamma_nu = _parse_gamma(str(gamma_text))
+        gamma, gamma_nu = _parse_gamma(gamma_text)
     cfg = RunConfig(
         q=pick("q", args.q, parse_complex),
         gamma=gamma,
         gamma_nu=gamma_nu,
         b_theta=pick("theta", args.theta, float),
         tol=pick("tol", args.tol, float),
-        seed=RunConfig.seed if seed is None else seed,
-        filter=pick("filter", args.filter, str) or "*",
-        fmt=pick("format", args.format, str) or "human",
+        seed=pick("seed", args.seed, int, RunConfig.seed),
+        filter=pick("filter", args.filter, str, RunConfig.filter),
+        fmt=pick("format", args.format, str, RunConfig.fmt),
         m_window=pick("m_window", args.m_window, int),
         a_max=pick("a_max", args.a_max, int),
     )
+    for flag, value in (("tol", cfg.tol), ("m-window", cfg.m_window),
+                        ("a-max", cfg.a_max)):
+        if value is not None and not value > 0:
+            raise UsageError(f"--{flag} must be positive, got {value}")
     if cfg.fmt not in ("human", "json", "csv"):
         raise UsageError(f"unknown format {cfg.fmt!r}")
     return cfg
@@ -157,7 +160,8 @@ def cmd_table(args, stream) -> int:
             for mp in range(mp_lo, mp_hi + 1):
                 rows.append((m, mp, vgamma.km_V(x, m, mp, gc, ctx)))
     elif args.weight_id == "modular.V":
-        mc = modular.ModularContext(theta=args.theta or DEFAULT_THETA)
+        theta = DEFAULT_THETA if args.theta is None else args.theta
+        mc = modular.ModularContext(theta=theta)
         mu = parse_complex(args.mu) if args.mu else 0.15j + mc.eta / 3
         xs = np.linspace(m_lo, m_hi, args.points)
         ys = np.linspace(mp_lo, mp_hi, args.points)

@@ -30,8 +30,9 @@ __all__ = [
     "FockRepParams", "Regularisation", "TruncatedHamiltonian",
     "build_truncated_H", "SpectralReport", "spectral_experiment",
     "VFormMatrices", "vform_matrices", "s_measure", "fock_norm_const",
-    "cg_norm_const", "BraceMethod", "brace", "CGSide", "cg_coefficient",
-    "weight_V_fock", "weight_V_fock_from_overlaps", "weight_table",
+    "cg_norm_const", "BraceMethod", "brace", "brace_spin_sums", "CGSide",
+    "cg_coefficient", "weight_V_fock", "weight_V_fock_from_overlaps",
+    "weight_table",
     "kappa_fock", "transitivity_check_fock", "star_triangle_fock",
     "partition_series_fock", "rll_check", "vbasis_operator_matrices",
     "box_rmatrix_fock", "box_intertwining_check",
@@ -237,6 +238,8 @@ class BraceMethod(Enum):
 
 
 def _brace_guard(a: int, b: int, c: int, q: complex):
+    if min(a, b, c) < 0:
+        raise DomainError("brace indices must be nonnegative")
     s = a + b + c
     worst = 0.0
     ln_inv_q = np.log(1.0 / abs(q))
@@ -254,15 +257,12 @@ def brace(a: int, b: int, c: int, ctx: QContext,
     eigenvalue-lattice sum over the triple product of polynomials, and
     ``recursion`` the two-term descent from {a, b, 0} = q^{ab}.
     """
-    if min(a, b, c) < 0:
-        raise DomainError("brace indices must be nonnegative")
-    q = ctx.q
-    _brace_guard(a, b, c, q)
+    if method is BraceMethod.SPIN_SUM:
+        return brace_spin_sums([(a, b, c)], ctx)[0]
+    _brace_guard(a, b, c, ctx.q)
     if method is BraceMethod.CLOSED_FORM:
         return _brace_closed(a, b, c, ctx)
-    if method is BraceMethod.RECURSION:
-        return _brace_recursion(ctx)(a, b, c)
-    return _brace_spin_sum(a, b, c, ctx)
+    return _brace_recursion(ctx)(a, b, c)
 
 
 def _brace_closed(a: int, b: int, c: int, ctx: QContext) -> complex:
@@ -282,32 +282,41 @@ def _brace_closed(a: int, b: int, c: int, ctx: QContext) -> complex:
     return pref * total
 
 
-def _brace_spin_sum(a: int, b: int, c: int, ctx: QContext, dps: int = 40) -> complex:
-    """Eigenvalue-lattice sum for {a, b, c}, evaluated in extended precision.
+def brace_spin_sums(triples, ctx: QContext, dps: int = 40) -> list[complex]:
+    """Eigenvalue-lattice sums for the triples {a, b, c}, in extended precision.
 
     The summands are O(1) while the result can be as small as
     q^{ab+ac+bc}, so the cancellation exceeds double precision on the
     corners of the index box; 40-digit arithmetic restores full double
-    accuracy of the returned value.
+    accuracy of the returned values.  One row stack per site serves every
+    triple, and each triple stops at its own tail, so a value does not
+    depend on the other triples of the batch.
     """
     import mpmath as mp
 
+    for a, b, c in triples:
+        _brace_guard(a, b, c, ctx.q)
     with mp.workdps(dps):
         q = mp.mpc(ctx.q)
         qh = mp.sqrt(q)  # principal branch, same as QContext.q_half
-        n_top = max(a, b, c)
-        total = mp.mpc(0)
-        peak = mp.mpf(0)
-        below = 0
+        n_top = max((max(t) for t in triples), default=0)
+        cut = mp.mpf(10) ** (5 - dps)
+        totals = [mp.mpc(0)] * len(triples)
+        peaks = [mp.mpf(0)] * len(triples)
+        below = [0] * len(triples)
+        live = range(len(triples))
         for m in range(ctx.max_terms):
             xi = qh ** (2 * m + 1)
             rows = list(islice(poly_rows(xi, q, qh, mp.mpc(1)), n_top + 1))
-            t = ((-1) ** m * q ** (3 * m * (m + 1) // 2) * (xi - 1 / xi)
-                 * rows[a] * rows[b] * rows[c])
-            total += t
-            peak = max(peak, abs(t))
-            below = below + 1 if abs(t) < peak * mp.mpf(10) ** (5 - dps) else 0
-            if below >= 3:
+            w = (-1) ** m * q ** (3 * m * (m + 1) // 2) * (xi - 1 / xi)
+            for i in live:
+                a, b, c = triples[i]
+                t = w * rows[a] * rows[b] * rows[c]
+                totals[i] += t
+                peaks[i] = max(peaks[i], abs(t))
+                below[i] = below[i] + 1 if abs(t) < peaks[i] * cut else 0
+            live = [i for i in live if below[i] < 3]
+            if not live:
                 break
         else:
             raise TruncationExhausted("brace spin sum has no tail within max_terms")
@@ -316,7 +325,8 @@ def _brace_spin_sum(a: int, b: int, c: int, ctx: QContext, dps: int = 40) -> com
         while abs(f) > mp.mpf(10) ** (-dps):
             poch *= 1 - f
             f *= q
-        return complex(total / (-poch / qh))
+        norm = -poch / qh
+        return [complex(total / norm) for total in totals]
 
 
 @lru_cache(maxsize=32)

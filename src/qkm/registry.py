@@ -14,6 +14,7 @@ import fnmatch
 import math
 import time
 from dataclasses import dataclass, replace
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -54,9 +55,14 @@ class IdentityEntry:
     runner: callable
 
 
+def _default(value, default):
+    """An override unless it is unset; falsy overrides are kept."""
+    return default if value is None else value
+
+
 def _ctx(cfg: RunConfig, default_q=DEFAULT_Q, tol=1e-9) -> QContext:
     q = cfg.q if cfg.q is not None else default_q
-    return QContext(q=q, tol_identity=cfg.tol or tol)
+    return QContext(q=q, tol_identity=_tol(cfg, tol))
 
 
 def _tol(cfg: RunConfig, default: float) -> float:
@@ -249,8 +255,8 @@ def _run_chi_equations(cfg):
 def _run_completeness(cfg):
     ctx = _ctx(cfg)
     tol = _tol(cfg, 1e-8)
-    a_max = cfg.a_max or 14
-    m_max = cfg.m_window or 50
+    a_max = _default(cfg.a_max, 14)
+    m_max = _default(cfg.m_window, 50)
     started = time.perf_counter()
     vm = fock.vform_matrices(fock.FockRepParams(omega=1.1, lam=0.9, mu=1.2),
                              a_max, m_max, ctx)
@@ -288,9 +294,9 @@ def _run_antisym(cfg):
     ctx = _ctx(cfg)
     tol = _tol(cfg, 1e-8)
     started = time.perf_counter()
-    m_w = cfg.m_window or 40
-    vm = fock.vform_matrices(fock.FockRepParams(), cfg.a_max or 10, m_w - 1,
-                             ctx, m_min=-m_w)
+    m_w = _default(cfg.m_window, 40)
+    vm = fock.vform_matrices(fock.FockRepParams(), _default(cfg.a_max, 10),
+                             m_w - 1, ctx, m_min=-m_w)
     br = np.array([qseries.bracket(ctx.q_pow_half(2 * int(m) + 1))
                    for m in vm.m_values])
     sums = np.einsum("am,m,mb->ab", vm.chi, br, vm.chi_bar)
@@ -337,15 +343,15 @@ def _run_brace_agreement(cfg):
         started = time.perf_counter()
         worst = 0.0
         arg = None
-        for a in range(7):
-            for b in range(a, 7):
-                for c in range(b, 7):
-                    vals = [fock.brace(a, b, c, ctx, m) for m in fock.BraceMethod]
-                    scale = max(abs(vals[1]), 1e-300)
-                    dev = max(abs(vals[0] - vals[1]), abs(vals[1] - vals[2]),
-                              abs(vals[0] - vals[2])) / scale
-                    if dev > worst:
-                        worst, arg = dev, (a, b, c)
+        box = list(combinations_with_replacement(range(7), 3))
+        for t, spin in zip(box, fock.brace_spin_sums(box, ctx)):
+            vals = [spin, fock.brace(*t, ctx, fock.BraceMethod.CLOSED_FORM),
+                    fock.brace(*t, ctx, fock.BraceMethod.RECURSION)]
+            scale = max(abs(vals[1]), 1e-300)
+            dev = max(abs(vals[0] - vals[1]), abs(vals[1] - vals[2]),
+                      abs(vals[0] - vals[2])) / scale
+            if dev > worst:
+                worst, arg = dev, t
         out.append(make_report("fock.brace_agreement.4_27_4_28_4_39",
                                {"q": q, "box": "[0,6]^3", "worst_at": arg},
                                worst, tol, started))
@@ -556,8 +562,8 @@ def _run_vg_completeness(cfg):
     tol = _tol(cfg, 1e-8)
     started = time.perf_counter()
     gc = vgamma.GammaContext(gamma=_gamma_generic(cfg),
-                             m_window=cfg.m_window or 40)
-    a_max = cfg.a_max or 40
+                             m_window=_default(cfg.m_window, 40))
+    a_max = _default(cfg.a_max, 40)
     dec = vgamma.vgamma_decomposition(gc, 1.1, a_max, ctx)
     br = np.array([qseries.bracket(gc.gamma * ctx.q ** int(m))
                    for m in dec.m_values])
@@ -600,7 +606,7 @@ def _run_vg_projectors(cfg):
     tol = _tol(cfg, 1e-8)
     started = time.perf_counter()
     gc = vgamma.GammaContext(gamma=_gamma_generic(cfg),
-                             m_window=cfg.m_window or 40)
+                             m_window=_default(cfg.m_window, 40))
     m_w = gc.m_window
     mv = np.arange(-m_w, m_w + 1)
     tab_p = vgamma.weight_Veps_table(1.0, 1, mv, mv, gc, ctx)
@@ -658,11 +664,9 @@ def _run_vg_brace(cfg):
                     "vgamma.brace_gamma.5_14_5_15", tol)]
     started = time.perf_counter()
     worst = 0.0
-    for a in range(5):
-        for b in range(a, 5):
-            for c in range(b, 5):
-                r = vgamma.brace_gamma_check(a, b, c, gammas[:2], ctx)
-                worst = max(worst, r.residual)
+    box = list(combinations_with_replacement(range(5), 3))
+    for r, _ in vgamma.brace_gamma_residuals(box, gammas[:2], ctx):
+        worst = max(worst, r)
     out.append(make_report("vgamma.brace_gamma.5_14_5_15",
                            {"box": "[0,4]^3", "q": ctx.q,
                             "gammas": [complex(g) for g in gammas[:2]]},
@@ -693,7 +697,8 @@ def _run_vg_weight_symmetry(cfg):
 def _run_vg_summation(cfg):
     ctx = _ctx(cfg)
     tol = _tol(cfg, 1e-8)
-    gc = vgamma.GammaContext.make_selected(0.0, ctx, m_window=cfg.m_window or 40)
+    gc = vgamma.GammaContext.make_selected(0.0, ctx,
+                                           m_window=_default(cfg.m_window, 40))
     out = [_rebrand(vgamma.km_summation_check(0.7, 0.8, a, c, gc, ctx),
                     "vgamma.summation.5_25", tol)
            for a, c in ((0, 0), (2, -1))]
@@ -705,7 +710,7 @@ def _run_vg_summation(cfg):
 
 
 def _selected_contexts(cfg, ctx):
-    window = cfg.m_window or 40
+    window = _default(cfg.m_window, 40)
     if cfg.gamma_nu is not None:
         return [vgamma.GammaContext.make_selected(cfg.gamma_nu, ctx, window)]
     return [vgamma.GammaContext.make_selected(0.0, ctx, window),
@@ -720,7 +725,7 @@ def _run_vg_star_triangle(cfg):
         # a forced generic gamma turns this identity into its own negative
         # control: the relation is expected to fail off the selected lattice
         gc = vgamma.GammaContext(gamma=complex(cfg.gamma),
-                                 m_window=cfg.m_window or 40)
+                                 m_window=_default(cfg.m_window, 40))
         for spins in ((1, -1, 2), (2, 1, -1)):
             out.append(_rebrand(vgamma.star_triangle_km(0.7, 0.6, *spins, gc, ctx),
                                 "vgamma.star_triangle.5_27", tol, negative=True))
@@ -737,7 +742,8 @@ def _run_vg_star_triangle_generic(cfg):
     ctx = _ctx(cfg)
     tol = _tol(cfg, 1e-7)
     gamma = cfg.gamma if cfg.gamma is not None else 0.8 * cmath.exp(0.3j)
-    gc = vgamma.GammaContext(gamma=complex(gamma), m_window=cfg.m_window or 40)
+    gc = vgamma.GammaContext(gamma=complex(gamma),
+                             m_window=_default(cfg.m_window, 40))
     out = []
     for spins in ((1, -1, 2), (2, 1, -1)):
         out.append(_rebrand(vgamma.star_triangle_km(0.7, 0.6, *spins, gc, ctx),
@@ -926,7 +932,7 @@ def run_entry(entry: IdentityEntry, cfg: RunConfig) -> list[IdentityReport]:
     try:
         return entry.runner(cfg)
     except QkmError as exc:
-        return [skipped_report(entry.identity_id, {}, cfg.tol or 0.0,
+        return [skipped_report(entry.identity_id, {}, _tol(cfg, 0.0),
                                f"{type(exc).__name__}: {exc}")]
 
 

@@ -28,9 +28,9 @@ from .report import make_report, relative_residual
 __all__ = [
     "GammaContext", "gamma_norm_const", "GammaDecomposition",
     "vgamma_decomposition", "weight_Veps", "weight_Veps_table",
-    "weight_Veps_from_overlaps", "brace_gamma_check", "km_V", "km_S",
-    "km_Phi", "km_Vbar", "km_kappa", "star_triangle_km", "km_log_z",
-    "km_partition_checks", "windowed_bilateral_sum",
+    "weight_Veps_from_overlaps", "brace_gamma_residuals", "brace_gamma_check",
+    "km_V", "km_S", "km_Phi", "km_Vbar", "km_kappa", "star_triangle_km",
+    "km_log_z", "km_partition_checks", "windowed_bilateral_sum",
 ]
 
 
@@ -183,12 +183,14 @@ def weight_Veps_from_overlaps(x, eps: int, m: int, mp: int, gc: GammaContext,
     return sign * total / gamma_norm_const(gc, ctx)
 
 
-def _lattice_brace_sums(a: int, b: int, c: int, gamma, ctx: QContext,
-                        m_window: int, dps: int = 30):
-    """Extended-precision lattice sum and its a=b=c=0 normalisation.
+def _lattice_brace_sums(triples, gamma, ctx: QContext, m_window: int,
+                        dps: int = 30):
+    """Extended-precision lattice sums of the triples and their a=b=c=0 norm.
 
     The summands are O(1)-ish while the ratio can be as small as
     q^{ab+ac+bc}; 30-digit arithmetic keeps the returned doubles exact.
+    One row stack per site, as deep as the deepest triple, serves every
+    triple.
     """
     import mpmath as mp
 
@@ -196,17 +198,46 @@ def _lattice_brace_sums(a: int, b: int, c: int, gamma, ctx: QContext,
         q = mp.mpc(ctx.q)
         qh = mp.sqrt(q)
         gamma = mp.mpc(gamma)
-        top = max(a, b, c)
-        total = mp.mpc(0)
+        top = max(max(t) for t in triples)
+        totals = [mp.mpc(0)] * len(triples)
         norm = mp.mpc(0)
         for m in range(-m_window, m_window + 1):
             xi = gamma * q ** m
             site = gamma ** m * qh ** (m * m)
             rows = list(islice(poly_rows(xi, q, qh, site), top + 1))
             f = (-1) ** m * (xi - 1 / xi)
-            total += f * rows[a] * rows[b] * rows[c]
+            for i, (a, b, c) in enumerate(triples):
+                totals[i] += f * rows[a] * rows[b] * rows[c]
             norm += f * site ** 3
-        return complex(total), complex(norm)
+        return [complex(t) for t in totals], complex(norm)
+
+
+def brace_gamma_residuals(triples, gamma_list, ctx: QContext,
+                          m_window: int = 60):
+    """Worst residual and its components for each triple of brace_gamma_check.
+
+    Returns one ``(worst, details)`` pair per triple; every gamma builds
+    one lattice table for the whole batch.
+    """
+    if max(max(t) for t in triples) > 8:
+        raise DomainError("cancellation limit of the lattice route: indices <= 8")
+    q = ctx.q
+    closed = [brace(a, b, c, ctx) for a, b, c in triples]
+    worst = [0.0] * len(triples)
+    details = [{} for _ in triples]
+    for i, gamma in enumerate(gamma_list):
+        totals, m_gamma_sum = _lattice_brace_sums(triples, complex(gamma), ctx,
+                                                  m_window)
+        m_gamma_theta = -(theta_product(ThetaKind.H, complex(gamma), ctx)
+                          * theta_product(ThetaKind.THETA3, complex(gamma), ctx)
+                          / qpoch_inf(q * q, q * q, ctx))
+        res_norm = relative_residual(m_gamma_sum, m_gamma_theta)
+        for k, total in enumerate(totals):
+            res_brace = relative_residual(total / m_gamma_sum, closed[k])
+            details[k][f"res_brace_{i}"] = res_brace
+            details[k][f"res_norm_{i}"] = res_norm
+            worst[k] = max(worst[k], res_brace, res_norm)
+    return list(zip(worst, details))
 
 
 def brace_gamma_check(a: int, b: int, c: int, gamma_list, ctx: QContext,
@@ -218,23 +249,8 @@ def brace_gamma_check(a: int, b: int, c: int, gamma_list, ctx: QContext,
     is also checked against its theta-product evaluation.
     """
     started = time.perf_counter()
-    if max(a, b, c) > 8:
-        raise DomainError("cancellation limit of the lattice route: indices <= 8")
-    q = ctx.q
-    closed = brace(a, b, c, ctx)
-    worst = 0.0
-    details = {}
-    for i, gamma in enumerate(gamma_list):
-        total, m_gamma_sum = _lattice_brace_sums(a, b, c, complex(gamma), ctx,
-                                                 m_window)
-        m_gamma_theta = -(theta_product(ThetaKind.H, complex(gamma), ctx)
-                          * theta_product(ThetaKind.THETA3, complex(gamma), ctx)
-                          / qpoch_inf(q * q, q * q, ctx))
-        res_norm = relative_residual(m_gamma_sum, m_gamma_theta)
-        res_brace = relative_residual(total / m_gamma_sum, closed)
-        details[f"res_brace_{i}"] = res_brace
-        details[f"res_norm_{i}"] = res_norm
-        worst = max(worst, res_brace, res_norm)
+    [(worst, details)] = brace_gamma_residuals([(a, b, c)], gamma_list, ctx,
+                                               m_window)
     params = {"a": a, "b": b, "c": c, "gammas": [complex(g) for g in gamma_list]}
     params.update(details)
     return make_report("vgamma.brace_gamma.5_14_5_15", params, worst,

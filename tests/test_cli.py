@@ -5,9 +5,13 @@ import json
 import warnings
 
 import mpmath
+import pytest
 
+from qkm import fock, vgamma
 from qkm.cli import main, parse_complex
-from qkm.registry import REGISTRY, RunConfig, run_suite, select_entries
+from qkm.orthopoly import poly_rows
+from qkm.registry import (REGISTRY, RunConfig, _run_brace_agreement,
+                          _run_vg_brace, run_suite, select_entries)
 
 
 def run_cli(argv):
@@ -94,8 +98,8 @@ def test_negative_control_reports_expected_fail_and_exit_zero():
 
 
 def test_determinism_same_seed():
-    def run_once():
-        rc, out = run_cli(["verify", "--filter", "fock.weight_*",
+    def run_once(pattern):
+        rc, out = run_cli(["verify", "--filter", pattern,
                            "--format", "json", "--seed", "42"])
         assert rc == 0
         reports = json.loads(out)
@@ -103,7 +107,59 @@ def test_determinism_same_seed():
             r.pop("wall_time_ms")
         return json.dumps(reports, sort_keys=True)
 
-    assert run_once() == run_once()
+    # the brace entries share row tables across triples, never across calls
+    for pattern in ("fock.weight_*", "*brace*"):
+        assert run_once(pattern) == run_once(pattern)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--filter", ""], ["--gamma", ""], ["--tol", "0"], ["--tol", "-1e-9"],
+    ["--tol", "nan"], ["--m-window", "0"], ["--m-window", "-3"],
+    ["--a-max", "0"],
+], ids=" ".join)
+def test_falsy_or_nonpositive_override_is_usage_error(flags, capsys):
+    rc, out = run_cli(["verify", "--format", "json", *flags])
+    assert rc == 2 and out == ""
+    assert "error:" in capsys.readouterr().err
+
+
+def test_nonpositive_override_in_config_file_is_usage_error(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nfilter = qseries.gauss.A_9\nm-window = 0\n")
+    rc, out = run_cli(["verify", "--config", str(cfg)])
+    assert rc == 2 and out == ""
+
+
+def test_table_zero_theta_is_refused(capsys):
+    rc, out = run_cli(["table", "modular.V", "--theta", "0"])
+    assert rc == 2 and out == ""
+    assert "DomainError" in capsys.readouterr().err
+
+
+def test_registry_keeps_a_falsy_window():
+    # a zero window is used as given (and refused), not replaced by 40
+    [rep] = run_suite(RunConfig(filter="fock.antisym.4_17", m_window=0))
+    assert rep.verdict == "SKIPPED"
+    assert rep.params["skip_reason"].startswith("DomainError")
+
+
+def test_brace_entries_build_one_row_table_per_site(monkeypatch):
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return poly_rows(*args)
+
+    monkeypatch.setattr(fock, "poly_rows", counted)
+    monkeypatch.setattr(vgamma, "poly_rows", counted)
+    # one (2, 1, 1) check over 4 gammas and the [0,4]^3 box over 2 gammas,
+    # each gamma on 121 sites: (4 + 2) * 121 tables
+    assert all(r.verdict == "PASS" for r in _run_vg_brace(RunConfig()))
+    assert calls[0] <= 726
+    calls[0] = 0
+    # the [0,6]^3 box at q = 0.3 and 0.5: one table per site of the spin sum
+    assert all(r.verdict == "PASS" for r in _run_brace_agreement(RunConfig()))
+    assert calls[0] <= 34
 
 
 def test_jobs_flag_rejected():

@@ -1,6 +1,7 @@
 """Tests for the Fock-space sector: spectra, braces, weights, lattice relations."""
 
 import cmath
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from qkm.context import QContext
 from qkm.errors import TailTooFat
 from qkm.fock import (BraceMethod, CGSide, FockRepParams, Regularisation,
                       TruncatedHamiltonian, box_intertwining_check,
-                      box_rmatrix_fock, brace, build_truncated_H,
+                      box_rmatrix_fock, brace, brace_spin_sums,
+                      build_truncated_H,
                       cg_coefficient, cg_norm_const, fock_norm_const,
                       kappa_fock, partition_series_fock, rll_check, s_measure,
                       spectral_experiment, star_triangle_fock,
@@ -111,6 +113,17 @@ def test_brace_method_agreement_small_box():
                     scale = max(abs(vals[1]), 1e-300)
                     assert max(abs(vals[0] - vals[1]),
                                abs(vals[2] - vals[1])) / scale < 1e-11
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.35 * cmath.exp(0.2j)])
+def test_brace_spin_sums_batch_is_exact(q):
+    ctx = QContext(q=q)
+    box = list(combinations_with_replacement(range(7), 3))
+    batch = brace_spin_sums(box, ctx)
+    # a value depends on its own triple only: not on the batch's depth,
+    # its order, or the triples that stop earlier or later
+    assert batch == [brace(*t, ctx, BraceMethod.SPIN_SUM) for t in box]
+    assert brace_spin_sums(box[::-1], ctx) == batch[::-1]
 
 
 def test_brace_permutation_symmetry():

@@ -1,15 +1,18 @@
 """Tests for the spin-lattice sector and the rational Kashiwara-Miwa model."""
 
 import cmath
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qkm.context import QContext
 from qkm.errors import DomainError, PoleHit, SingularMeasure
-from qkm.fock import FockRepParams, brace, vform_matrices
+from qkm.fock import BraceMethod, FockRepParams, brace, vform_matrices
 from qkm.qseries import bracket
-from qkm.vgamma import (GammaContext, brace_gamma_check, gamma_norm_const,
+from qkm.vgamma import (GammaContext, _lattice_brace_sums, brace_gamma_check,
+                        brace_gamma_residuals, gamma_norm_const,
                         km_inversion_check, km_kappa, km_log_z,
                         km_partition_checks, km_Phi, km_S, km_summation_check,
                         km_V, km_Vbar, star_triangle_km,
@@ -145,6 +148,44 @@ def test_brace_gamma_independence():
     assert r.residual < 1e-8
     # the lattice sum at each gamma is cross-checked against the closed form
     assert abs(brace(3, 2, 4, CTX)) > 0
+
+
+def test_brace_gamma_batch_is_exact():
+    gammas = [0.6, 0.9 * cmath.exp(0.2j), CTX.q_pow_half(1)]
+    batch = [(0, 0, 0), (4, 4, 4), (2, 1, 1), (0, 3, 1), (4, 0, 2)]
+    for gamma in gammas:
+        totals, norm = _lattice_brace_sums(batch, gamma, CTX, 60)
+        for t, total in zip(batch, totals):
+            assert _lattice_brace_sums([t], gamma, CTX, 60) == ([total], norm)
+    for t, (worst, details) in zip(batch, brace_gamma_residuals(batch, gammas, CTX)):
+        rep = brace_gamma_check(*t, gammas, CTX)
+        assert rep.residual == worst
+        assert {k: v for k, v in rep.params.items() if k.startswith("res_")} == details
+
+
+def test_brace_lattice_tables_are_not_retained():
+    contexts = []  # kept alive, so anything stored on a context shows
+
+    def point(k):
+        ctx = QContext(q=0.3 + 0.01 * k)
+        contexts.append(ctx)
+        brace_gamma_check(4, 3, 4, [0.6 * cmath.exp(0.1j * k)], ctx, m_window=20)
+        brace(3, 4, 4, ctx, BraceMethod.SPIN_SUM)
+
+    point(-1)  # imports and first-use set-up
+    contexts.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for k in range(20):
+            point(k)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the 20 contexts take ~7 KB; one kept row table of a point ~60 KB, so
+    # a cache of the last few tables or a table per context fails this
+    assert retained < 256 * 1024
 
 
 def test_km_weight_symmetry_box():
