@@ -10,8 +10,7 @@ import pytest
 from qkm import fock, vgamma
 from qkm.cli import main, parse_complex
 from qkm.orthopoly import poly_rows
-from qkm.registry import (REGISTRY, RunConfig, _run_brace_agreement,
-                          _run_vg_brace, run_suite, select_entries)
+from qkm.registry import REGISTRY, RunConfig, run_suite, select_entries
 
 
 def run_cli(argv):
@@ -154,11 +153,13 @@ def test_brace_entries_build_one_row_table_per_site(monkeypatch):
     monkeypatch.setattr(vgamma, "poly_rows", counted)
     # one (2, 1, 1) check over 4 gammas and the [0,4]^3 box over 2 gammas,
     # each gamma on 121 sites: (4 + 2) * 121 tables
-    assert all(r.verdict == "PASS" for r in _run_vg_brace(RunConfig()))
+    reports = run_suite(RunConfig(filter="vgamma.brace_gamma.*"))
+    assert reports and all(r.verdict == "PASS" for r in reports)
     assert calls[0] <= 726
     calls[0] = 0
     # the [0,6]^3 box at q = 0.3 and 0.5: one table per site of the spin sum
-    assert all(r.verdict == "PASS" for r in _run_brace_agreement(RunConfig()))
+    reports = run_suite(RunConfig(filter="fock.brace_agreement.*"))
+    assert reports and all(r.verdict == "PASS" for r in reports)
     assert calls[0] <= 34
 
 
