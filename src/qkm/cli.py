@@ -3,9 +3,11 @@
 ``qkm verify`` runs any glob-selected subset of the identity registry and
 emits one report per (identity, parameter point) in human, json, or csv
 form.  Exit codes: 0 when every verdict is PASS / EXPECTED_FAIL / SKIPPED,
-1 on any FAIL, 2 on configuration or usage errors.  ``qkm table`` dumps
-weight values over a grid for external tooling, and ``qkm spectrum`` runs
-the truncated-operator experiment.
+1 on any FAIL, 2 on configuration or usage errors, and 3 when a check
+raised an unexpected exception (an ERROR report; it outranks FAIL).
+Complex flags such as ``--q`` take ``0.3+0.1j``, ``0.3+0.1i`` or the polar
+``0.35@0.2``.  ``qkm table`` dumps weight values over a grid for external
+tooling, and ``qkm spectrum`` runs the truncated-operator experiment.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import fock, modular, vgamma
 from .context import QContext
 from .errors import QkmError
 from .registry import DEFAULT_THETA, RunConfig, run_suite, select_entries
-from .report import FAIL
+from .report import ERROR, FAIL
 
 
 class UsageError(Exception):
@@ -33,10 +35,10 @@ class UsageError(Exception):
 def parse_complex(text: str) -> complex:
     """Accept '0.4', '-0.3', '0.8+0.3j' (or ...i), and polar 'r@phase'."""
     text = text.strip().replace(" ", "")
-    if "@" in text:
-        r, phi = text.split("@", 1)
-        return float(r) * cmath.exp(1j * float(phi))
     try:
+        if "@" in text:
+            r, phi = text.split("@", 1)
+            return float(r) * cmath.exp(1j * float(phi))
         return complex(text.replace("i", "j"))
     except ValueError as exc:
         raise UsageError(f"cannot parse complex number {text!r}") from exc
@@ -68,7 +70,7 @@ def _build_run_config(args) -> RunConfig:
 
     def pick(name, flag_value, cast, default=None):
         if flag_value is not None:
-            return flag_value
+            return cast(flag_value)
         if name in file_vals:
             return cast(file_vals[name])
         return default
@@ -126,12 +128,14 @@ def cmd_verify(args, stream) -> int:
         raise UsageError(f"filter {cfg.filter!r} matches no registered identity")
     reports = run_suite(cfg)
     _emit_reports(reports, cfg.fmt, stream)
-    failed = [r for r in reports if r.verdict == FAIL]
-    if failed:
-        stream.write(f"FAILED: {len(failed)} of {len(reports)} checks\n"
-                     if cfg.fmt == "human" else "")
-        return 1
-    return 0
+    failed = sum(r.verdict == FAIL for r in reports)
+    errors = sum(r.verdict == ERROR for r in reports)
+    if cfg.fmt == "human":
+        if failed:
+            stream.write(f"FAILED: {failed} of {len(reports)} checks\n")
+        if errors:
+            stream.write(f"ERROR: {errors} of {len(reports)} checks\n")
+    return 3 if errors else 1 if failed else 0
 
 
 def cmd_table(args, stream) -> int:

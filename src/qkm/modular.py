@@ -105,16 +105,6 @@ class HyperbolicPoint:
         return cmath.exp(cmath.pi * self.x / self.mc.b)
 
     @property
-    def k(self) -> complex:
-        return -cmath.exp(0.5j * cmath.pi * self.mc.b ** 2
-                          + cmath.pi * self.mc.b * self.sigma)
-
-    @property
-    def kbar(self) -> complex:
-        return -cmath.exp(-0.5j * cmath.pi / self.mc.b ** 2
-                          + cmath.pi * self.sigma / self.mc.b)
-
-    @property
     def z(self) -> complex:
         return cmath.exp(-2 * cmath.pi * self.mc.b * self.sigma)
 

@@ -17,7 +17,9 @@ from __future__ import annotations
 import cmath
 import fnmatch
 import math
+import os
 import time
+import traceback
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -28,7 +30,8 @@ import numpy as np
 from . import fock, modular, orthopoly, qseries, vgamma
 from .context import QContext
 from .errors import DomainError, QkmError, TailTooFat
-from .report import IdentityReport, make_report, relative_residual, skipped_report
+from .report import (ERROR, IdentityReport, make_report, relative_residual,
+                     skipped_report)
 
 DEFAULT_Q = 0.4
 DEFAULT_THETA = math.pi / 5
@@ -100,8 +103,7 @@ class Run:
         self.entry = entry
         self.cfg = cfg
         self.tol = _default(cfg.tol, entry.tol)
-        self.q = _default(cfg.q, entry.q)
-        self.gamma = complex(_default(cfg.gamma, entry.gamma))
+        self.q = None if entry.q is None else _default(cfg.q, entry.q)
 
     def context(self, q, tol=None) -> QContext:
         """A QContext at q, with tolerance ``tol``, else ``--tol``, else CONTEXT_TOL."""
@@ -121,12 +123,15 @@ class Run:
         return modular.ModularContext(theta=_default(self.cfg.b_theta, DEFAULT_THETA))
 
     def gamma_ctx(self, m_window=None) -> vgamma.GammaContext:
-        """The generic gamma on ``m_window`` sites each way (``--m-window``, else 40)."""
+        """The generic gamma (``--gamma``, else the entry's) on ``m_window`` sites
+        each way (``--m-window``, else 40)."""
+        gamma = complex(_default(self.cfg.gamma, self.entry.gamma))
         window = _default(m_window, _default(self.cfg.m_window, 40))
-        return vgamma.GammaContext(gamma=self.gamma, m_window=window)
+        return vgamma.GammaContext(gamma=gamma, m_window=window)
 
     def selected(self, nus=None) -> list[vgamma.GammaContext]:
-        """Selected-lattice contexts: ``nus``, else ``--gamma selected:NU``, else the entry's."""
+        """Selected-lattice contexts at ``nus``, by default at ``--gamma
+        selected:NU``, else at the entry's."""
         if nus is None:
             nus = self.entry.nu if self.cfg.gamma_nu is None else (self.cfg.gamma_nu,)
         window = _default(self.cfg.m_window, 40)
@@ -567,7 +572,7 @@ def _vg_parity(run):
 
 def _vg_brace(run):
     ctx = run.ctx
-    gammas = [*run.entry.fixed["gamma"], run.gamma, ctx.q_pow_half(1)]
+    gammas = [*run.entry.fixed["gamma"], run.gamma_ctx().gamma, ctx.q_pow_half(1)]
     yield vgamma.brace_gamma_check(2, 1, 1, gammas, ctx)
     worst = 0.0
     box = list(combinations_with_replacement(range(5), 3))
@@ -775,23 +780,29 @@ def select_entries(pattern: str) -> list[IdentityEntry]:
 
 
 def _report(step, run: Run, started: float) -> IdentityReport:
-    """One yielded step as a report under its id, tolerance and negative flag."""
-    head, *badge = step if isinstance(step, tuple) else (step,)
-    if isinstance(head, IdentityReport):
-        params, residual, wall = head.params, head.residual, head.wall_time_ms
-    else:
-        (residual, *badge), params = badge, head
-        wall = (time.perf_counter() - started) * 1e3
-    # the badge is a prefix of (id, tol, negative); the entry's values fill the rest
+    """One yielded step as a report, timed from ``started``.
+
+    A step is ``(params, residual)`` or a library report, then optionally
+    the id, tolerance and negative flag it is reported under; the entry's
+    values stand in for those left out.
+    """
+    if isinstance(step, IdentityReport):
+        step = (step,)
+    if isinstance(step[0], IdentityReport):
+        step = (step[0].params, step[0].residual, *step[1:])
+    params, residual, *badge = step
     defaults = (run.entry.identity_id, run.tol, run.entry.negative)
     ident, tol, negative = (*badge, *defaults[len(badge):])
-    report = make_report(ident, params, residual, tol, negative_control=negative)
-    report.wall_time_ms = wall
-    return report
+    return make_report(ident, params, residual, tol, started, negative_control=negative)
 
 
 def run_entry(entry: IdentityEntry, cfg: RunConfig) -> list[IdentityReport]:
-    """Run one entry's check, converting library errors into one SKIPPED report."""
+    """Run one entry's check; an exception replaces all its reports with one.
+
+    A library error gives a SKIPPED report; any other exception is a defect
+    and gives an ERROR report naming its class and where it was raised, so
+    the rest of the run still completes.
+    """
     run = Run(entry, cfg)
     reports = []
     try:
@@ -800,8 +811,13 @@ def run_entry(entry: IdentityEntry, cfg: RunConfig) -> list[IdentityReport]:
             reports.append(_report(step, run, started))
             started = time.perf_counter()
     except QkmError as exc:
-        return [skipped_report(entry.identity_id, {}, _default(cfg.tol, 0.0),
+        return [skipped_report(entry.identity_id, {}, run.tol,
                                f"{type(exc).__name__}: {exc}")]
+    except Exception as exc:
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        reason = (f"{type(exc).__name__}: {exc} (at {os.path.basename(where.filename)}"
+                  f":{where.lineno} in {where.name})")
+        return [skipped_report(entry.identity_id, {}, run.tol, reason, verdict=ERROR)]
     return reports
 
 

@@ -9,6 +9,7 @@ PASS = "PASS"
 FAIL = "FAIL"
 EXPECTED_FAIL = "EXPECTED_FAIL"
 SKIPPED = "SKIPPED"
+ERROR = "ERROR"
 
 # Floor used in relative residuals so that 0 vs 0 compares as 0, not nan.
 _FLOOR = 1e-300
@@ -28,6 +29,9 @@ class IdentityReport:
     component.  Verdicts: PASS iff residual <= tolerance, except for
     identities registered as negative controls, which report
     EXPECTED_FAIL when the residual exceeds ten times the tolerance.
+    SKIPPED marks a point the library refused (outside its domain) and
+    ERROR one where the check raised an unexpected exception; both give
+    the reason in ``params["skip_reason"]``.
     """
 
     identity_id: str
@@ -77,7 +81,8 @@ def make_report(identity_id, params, residual, tolerance, started=None,
                           verdict, wall)
 
 
-def skipped_report(identity_id, params, tolerance, reason) -> IdentityReport:
+def skipped_report(identity_id, params, tolerance, reason,
+                   verdict=SKIPPED) -> IdentityReport:
     p = dict(params)
     p["skip_reason"] = reason
-    return IdentityReport(identity_id, p, float("nan"), float(tolerance), SKIPPED)
+    return IdentityReport(identity_id, p, float("nan"), float(tolerance), verdict)

@@ -29,7 +29,7 @@ __all__ = [
     "GammaContext", "gamma_norm_const", "GammaDecomposition",
     "vgamma_decomposition", "weight_Veps", "weight_Veps_table",
     "weight_Veps_from_overlaps", "brace_gamma_residuals", "brace_gamma_check",
-    "km_V", "km_S", "km_Phi", "km_Vbar", "km_kappa", "star_triangle_km",
+    "km_V", "km_S", "km_Phi", "km_kappa", "star_triangle_km",
     "km_log_z", "km_partition_checks", "windowed_bilateral_sum",
 ]
 
@@ -333,11 +333,6 @@ def km_Phi(x, gc: GammaContext, ctx: QContext, route: str = "product") -> comple
     num = qpoch_inf_multi((q2, q2 / (x * x), q2 * g2, q2 / g2), q2, ctx)
     den = qpoch_inf_multi((q2 / x, q2 / x, q2 * g2 / x, q2 / (g2 * x)), q2, ctx)
     return num / den
-
-
-def km_Vbar(x, m: int, mp: int, gc: GammaContext, ctx: QContext) -> complex:
-    """Companion weight: the bold weight at the reflected argument q/x."""
-    return km_V(ctx.q / complex(x), m, mp, gc, ctx)
 
 
 def km_kappa(x, gc: GammaContext, ctx: QContext) -> complex:

@@ -8,7 +8,7 @@ import mpmath
 import pytest
 
 from qkm import fock, vgamma
-from qkm.cli import main, parse_complex
+from qkm.cli import UsageError, main, parse_complex
 from qkm.orthopoly import poly_rows
 from qkm.registry import REGISTRY, RunConfig, run_suite, select_entries
 
@@ -26,6 +26,9 @@ def test_parse_complex_forms():
     assert parse_complex("0.8+0.3i") == 0.8 + 0.3j
     v = parse_complex("0.8@0.3")
     assert abs(v - 0.8 * complex(__import__("cmath").exp(0.3j))) < 1e-15
+    for bad in ("0.8@x", "r@0.3", "0.3+"):
+        with pytest.raises(UsageError):
+            parse_complex(bad)
 
 
 def test_registry_covers_required_identities():
@@ -138,7 +141,7 @@ def test_table_zero_theta_is_refused(capsys):
 def test_registry_keeps_a_falsy_window():
     # a zero window is used as given (and refused), not replaced by 40
     [rep] = run_suite(RunConfig(filter="fock.antisym.4_17", m_window=0))
-    assert rep.verdict == "SKIPPED"
+    assert rep.verdict == "SKIPPED" and rep.tolerance == 1e-8
     assert rep.params["skip_reason"].startswith("DomainError")
 
 

@@ -28,8 +28,6 @@ def test_context_regime_validation():
 
 def test_derived_point_quantities():
     pt = HyperbolicPoint(0.3, 0.4, MC)
-    assert abs(pt.z - MC.q / pt.k ** 2) < 1e-14
-    assert abs(pt.zbar - MC.qbar / pt.kbar ** 2) < 1e-14
     assert abs(pt.u - cmath.exp(cmath.pi * MC.b * 0.4)) < 1e-15
 
 

@@ -15,7 +15,7 @@ from qkm.vgamma import (GammaContext, _lattice_brace_sums, brace_gamma_check,
                         brace_gamma_residuals, gamma_norm_const,
                         km_inversion_check, km_kappa, km_log_z,
                         km_partition_checks, km_Phi, km_S, km_summation_check,
-                        km_V, km_Vbar, star_triangle_km,
+                        km_V, star_triangle_km,
                         vgamma_decomposition, weight_Veps,
                         weight_Veps_from_overlaps, weight_Veps_table)
 
@@ -203,7 +203,6 @@ def test_km_weight_symmetry_box():
 def test_km_weight_set_bundle():
     gc = GammaContext.make_selected(0.0, CTX)
     assert abs(km_V(Q, 2, -1, gc, CTX) - 1.0) < 1e-13
-    assert abs(km_Vbar(Q, 1, 1, gc, CTX) - km_V(1.0, 1, 1, gc, CTX)) < 1e-12
     assert abs(km_S(0, gc, CTX) - 1.0) < 1e-15
     assert abs(km_Phi(1.0, gc, CTX) - 1.0) < 1e-12
 
