@@ -384,7 +384,7 @@ def _weight_closed_vs_sum(run):
             for mp in range(7):
                 a = fock.weight_V_fock(x, m, mp, ctx)
                 b = fock.weight_V_fock_from_overlaps(x, m, mp, ctx)
-                worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
+                worst = max(worst, relative_residual(a, b))
         yield {"x": x, "q": ctx.q, "spins": "[0,6]^2"}, worst
 
 
@@ -520,7 +520,7 @@ def _vg_weight_closed_vs_sum(run):
                             (0.6 + 0.1j, 1, -1, 4)):
         a = vgamma.weight_Veps(x, eps, m, mp, gc, ctx)
         b = vgamma.weight_Veps_from_overlaps(x, eps, m, mp, gc, ctx)
-        worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
+        worst = max(worst, relative_residual(a, b))
     yield {"gamma": gc.gamma, "q": ctx.q}, worst
 
 
