@@ -1,8 +1,8 @@
 """Identity registry: every machine-checked identity, as data.
 
 Each entry of ``REGISTRY`` is data: an identity id, a tolerance, the default
-point that ``--q`` / ``--gamma`` override, the points it pins whatever the
-flags say, a negative-control flag and a check.  The check is a generator
+point that ``--q`` / ``--gamma`` override, the q it pins whatever ``--q``
+says, a negative-control flag and a check.  The check is a generator
 over a :class:`Run`, which builds the entry's contexts on first use; each
 step it yields is one parameter point.  :func:`run_entry` is the one loop
 that times the points, turns them into reports and isolates the entry's
@@ -21,7 +21,7 @@ import os
 import time
 import traceback
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
 
@@ -36,6 +36,7 @@ from .report import (ERROR, IdentityReport, make_report, relative_residual,
 DEFAULT_Q = 0.4
 DEFAULT_THETA = math.pi / 5
 GAMMA_GENERIC = 0.7 * cmath.exp(0.4j)
+SELECTED_NU = (0.0, 0.5)
 # tolerance of a check's QContext (it sets the tail cut) when --tol is unset
 CONTEXT_TOL = 1e-9
 
@@ -68,13 +69,11 @@ class IdentityEntry:
 
     ``check(run)`` is a generator over a :class:`Run`.  Each step yields
     ``(params, residual)`` or a library :class:`IdentityReport`, optionally
-    followed by the identity id, the tolerance and the negative-control
-    flag it is reported under (by default the entry's).  ``q`` is the
-    default q (a tuple where the check runs at several) that ``--q``
-    replaces, or None for a check that reads no q; ``gamma`` is the default
-    generic gamma (``--gamma C``) and ``nu`` the default selected lattices
-    (``--gamma selected:NU``).  ``fixed`` names the points (``q``,
-    ``gamma``, ``nu``) the check uses whatever the flags say.
+    followed by the identity id and the tolerance it is reported under (by
+    default the entry's).  ``q`` is the default q (a tuple where the check
+    runs at several) that ``--q`` replaces, or None for a check that
+    ignores ``--q``; ``gamma`` is the default generic gamma (``--gamma C``).
+    ``fixed_q`` is a q the check uses whatever ``--q`` says.
     """
 
     identity_id: str
@@ -82,8 +81,7 @@ class IdentityEntry:
     tol: float = 1e-9
     q: complex | tuple | None = DEFAULT_Q
     gamma: complex = GAMMA_GENERIC
-    nu: tuple = (0.0, 0.5)
-    fixed: dict = field(default_factory=dict)
+    fixed_q: complex | None = None
     negative: bool = False
 
 
@@ -96,13 +94,15 @@ class Run:
     """One entry's view of a run: its overrides resolved, contexts built on first use.
 
     A context is built only when the check first reads it, so an entry
-    that reads no q is not refused over a bad ``--q``.
+    that reads no q is not refused over a bad ``--q``.  A check may set
+    ``negative`` to report its points as a negative control.
     """
 
     def __init__(self, entry: IdentityEntry, cfg: RunConfig):
         self.entry = entry
         self.cfg = cfg
         self.tol = _default(cfg.tol, entry.tol)
+        self.negative = entry.negative
         self.q = None if entry.q is None else _default(cfg.q, entry.q)
 
     def context(self, q, tol=None) -> QContext:
@@ -131,9 +131,9 @@ class Run:
 
     def selected(self, nus=None) -> list[vgamma.GammaContext]:
         """Selected-lattice contexts at ``nus``, by default at ``--gamma
-        selected:NU``, else at the entry's."""
+        selected:NU``, else at SELECTED_NU."""
         if nus is None:
-            nus = self.entry.nu if self.cfg.gamma_nu is None else (self.cfg.gamma_nu,)
+            nus = SELECTED_NU if self.cfg.gamma_nu is None else (self.cfg.gamma_nu,)
         window = _default(self.cfg.m_window, 40)
         return [vgamma.GammaContext.make_selected(nu, self.ctx, window) for nu in nus]
 
@@ -189,7 +189,7 @@ def _gauss_double(run):
 
 def _jacobi(run):
     b = cmath.exp(1j * _default(run.cfg.b_theta, DEFAULT_THETA))
-    ctx = run.context(run.entry.fixed["q"])
+    ctx = run.context(run.entry.fixed_q)
     for x in (0.0, 0.3, 0.7):
         yield qseries.jacobi_transform_check(x, b, ctx)
 
@@ -242,7 +242,7 @@ def _chi_special(run):
 
 
 def _chi_ratio(run):
-    q = run.entry.fixed["q"]
+    q = run.entry.fixed_q
     ctx = run.context(q)
     m, z = 2, 0.3
     num = orthopoly.chi(orthopoly.ChiParams(q ** -m, z, q), ctx)
@@ -458,7 +458,7 @@ def _star_triangle_fock(run):
                     worst = max(worst, r.residual)
         yield {"x": x, "y": y, "q": run.q, "spins": "[0,2]^3"}, worst
     # generic complex point confirming validity off the physical regime
-    ctx_c = run.context(run.entry.fixed["q"], min(run.tol, 1e-8))
+    ctx_c = run.context(run.entry.fixed_q, min(run.tol, 1e-8))
     yield fock.star_triangle_fock(0.6, 0.55 + 0.1j, 1, 0, 2, 60, ctx_c)
 
 
@@ -572,7 +572,7 @@ def _vg_parity(run):
 
 def _vg_brace(run):
     ctx = run.ctx
-    gammas = [*run.entry.fixed["gamma"], run.gamma_ctx().gamma, ctx.q_pow_half(1)]
+    gammas = [0.6, 0.9 * cmath.exp(0.2j), run.gamma_ctx().gamma, ctx.q_pow_half(1)]
     yield vgamma.brace_gamma_check(2, 1, 1, gammas, ctx)
     worst = 0.0
     box = list(combinations_with_replacement(range(5), 3))
@@ -600,7 +600,7 @@ def _vg_weight_symmetry(run):
 
 def _vg_summation(run):
     ctx = run.ctx
-    [gc] = run.selected(run.entry.fixed["nu"])
+    [gc] = run.selected((0.0,))
     for a, c in ((0, 0), (2, -1)):
         yield vgamma.km_summation_check(0.7, 0.8, a, c, gc, ctx), "vgamma.summation.5_25"
     for b in (1, 3):
@@ -608,15 +608,13 @@ def _vg_summation(run):
 
 
 def _vg_star_triangle(run):
-    ctx = run.ctx
     if run.cfg.gamma is not None and run.cfg.gamma_nu is None:
         # a forced generic gamma turns this identity into its own negative
         # control: the relation is expected to fail off the selected lattice
-        gc = run.gamma_ctx()
-        for spins in ((1, -1, 2), (2, 1, -1)):
-            yield (vgamma.star_triangle_km(0.7, 0.6, *spins, gc, ctx),
-                   run.entry.identity_id, run.tol, True)
+        run.negative = True
+        yield from _vg_star_triangle_generic(run)
         return
+    ctx = run.ctx
     for gc in run.selected():
         for spins in ((0, 0, 0), (1, -1, 2)):
             yield vgamma.star_triangle_km(0.7, 0.6, *spins, gc, ctx)
@@ -640,7 +638,7 @@ def _vg_kappa_shift(run):
     ctx = run.ctx
     q = ctx.q
     q2 = q * q
-    gci, gch = run.selected(run.entry.fixed["nu"])
+    gci, gch = run.selected(SELECTED_NU)
     worst = 0.0
     for x in (0.6, 0.85):
         lhs = vgamma.km_kappa(x, gch, ctx) / vgamma.km_kappa(x, gci, ctx)
@@ -725,14 +723,14 @@ REGISTRY: list[IdentityEntry] = [
     IdentityEntry("qseries.pentagonal.A_7", _pentagonal),
     IdentityEntry("qseries.gauss_double.A_8", _gauss_double),
     IdentityEntry("qseries.gauss.A_9", _gauss),
-    IdentityEntry("qseries.jacobi.A_5", _jacobi, q=None, fixed={"q": DEFAULT_Q}),
+    IdentityEntry("qseries.jacobi.A_5", _jacobi, q=None, fixed_q=DEFAULT_Q),
     IdentityEntry("orthopoly.methods.B_1_B_2_B_3", _poly_methods),
     IdentityEntry("orthopoly.difference.B_4_B_5", _poly_difference),
     IdentityEntry("orthopoly.genfun.B_6_B_7", _genfun),
     IdentityEntry("orthopoly.norm_sum.B_8", _norm_sum),
     IdentityEntry("orthopoly.chi_special.C_2", _chi_special),
     IdentityEntry("orthopoly.chi_equations.C_3_C_4_C_5_C_6", _chi_equations, q=0.45),
-    IdentityEntry("orthopoly.chi_ratio.6_15", _chi_ratio, q=None, fixed={"q": 0.5}),
+    IdentityEntry("orthopoly.chi_ratio.6_15", _chi_ratio, q=None, fixed_q=0.5),
     IdentityEntry("fock.completeness.4_15_4_16", _completeness, tol=1e-8),
     IdentityEntry("fock.antisym.4_17", _antisym, tol=1e-8),
     IdentityEntry("fock.spectral.4_9_4_10", _spectral, tol=1e-6),
@@ -743,7 +741,7 @@ REGISTRY: list[IdentityEntry] = [
     IdentityEntry("fock.weight_properties.4_44_4_45_4_46_4_47", _weight_properties,
                   tol=1e-8),
     IdentityEntry("fock.star_triangle.4_49", _star_triangle_fock, tol=1e-7, q=-0.3,
-                  fixed={"q": 0.35 * cmath.exp(0.2j)}),
+                  fixed_q=0.35 * cmath.exp(0.2j)),
     IdentityEntry("fock.partition.4_52_4_53", _partition_fock),
     IdentityEntry("fock.rll.2_15", _rll, tol=1e-12),
     IdentityEntry("fock.box_intertwine.4_54", _box, tol=1e-5, q=0.35),
@@ -751,16 +749,14 @@ REGISTRY: list[IdentityEntry] = [
     IdentityEntry("vgamma.weight_closed_vs_sum.5_10_5_11", _vg_weight_closed_vs_sum,
                   tol=1e-8),
     IdentityEntry("vgamma.projectors.5_12_5_13", _vg_projectors, tol=1e-8),
-    IdentityEntry("vgamma.brace_gamma.5_14_5_15", _vg_brace, tol=1e-8,
-                  fixed={"gamma": (0.6, 0.9 * cmath.exp(0.2j))}),
+    IdentityEntry("vgamma.brace_gamma.5_14_5_15", _vg_brace, tol=1e-8),
     IdentityEntry("vgamma.parity.5_19", _vg_parity, tol=1e-8),
     IdentityEntry("vgamma.weight_symmetry.5_24", _vg_weight_symmetry, tol=1e-10),
-    IdentityEntry("vgamma.summation.5_25_5_26", _vg_summation, tol=1e-8,
-                  fixed={"nu": (0.0,)}),
+    IdentityEntry("vgamma.summation.5_25_5_26", _vg_summation, tol=1e-8),
     IdentityEntry("vgamma.star_triangle.5_27", _vg_star_triangle, tol=1e-7),
     IdentityEntry("vgamma.star_triangle_generic.5_27", _vg_star_triangle_generic,
                   tol=1e-7, gamma=0.8 * cmath.exp(0.3j), negative=True),
-    IdentityEntry("vgamma.kappa_shift.5_28", _vg_kappa_shift, fixed={"nu": (0.0, 0.5)}),
+    IdentityEntry("vgamma.kappa_shift.5_28", _vg_kappa_shift),
     IdentityEntry("vgamma.partition.5_29_5_30_5_31", _vg_partition),
     IdentityEntry("modular.dilog_funceq.6_17", _dilog, q=None),
     IdentityEntry("modular.psi_real.6_11", _psi_real, tol=1e-8, q=None),
@@ -783,17 +779,18 @@ def _report(step, run: Run, started: float) -> IdentityReport:
     """One yielded step as a report, timed from ``started``.
 
     A step is ``(params, residual)`` or a library report, then optionally
-    the id, tolerance and negative flag it is reported under; the entry's
-    values stand in for those left out.
+    the id and tolerance it is reported under; the entry's stand in for
+    those left out.
     """
     if isinstance(step, IdentityReport):
         step = (step,)
     if isinstance(step[0], IdentityReport):
         step = (step[0].params, step[0].residual, *step[1:])
     params, residual, *badge = step
-    defaults = (run.entry.identity_id, run.tol, run.entry.negative)
-    ident, tol, negative = (*badge, *defaults[len(badge):])
-    return make_report(ident, params, residual, tol, started, negative_control=negative)
+    defaults = (run.entry.identity_id, run.tol)
+    ident, tol = (*badge, *defaults[len(badge):])
+    return make_report(ident, params, residual, tol, started,
+                       negative_control=run.negative)
 
 
 def run_entry(entry: IdentityEntry, cfg: RunConfig) -> list[IdentityReport]:

@@ -97,7 +97,7 @@ def test_default_catalogue_shape():
 def test_q_override_is_recorded_unless_the_entry_fixes_q():
     rc, out = run_cli(["verify", "--q", "0.3", "--format", "json"])
     assert rc in (0, 1)
-    fixed = {e.identity_id: complex(e.fixed["q"]) for e in REGISTRY if "q" in e.fixed}
+    fixed = {e.identity_id: complex(e.fixed_q) for e in REGISTRY if e.fixed_q is not None}
     assert set(fixed) == {"qseries.jacobi.A_5", "orthopoly.chi_ratio.6_15",
                           "fock.star_triangle.4_49"}
     recorded = Counter()
@@ -113,8 +113,12 @@ def test_q_override_is_recorded_unless_the_entry_fixes_q():
     assert recorded[True] > 50 and recorded[False] >= 1
 
 
+# each override runs on the entries that used to abort the whole run under it
 @pytest.mark.parametrize("flags", [
-    ["--q", "0.9"], ["--q", "-0.8"], ["--q", "0.3+0.1j"], ["--q", "0.35@0.2"],
+    ["--filter", "*.partition.*", "--q", "0.9"],
+    ["--filter", "*.partition.*", "--q", "-0.8"],
+    ["--filter", "fock.s*", "--q", "0.3+0.1j"],
+    ["--filter", "fock.s*", "--q", "0.35@0.2"],
     ["--filter", "*brace*", "--gamma", "0"],
 ], ids=" ".join)
 def test_override_reports_every_selected_entry(flags, capsys, monkeypatch):
@@ -129,8 +133,7 @@ def test_override_reports_every_selected_entry(flags, capsys, monkeypatch):
     rc, out = run_cli(["verify", "--format", "json", *flags])
     assert rc in (0, 1, 3)
     assert len(json.loads(out)) == sum(map(len, per_entry.values()))
-    pattern = flags[1] if flags[0] == "--filter" else "*"
-    assert set(per_entry) == {e.identity_id for e in select_entries(pattern)}
+    assert set(per_entry) == {e.identity_id for e in select_entries(flags[1])}
     assert all(per_entry.values())
     assert "Traceback" not in capsys.readouterr().err
 
