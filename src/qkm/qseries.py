@@ -219,7 +219,10 @@ def theta_product(kind: ThetaKind, u, ctx: QContext) -> complex:
         return qpoch_inf_multi((ctx.q_half * u, ctx.q_half / u, q), q, ctx)
     if kind is ThetaKind.CAP_THETA4:
         return qpoch_inf_multi((q * u, q / u, q * q), q * q, ctx)
-    return qpoch_inf_multi((u * u, q * q / (u * u), q * q), q * q, ctx) / u
+    u2 = u * u
+    if u2 == 0 or not cmath.isfinite(u2):
+        raise DomainError(f"theta function H needs u^2 in double range, got u = {u!r}")
+    return qpoch_inf_multi((u2, q * q / u2, q * q), q * q, ctx) / u
 
 
 def theta(kind: ThetaKind, u, ctx: QContext) -> complex:

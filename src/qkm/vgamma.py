@@ -435,11 +435,17 @@ def star_triangle_km(x, y, a: int, b: int, c: int, gc: GammaContext,
 
 
 def km_log_z(x, gc: GammaContext, ctx: QContext) -> complex:
-    """Series for log z(x), the partition function per bold edge weight."""
+    """Series for log z(x), the partition function per bold edge weight.
+
+    Both series have terms in (q x)^n and (q^3/x)^n, so they decay only on
+    the annulus |q|^3 < |x| < 1/|q|; outside it the series is refused.
+    """
     if not gc.selected:
         raise DomainError("partition series known only at selected gamma")
     x = complex(x)
     q = ctx.q
+    if not abs(q) ** 3 < abs(x) < 1 / abs(q):
+        raise DomainError(f"partition series needs |q|^3 < |x| < 1/|q|, got |x| = {abs(x):.6g}")
     if gc.nu == 0:
         def terms():
             n = 1

@@ -1,13 +1,14 @@
 """Tests for the Fock-space sector: spectra, braces, weights, lattice relations."""
 
 import cmath
+import warnings
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
 from qkm.context import QContext
-from qkm.errors import TailTooFat
+from qkm.errors import DomainError, TailTooFat
 from qkm.fock import (BraceMethod, CGSide, FockRepParams, Regularisation,
                       TruncatedHamiltonian, box_intertwining_check,
                       box_rmatrix_fock, brace, brace_spin_sums,
@@ -85,6 +86,19 @@ def test_completeness_m_sum():
         meas = np.array([s_measure(int(m), ctx) for m in vm.m_values])
         ident = np.einsum("am,m,mb->ab", vm.chi, meas, vm.chi_bar) / vm.n_f
         assert np.max(np.abs(ident - np.eye(13))) < 1e-8
+
+
+def test_completeness_rows_stay_finite_at_negative_q():
+    # at |q| = 0.3 the rows without q^{m(m+1)/2} overflow before m = 50,
+    # so that factor has to ride in the recursion's start value
+    ctx = QContext(q=-0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vm = vform_matrices(FockRepParams(omega=1.1, lam=0.9, mu=1.2), 14, 50, ctx)
+    assert np.all(np.isfinite(vm.chi))
+    meas = np.array([s_measure(int(m), ctx) for m in vm.m_values])
+    ident = np.einsum("am,m,mb->ab", vm.chi, meas, vm.chi_bar) / vm.n_f
+    assert np.max(np.abs(ident - np.eye(15))) < 1e-8
 
 
 def test_antisymmetric_window_sum():
@@ -282,6 +296,15 @@ def test_partition_series():
     x = 0.7
     assert abs(partition_series_fock(x, CTX)
                + partition_series_fock(Q * Q / x, CTX)) < 1e-12
+
+
+def test_partition_series_refuses_x_off_its_annulus():
+    # terms x^n and (q^2/x)^n decay only for |q|^2 < |x| < 1
+    ctx = QContext(q=0.9)
+    assert abs(partition_series_fock(0.9, ctx)) < 1e-12
+    for x in (0.7, 1.2, -0.8):
+        with pytest.raises(DomainError):
+            partition_series_fock(x, ctx)
 
 
 def test_partition_product_consistency():

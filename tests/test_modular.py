@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from qkm import modular
 from qkm.errors import DomainError, PoleHit, WindowTooSmall
 from qkm.modular import (HyperbolicPoint, ModularContext, adaptive_midpoint,
                          faddeev_phi, psi,
@@ -159,3 +160,64 @@ def test_window_too_small_raised():
     small = ModularContext(theta=math.pi / 5, quad_halfwidth=1.0)
     with pytest.raises(WindowTooSmall):
         summation_check_modular(0.2j, 0.25j, 0.3, 0.5, small)
+
+
+def _record_quadratures(monkeypatch):
+    """Make every adaptive_midpoint call record its integrand, its
+    evaluation count and its value."""
+    calls = []
+    inner = modular.adaptive_midpoint
+
+    def recording(f, *args, **kwargs):
+        rec = {"f": f, "evals": 0}
+
+        def counted(t):
+            rec["evals"] += 1
+            return f(t)
+
+        rec["value"] = inner(counted, *args, **kwargs)
+        calls.append(rec)
+        return rec["value"]
+
+    monkeypatch.setattr(modular, "adaptive_midpoint", recording)
+    return calls
+
+
+def test_q_contexts_built_once_and_left_out_of_equality():
+    mc = ModularContext(theta=math.pi / 5)
+    assert mc.ctx_q is mc.ctx_q and mc.ctx_qbar is mc.ctx_qbar
+    assert mc.ctx_q.q == mc.q and mc.ctx_qbar.q == mc.qbar
+    assert mc == MC and hash(mc) == hash(MC)
+    assert mc != ModularContext(theta=math.pi / 5, quad_points=128)
+
+
+def test_default_quadrature_certifies_from_64_points(monkeypatch):
+    calls = _record_quadratures(monkeypatch)
+    weight_V_modular_integral(0.15j + MC.eta / 3, 0.3, 0.5, MC)
+    summation_check_modular(0.2j, 0.25j, 0.3, 0.5, MC)
+    assert [c["evals"] for c in calls] == [64 + 128] * 2
+
+
+def test_default_start_agrees_with_a_512_point_reference(monkeypatch):
+    ref = ModularContext(theta=math.pi / 5, quad_points=512)
+    mu, x, y = 0.15j + MC.eta / 3, 0.3, 0.5
+    assert relative_residual(weight_V_modular_integral(mu, x, y, MC),
+                             weight_V_modular_integral(mu, x, y, ref)) < 1e-10
+    calls = _record_quadratures(monkeypatch)
+    for (mu, mup, x, z) in ((0.2j, 0.25j, 0.3, 0.5), (0.15j, 0.2j, 0.2, 0.4)):
+        summation_check_modular(mu, mup, x, z, MC)
+        summation_check_modular(mu, mup, x, z, ref)
+    lhs = [c["value"] for c in calls]
+    assert relative_residual(lhs[0], lhs[1]) < 1e-7
+    assert relative_residual(lhs[2], lhs[3]) < 1e-7
+
+
+def test_hoisted_summation_integrand_is_the_weight_product(monkeypatch):
+    calls = _record_quadratures(monkeypatch)
+    mu, mup, x, z = 0.2j, 0.25j, 0.3, 0.5
+    summation_check_modular(mu, mup, x, z, MC)
+    [rec] = calls
+    for y in (-7.5, -2.0, -0.3, 0.01, 0.45, 1.7, 6.0):
+        product = (weight_V_modular(mu, x, y, MC) * s_weight(y, MC)
+                   * weight_V_modular(mup, y, z, MC))
+        assert relative_residual(rec["f"](y), product) < 1e-13

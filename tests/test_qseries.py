@@ -273,6 +273,12 @@ def test_theta_zero_argument_rejected():
         theta(ThetaKind.H, 0.0, CTX)
 
 
+def test_theta_h_refuses_a_square_out_of_double_range():
+    for u in (1e-200, 1e200, 1e-170j):
+        with pytest.raises(DomainError):
+            theta_product(ThetaKind.H, u, CTX)
+
+
 def test_theta_representation_mismatch(monkeypatch):
     import qkm.qseries as qs
     monkeypatch.setattr(qs, "theta_sum", lambda kind, u, ctx: (1.0 + 0j, 1.0))

@@ -272,6 +272,16 @@ def test_partition_series_brute_force_oracle():
     assert abs(km_log_z(x, gc, CTX) - total) < 1e-12
 
 
+def test_partition_series_refuses_x_off_its_annulus():
+    # terms (q x)^n and (q^3/x)^n decay only for |q|^3 < |x| < 1/|q|
+    ctx = QContext(q=0.9)
+    for nu in (0.0, 0.5):
+        gc = GammaContext.make_selected(nu, ctx)
+        for x in (0.6, 1.2):
+            with pytest.raises(DomainError):
+                km_log_z(x, gc, ctx)
+
+
 def test_partition_sign_label_identical():
     gch = GammaContext.make_selected(0.5, CTX)
     gcm = GammaContext.make_selected(-0.5, CTX)
