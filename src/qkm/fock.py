@@ -19,9 +19,8 @@ from itertools import islice
 import numpy as np
 
 from .context import QContext
-from .errors import (DomainError, EigensolverFailure, OverflowGuard,
-                     TailTooFat, TruncationExhausted)
-from .orthopoly import overlap_sum, poly_rows, scaled_poly_values
+from .errors import DomainError, EigensolverFailure, OverflowGuard, TailTooFat
+from .orthopoly import _lattice_tail_sums, overlap_sum, poly_rows, scaled_poly_values
 from .qseries import (bracket, big_theta4_const, log_qpoch_table, qpoch_finite,
                       qpoch_inf, qpoch_inf_multi, tail_sum)
 from .report import make_report, relative_residual
@@ -300,26 +299,16 @@ def brace_spin_sums(triples, ctx: QContext, dps: int = 40) -> list[complex]:
         q = mp.mpc(ctx.q)
         qh = mp.sqrt(q)  # principal branch, same as QContext.q_half
         n_top = max((max(t) for t in triples), default=0)
-        cut = mp.mpf(10) ** (5 - dps)
-        totals = [mp.mpc(0)] * len(triples)
-        peaks = [mp.mpf(0)] * len(triples)
-        below = [0] * len(triples)
-        live = range(len(triples))
-        for m in range(ctx.max_terms):
+
+        def site_terms(m, live):
             xi = qh ** (2 * m + 1)
             rows = list(islice(poly_rows(xi, q, qh, mp.mpc(1)), n_top + 1))
             w = (-1) ** m * q ** (3 * m * (m + 1) // 2) * (xi - 1 / xi)
-            for i in live:
-                a, b, c = triples[i]
-                t = w * rows[a] * rows[b] * rows[c]
-                totals[i] += t
-                peaks[i] = max(peaks[i], abs(t))
-                below[i] = below[i] + 1 if abs(t) < peaks[i] * cut else 0
-            live = [i for i in live if below[i] < 3]
-            if not live:
-                break
-        else:
-            raise TruncationExhausted("brace spin sum has no tail within max_terms")
+            return [w * rows[a] * rows[b] * rows[c]
+                    for a, b, c in (triples[i] for i in live)]
+
+        totals, _, _ = _lattice_tail_sums(site_terms, len(triples), (1,),
+                                          mp.mpf(10) ** (5 - dps), ctx.max_terms)
         poch = mp.mpc(1)  # (q; q)_inf for the normalising constant
         f = q
         while abs(f) > mp.mpf(10) ** (-dps):

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .context import QContext
-from .errors import DegenerateArgument, DomainError, OverflowGuard
+from .errors import DegenerateArgument, DomainError, OverflowGuard, TruncationExhausted
 from .qseries import qpoch_finite, qpoch_inf, qpoch_inf_multi, tail_sum, big_theta4_const
 from .report import make_report, relative_residual
 
@@ -113,6 +113,48 @@ def poly_rows(xi, q, qh, scale):
         yield cur
         prev, cur = cur, qh ** (2 * a + 1) * s * cur + (1 - q ** (2 * a)) * prev
         a += 1
+
+
+def _lattice_tail_sums(site_terms, n: int, directions, cut, max_terms: int):
+    """Sum n extended-precision lattice series, each part to its own tail.
+
+    ``site_terms(m, live)`` returns the terms at site m of the parts whose
+    indices are listed in ``live``, in that order.  Site 0 comes first; each
+    direction d of ``directions`` ((1,) or (1, -1)) then walks m = d, 2d, ...
+    from the site-0 peaks, and a part stops in that direction after three
+    consecutive terms below peak * cut.  A part's value therefore does not
+    depend on the other parts of its batch.
+
+    With cut = 10^(5 - dps) this stops at the floor of the arithmetic: the
+    running total already carries a rounding error of about peak * 10^(-dps)
+    from its largest terms, and the site weight decays like a Gaussian in m,
+    so beyond three terms under the cut the neglected tail lies below that
+    error and cannot change the total.  The totals are running sums; no
+    term list is kept.  Returns the totals, the peaks over all sites and
+    the number of sites walked; raises TruncationExhausted when a direction
+    reaches ``max_terms`` sites.
+    """
+    totals = list(site_terms(0, range(n)))
+    peaks = [abs(t) for t in totals]
+    sites = 1
+    for d in directions:
+        peak = peaks[:]
+        below = [0] * n
+        live = range(n)
+        for k in range(1, max_terms):
+            for i, t in zip(live, site_terms(d * k, live)):
+                totals[i] += t
+                size = abs(t)
+                peak[i] = max(peak[i], size)
+                below[i] = below[i] + 1 if size < peak[i] * cut else 0
+            sites += 1
+            live = [i for i in live if below[i] < 3]
+            if not live:
+                break
+        else:
+            raise TruncationExhausted("lattice sum has no tail within max_terms")
+        peaks = [max(p, s) for p, s in zip(peaks, peak)]
+    return totals, peaks, sites
 
 
 def scaled_poly_iter(xi, ctx: QContext, scale: complex = 1.0):

@@ -20,7 +20,7 @@ import numpy as np
 from .context import QContext
 from .errors import DomainError, PoleHit, SingularMeasure, TailTooFat
 from .fock import _sqrt_qpoch2, brace
-from .orthopoly import overlap_sum, poly_rows, scaled_poly_values
+from .orthopoly import _lattice_tail_sums, overlap_sum, poly_rows, scaled_poly_values
 from .qseries import (ThetaKind, bracket, log_qpoch_table, qpoch_inf,
                       qpoch_inf_multi, tail_sum, theta_product)
 from .report import make_report, relative_residual
@@ -183,37 +183,47 @@ def weight_Veps_from_overlaps(x, eps: int, m: int, mp: int, gc: GammaContext,
     return sign * total / gamma_norm_const(gc, ctx)
 
 
-def _lattice_brace_sums(triples, gamma, ctx: QContext, m_window: int,
-                        dps: int = 30):
+def _lattice_brace_sums(triples, gamma, ctx: QContext, dps: int = 30):
     """Extended-precision lattice sums of the triples and their a=b=c=0 norm.
 
     The summands are O(1)-ish while the ratio can be as small as
     q^{ab+ac+bc}; 30-digit arithmetic keeps the returned doubles exact.
     One row stack per site, as deep as the deepest triple, serves every
-    triple.
+    triple.  Each triple and the norm stop at their own tail in each
+    direction, three sites below peak * 10^(5 - dps): a total in dps
+    digits is only known to about peak * 10^(-dps), the size of the
+    rounding of its largest terms, and the Gaussian site weight takes the
+    rest of the tail below that floor.  A part whose total falls more than
+    dps - 8 digits below its peak keeps fewer than 8 digits, too few for
+    the check, and is refused.  Returns the totals, the norm and the
+    number of sites walked.
     """
     import mpmath as mp
 
+    parts = [*triples, (0, 0, 0)]  # the last part is the norm
     with mp.workdps(dps):
         q = mp.mpc(ctx.q)
         qh = mp.sqrt(q)
         gamma = mp.mpc(gamma)
         top = max(max(t) for t in triples)
-        totals = [mp.mpc(0)] * len(triples)
-        norm = mp.mpc(0)
-        for m in range(-m_window, m_window + 1):
+
+        def site_terms(m, live):
             xi = gamma * q ** m
             site = gamma ** m * qh ** (m * m)
             rows = list(islice(poly_rows(xi, q, qh, site), top + 1))
             f = (-1) ** m * (xi - 1 / xi)
-            for i, (a, b, c) in enumerate(triples):
-                totals[i] += f * rows[a] * rows[b] * rows[c]
-            norm += f * site ** 3
-        return [complex(t) for t in totals], complex(norm)
+            return [f * rows[a] * rows[b] * rows[c] for a, b, c in (parts[i] for i in live)]
+
+        totals, peaks, sites = _lattice_tail_sums(site_terms, len(parts), (1, -1),
+                                                  mp.mpf(10) ** (5 - dps), ctx.max_terms)
+        digits = mp.mpf(10) ** (dps - 8)
+        if any(peak > abs(total) * digits for total, peak in zip(totals, peaks)):
+            raise DomainError(f"lattice sum cancels more than {dps - 8} of its {dps} digits")
+        *totals, norm = map(complex, totals)
+        return totals, norm, sites
 
 
-def brace_gamma_residuals(triples, gamma_list, ctx: QContext,
-                          m_window: int = 60):
+def brace_gamma_residuals(triples, gamma_list, ctx: QContext):
     """Worst residual and its components for each triple of brace_gamma_check.
 
     Returns one ``(worst, details)`` pair per triple; every gamma builds
@@ -226,8 +236,7 @@ def brace_gamma_residuals(triples, gamma_list, ctx: QContext,
     worst = [0.0] * len(triples)
     details = [{} for _ in triples]
     for i, gamma in enumerate(gamma_list):
-        totals, m_gamma_sum = _lattice_brace_sums(triples, complex(gamma), ctx,
-                                                  m_window)
+        totals, m_gamma_sum, _ = _lattice_brace_sums(triples, complex(gamma), ctx)
         m_gamma_theta = -(theta_product(ThetaKind.H, complex(gamma), ctx)
                           * theta_product(ThetaKind.THETA3, complex(gamma), ctx)
                           / qpoch_inf(q * q, q * q, ctx))
@@ -240,8 +249,7 @@ def brace_gamma_residuals(triples, gamma_list, ctx: QContext,
     return list(zip(worst, details))
 
 
-def brace_gamma_check(a: int, b: int, c: int, gamma_list, ctx: QContext,
-                      m_window: int = 60):
+def brace_gamma_check(a: int, b: int, c: int, gamma_list, ctx: QContext):
     """gamma-independence of the lattice representation of {a, b, c}.
 
     For each gamma the weighted lattice sum, divided by its a=b=c=0
@@ -249,8 +257,7 @@ def brace_gamma_check(a: int, b: int, c: int, gamma_list, ctx: QContext,
     is also checked against its theta-product evaluation.
     """
     started = time.perf_counter()
-    [(worst, details)] = brace_gamma_residuals([(a, b, c)], gamma_list, ctx,
-                                               m_window)
+    [(worst, details)] = brace_gamma_residuals([(a, b, c)], gamma_list, ctx)
     params = {"a": a, "b": b, "c": c, "gammas": [complex(g) for g in gamma_list]}
     params.update(details)
     return make_report("vgamma.brace_gamma.5_14_5_15", params, worst,

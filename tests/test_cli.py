@@ -155,10 +155,10 @@ def test_brace_entries_build_one_row_table_per_site(monkeypatch):
     monkeypatch.setattr(fock, "poly_rows", counted)
     monkeypatch.setattr(vgamma, "poly_rows", counted)
     # one (2, 1, 1) check over 4 gammas and the [0,4]^3 box over 2 gammas,
-    # each gamma on 121 sites: (4 + 2) * 121 tables
+    # each gamma on fewer than 40 sites at q = 0.4: under (4 + 2) * 40 tables
     reports = run_suite(RunConfig(filter="vgamma.brace_gamma.*"))
     assert reports and all(r.verdict == "PASS" for r in reports)
-    assert calls[0] <= 726
+    assert calls[0] <= 240
     calls[0] = 0
     # the [0,6]^3 box at q = 0.3 and 0.5: one table per site of the spin sum
     reports = run_suite(RunConfig(filter="fock.brace_agreement.*"))

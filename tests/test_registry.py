@@ -139,6 +139,15 @@ def test_override_reports_every_selected_entry(flags, capsys, monkeypatch):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_genfun_points_stay_inside_the_radius_at_small_q():
+    # the double series diverges at |z| = |q|, so its z points shrink with q
+    rc, out = run_cli(["verify", "--q", "0.3", "--filter", "orthopoly.genfun*",
+                       "--format", "json"])
+    reports = json.loads(out)
+    assert rc == 0 and reports
+    assert {r["verdict"] for r in reports} == {"PASS"}
+
+
 def test_generic_gamma_of_brace_entry_is_refused_as_a_domain_error():
     [rep] = run_suite(RunConfig(filter="vgamma.brace_gamma.*", gamma=0))
     assert rep.verdict == "SKIPPED"

@@ -3,13 +3,16 @@
 import cmath
 import gc
 import tracemalloc
+from itertools import combinations_with_replacement, islice
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from qkm.context import QContext
 from qkm.errors import DomainError, PoleHit, SingularMeasure
 from qkm.fock import BraceMethod, FockRepParams, brace, vform_matrices
+from qkm.orthopoly import poly_rows
 from qkm.qseries import bracket
 from qkm.vgamma import (GammaContext, _lattice_brace_sums, brace_gamma_check,
                         brace_gamma_residuals, gamma_norm_const,
@@ -154,13 +157,51 @@ def test_brace_gamma_batch_is_exact():
     gammas = [0.6, 0.9 * cmath.exp(0.2j), CTX.q_pow_half(1)]
     batch = [(0, 0, 0), (4, 4, 4), (2, 1, 1), (0, 3, 1), (4, 0, 2)]
     for gamma in gammas:
-        totals, norm = _lattice_brace_sums(batch, gamma, CTX, 60)
+        totals, norm, _ = _lattice_brace_sums(batch, gamma, CTX)
         for t, total in zip(batch, totals):
-            assert _lattice_brace_sums([t], gamma, CTX, 60) == ([total], norm)
+            assert _lattice_brace_sums([t], gamma, CTX)[:2] == ([total], norm)
     for t, (worst, details) in zip(batch, brace_gamma_residuals(batch, gammas, CTX)):
         rep = brace_gamma_check(*t, gammas, CTX)
         assert rep.residual == worst
         assert {k: v for k, v in rep.params.items() if k.startswith("res_")} == details
+
+
+def _windowed_lattice_sums(triples, gamma, q, window=60, dps=30):
+    """The lattice sums on the fixed sites |m| <= window, in site order."""
+    with mp.workdps(dps):
+        q = mp.mpc(q)
+        qh = mp.sqrt(q)
+        gamma = mp.mpc(gamma)
+        totals = [mp.mpc(0)] * len(triples)
+        norm = mp.mpc(0)
+        for m in range(-window, window + 1):
+            xi = gamma * q ** m
+            site = gamma ** m * qh ** (m * m)
+            rows = list(islice(poly_rows(xi, q, qh, site), 5))  # a, b, c <= 4
+            f = (-1) ** m * (xi - 1 / xi)
+            for i, (a, b, c) in enumerate(triples):
+                totals[i] += f * rows[a] * rows[b] * rows[c]
+            norm += f * site ** 3
+        return [complex(t) for t in totals], complex(norm)
+
+
+@pytest.mark.parametrize("q", [0.4, -0.3, 0.3 + 0.1j, 0.7, -0.8, 0.9])
+def test_lattice_sums_stop_at_their_tail(q):
+    box = list(combinations_with_replacement(range(5), 3))
+    ctx = QContext(q=q)
+    for gamma in (0.6, 0.9 * cmath.exp(0.2j)):
+        totals, norm, sites = _lattice_brace_sums(box, gamma, ctx)
+        ref_totals, ref_norm = _windowed_lattice_sums(box, gamma, q)
+        for total, ref in zip(totals + [norm], ref_totals + [ref_norm]):
+            assert abs(total - ref) <= 1e-13 * abs(ref)
+        if q == 0.4:
+            assert sites < 40  # a ±60 window walks 121
+
+
+def test_brace_gamma_refuses_a_sum_that_cancels_its_digits():
+    # (8, 0, 8) at q = -0.3 cancels about 30 of the 30 digits
+    with pytest.raises(DomainError, match="cancels more than 22"):
+        brace_gamma_check(8, 0, 8, [0.6, 0.9 * cmath.exp(0.2j)], QContext(q=-0.3))
 
 
 def test_brace_lattice_tables_are_not_retained():
@@ -169,7 +210,7 @@ def test_brace_lattice_tables_are_not_retained():
     def point(k):
         ctx = QContext(q=0.3 + 0.01 * k)
         contexts.append(ctx)
-        brace_gamma_check(4, 3, 4, [0.6 * cmath.exp(0.1j * k)], ctx, m_window=20)
+        brace_gamma_check(4, 3, 4, [0.6 * cmath.exp(0.1j * k)], ctx)
         brace(3, 4, 4, ctx, BraceMethod.SPIN_SUM)
 
     point(-1)  # imports and first-use set-up
