@@ -441,9 +441,9 @@ def _boundary_triangle_factor(m_a: int, m_b: int, ctx: QContext) -> complex:
             / (qpoch_inf(q * q, q * q, ctx) * fock_norm_const(ctx)))
 
 
-def star_triangle_fock(x, y, m_a: int, m_b: int, m_c: int, m_sum: int,
-                       ctx: QContext, perturb_r: float = 0.0):
-    """Residual of the star-triangle relation for the Fock-space weights.
+def star_triangle_fock(x, y, spins, m_sum: int, ctx: QContext,
+                       perturb_r: float = 0.0):
+    """Worst residual of the star-triangle relation over the spin triples ``spins``.
 
     The summed (star) side runs over one internal spin with measure S_m;
     the triangle side carries the scalar R = N_F kappa_x kappa_y
@@ -451,43 +451,60 @@ def star_triangle_fock(x, y, m_a: int, m_b: int, m_c: int, m_sum: int,
     internal weight collapses to the delta-normalised one while
     kappa V_{xy} becomes a 0 * inf limit; that case is detected and both
     sides are evaluated in their exact limit forms.  ``perturb_r`` scales
-    R by (1 + perturb_r) as a negative-control probe.
+    R by (1 + perturb_r) as a negative-control probe.  Every weight is read
+    from one table per argument over the spins 0..max spin, so the cost
+    of a box of triples is that of one triple plus the reads.  The report
+    carries the worst residual and the triple it occurs at (``worst_at``).
     """
     started = time.perf_counter()
     x = complex(x)
     y = complex(y)
+    spins = [tuple(t) for t in spins]
+    if min(min(t) for t in spins) < 0:
+        # the tables are indexed by spin; V_x(-1 - m, m') = V_x(m, m') covers m < 0
+        raise DomainError("star-triangle spins must be nonnegative")
     q = ctx.q
     z = -q / (x * y)
-    if abs(z - 1.0) < 1e-8:
-        lhs = (weight_V_fock(x, m_a, m_c, ctx) * weight_V_fock(y, m_b, m_c, ctx))
-        r_part = (fock_norm_const(ctx) * kappa_fock(x, ctx) * kappa_fock(y, ctx)
-                  * (1.0 + perturb_r))
-        rhs = (r_part * _boundary_triangle_factor(m_a, m_b, ctx)
-               * weight_V_fock(-q / y, m_a, m_c, ctx)
-               * weight_V_fock(-q / x, m_b, m_c, ctx))
-        res = relative_residual(lhs, rhs)
-        return make_report("fock.star_triangle.4_49",
-                           {"x": x, "y": y, "spins": (m_a, m_b, m_c), "q": q,
-                            "perturb_r": perturb_r, "boundary": True},
-                           res, ctx.tol_identity, started)
-    row_x = weight_table(x, [m_a], range(m_sum + 1), ctx)[0]
-    row_y = weight_table(y, [m_b], range(m_sum + 1), ctx)[0]
-    row_z = weight_table(z, range(m_sum + 1), [m_c], ctx)[:, 0]
-    meas = np.array([s_measure(k, ctx) for k in range(m_sum + 1)])
-    summands = row_x * meas * row_z * row_y
-    if abs(summands[-1]) > ctx.tail_cut:
-        raise TailTooFat(f"last summand {abs(summands[-1]):.3g} above tail cut; raise m_sum")
-    lhs = summands.sum()
-    r = fock_norm_const(ctx) * kappa_fock(x, ctx) * kappa_fock(y, ctx) * kappa_fock(z, ctx)
-    r *= 1.0 + perturb_r
-    rhs = (r * weight_V_fock(-q / y, m_a, m_c, ctx)
-           * weight_V_fock(x * y, m_a, m_b, ctx)
-           * weight_V_fock(-q / x, m_b, m_c, ctx))
-    res = relative_residual(lhs, rhs)
+    n = max(max(t) for t in spins) + 1
+    box = range(n)
+    tab_qy = weight_table(-q / y, box, box, ctx)
+    tab_qx = weight_table(-q / x, box, box, ctx)
+    boundary = abs(z - 1.0) < 1e-8
+    if boundary:
+        tab_x = weight_table(x, box, box, ctx)
+        tab_y = weight_table(y, box, box, ctx)
+        r = (fock_norm_const(ctx) * kappa_fock(x, ctx) * kappa_fock(y, ctx)
+             * (1.0 + perturb_r))
+        factor = {}
+    else:
+        sites = range(m_sum + 1)
+        rows_x = weight_table(x, box, sites, ctx)
+        rows_y = weight_table(y, box, sites, ctx)
+        cols_z = weight_table(z, sites, box, ctx)
+        tab_xy = weight_table(x * y, box, box, ctx)
+        meas = np.array([s_measure(k, ctx) for k in sites])
+        r = fock_norm_const(ctx) * kappa_fock(x, ctx) * kappa_fock(y, ctx) * kappa_fock(z, ctx)
+        r *= 1.0 + perturb_r
+    residuals = []
+    for m_a, m_b, m_c in spins:
+        if boundary:
+            if (m_a, m_b) not in factor:
+                factor[m_a, m_b] = _boundary_triangle_factor(m_a, m_b, ctx)
+            lhs = tab_x[m_a, m_c] * tab_y[m_b, m_c]
+            rhs = r * factor[m_a, m_b] * tab_qy[m_a, m_c] * tab_qx[m_b, m_c]
+        else:
+            summands = rows_x[m_a] * meas * cols_z[:, m_c] * rows_y[m_b]
+            if abs(summands[-1]) > ctx.tail_cut:
+                raise TailTooFat(f"last summand {abs(summands[-1]):.3g} above tail cut; "
+                                 "raise m_sum")
+            lhs = summands.sum()
+            rhs = r * tab_qy[m_a, m_c] * tab_xy[m_a, m_b] * tab_qx[m_b, m_c]
+        residuals.append(relative_residual(lhs, rhs))
+    worst = int(np.argmax(residuals))  # the first NaN, if any, is the worst
     return make_report("fock.star_triangle.4_49",
-                       {"x": x, "y": y, "spins": (m_a, m_b, m_c),
-                        "q": q, "perturb_r": perturb_r, "boundary": False},
-                       res, ctx.tol_identity, started)
+                       {"x": x, "y": y, "spins": spins, "q": q, "perturb_r": perturb_r,
+                        "boundary": boundary, "worst_at": spins[worst]},
+                       residuals[worst], ctx.tol_identity, started)
 
 
 def partition_series_fock(x, ctx: QContext) -> complex:

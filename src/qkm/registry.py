@@ -23,7 +23,7 @@ import traceback
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -382,12 +382,12 @@ def _cg(run):
 def _weight_closed_vs_sum(run):
     ctx = run.ctx
     for x in [0.5, 0.8 * cmath.exp(0.3j)] + list(sample_annulus(run.rng, 1, 0.5, 0.9)):
+        tab = fock.weight_table(x, range(7), range(7), ctx)
         worst = 0.0
         for m in range(7):
             for mp in range(7):
-                a = fock.weight_V_fock(x, m, mp, ctx)
                 b = fock.weight_V_fock_from_overlaps(x, m, mp, ctx)
-                worst = max(worst, relative_residual(a, b))
+                worst = max(worst, relative_residual(tab[m, mp], b))
         yield {"x": x, "q": ctx.q, "spins": "[0,6]^2"}, worst
 
 
@@ -395,17 +395,20 @@ def _weight_properties(run):
     ctx = run.ctx
     q = ctx.q
     for x in [0.7] + list(sample_annulus(run.rng, 2, 0.5, 0.9)):
+        # spins -4..3: V(m, m') is tab[m + 4, m' + 4] and V(-1 - m, m') is tab[3 - m, m' + 4]
+        tab = fock.weight_table(x, range(-4, 4), range(-4, 4), ctx)
         worst = 0.0
         for m in range(4):
             for mp in range(4):
-                v = fock.weight_V_fock(x, m, mp, ctx)
-                worst = max(worst, relative_residual(v, fock.weight_V_fock(x, mp, m, ctx)))
-                worst = max(worst, relative_residual(v, fock.weight_V_fock(x, -1 - m, mp, ctx)))
+                v = tab[m + 4, mp + 4]
+                worst = max(worst, relative_residual(v, tab[mp + 4, m + 4]))
+                worst = max(worst, relative_residual(v, tab[3 - m, mp + 4]))
         yield {"x": x, "q": q}, worst, "fock.weight_symmetry.4_44"
+    tab = fock.weight_table(1.0, range(5), range(5), ctx)
     worst = 0.0
     for m in range(5):
         for mp in range(5):
-            v = fock.weight_V_fock(1.0, m, mp, ctx)
+            v = tab[m, mp]
             expect = ((-1) ** m / qseries.bracket(ctx.q_pow_half(2 * m + 1))
                       if m == mp else 0.0)
             scale = abs(qseries.bracket(ctx.q_pow_half(2 * m + 1)))
@@ -417,11 +420,11 @@ def _weight_properties(run):
         rhs = (fock.fock_norm_const(ctx) ** -2
                * qseries.qpoch_inf_multi((z, q * q / z), q, ctx)
                / qseries.qpoch_inf_multi((-z / q, -q / z), q, ctx))
+        tab = (fock.weight_table(z, range(4), range(4), ctx)
+               * fock.weight_table(q * q / z, range(4), range(4), ctx))
         worst = 0.0
         for m, mp in ((0, 0), (1, 2), (3, 1)):
-            lhs = (fock.weight_V_fock(z, m, mp, ctx)
-                   * fock.weight_V_fock(q * q / z, m, mp, ctx))
-            worst = max(worst, relative_residual(lhs, rhs))
+            worst = max(worst, relative_residual(tab[m, mp], rhs))
         yield {"z": z, "q": q}, worst, "fock.weight_product.4_47"
 
 
@@ -452,17 +455,17 @@ def _transitivity_autogrow(x, y, m, mpp, ctx):
 
 def _star_triangle_fock(run):
     ctx = run.context(run.q, min(run.tol, 1e-8))
-    for x, y in ((0.5, 0.6), (0.45, 0.7)):
-        worst = 0.0
-        for ma in range(3):
-            for mb in range(3):
-                for mc in range(3):
-                    r = fock.star_triangle_fock(x, y, ma, mb, mc, 45, ctx)
-                    worst = max(worst, r.residual)
-        yield {"x": x, "y": y, "q": run.q, "spins": "[0,2]^3"}, worst
+    box = list(product(range(3), repeat=3))
+    # the first point sits on the boundary xy = -q at any q (0.6 at the default)
+    for x, y in ((0.5, -run.q / 0.5), (0.45, 0.7)):
+        r = fock.star_triangle_fock(x, y, box, 45, ctx)
+        yield {"x": x, "y": y, "q": run.q, "spins": "[0,2]^3"}, r.residual
     # generic complex point confirming validity off the physical regime
     ctx_c = run.context(run.entry.fixed_q, min(run.tol, 1e-8))
-    yield fock.star_triangle_fock(0.6, 0.55 + 0.1j, 1, 0, 2, 60, ctx_c)
+    r = fock.star_triangle_fock(0.6, 0.55 + 0.1j, [(1, 0, 2)], 60, ctx_c)
+    params = dict(r.params)
+    params["spins"] = params.pop("worst_at")  # a single triple: report it as the spins
+    yield params, r.residual
 
 
 def _partition_fock(run):
@@ -549,13 +552,14 @@ def _vg_projectors(run):
     # orthogonality of the eps-sectors inside the summation formula; this
     # sum decays only like (q/xy)^2 per step, so it gets a wider window
     x, y = 0.7, 0.8
+    wide = m_w + 35
+    row = vgamma.weight_Veps_table(x, 1, [0], range(-wide, wide + 1), gc, ctx)[0]
+    col = vgamma.weight_Veps_table(y, -1, range(-wide, wide + 1), [1], gc, ctx)[:, 0]
 
     def cross(b):
-        return (vgamma.weight_Veps(x, 1, 0, b, gc, ctx)
-                * qseries.bracket(gc.gamma * ctx.q ** b)
-                * vgamma.weight_Veps(y, -1, b, 1, gc, ctx))
+        return row[b + wide] * qseries.bracket(gc.gamma * ctx.q ** b) * col[b + wide]
 
-    res_cross = abs(vgamma.windowed_bilateral_sum(cross, m_w + 35, ctx))
+    res_cross = abs(vgamma.windowed_bilateral_sum(cross, wide, ctx))
     scale = abs(vgamma.weight_Veps(x * y, 1, 0, 1, gc, ctx))
     yield ({"gamma": gc.gamma, "q": ctx.q, "window": m_w,
             "res_cross_sector": res_cross / scale}, max(res, res_cross / scale))
@@ -564,12 +568,14 @@ def _vg_projectors(run):
 def _vg_parity(run):
     ctx = run.ctx
     gc = run.gamma_ctx(40)
+    ms, mps = (-3, -2, 0, 1, 2), (-2, 1, 3, 4)
+    tab = (vgamma.weight_Veps_table(0.7, 1, ms, mps, gc, ctx)
+           + vgamma.weight_Veps_table(0.7, -1, ms, mps, gc, ctx))
     worst = 0.0
-    for m in (-3, -2, 0, 1, 2):
-        for mp in (-2, 1, 3, 4):
+    for i, m in enumerate(ms):
+        for j, mp in enumerate(mps):
             if (m + mp) % 2:
-                worst = max(worst, abs(vgamma.weight_Veps(0.7, 1, m, mp, gc, ctx)
-                                       + vgamma.weight_Veps(0.7, -1, m, mp, gc, ctx)))
+                worst = max(worst, abs(tab[i, j]))
     yield {"gamma": gc.gamma, "q": ctx.q}, worst
 
 

@@ -10,6 +10,7 @@ import pytest
 from qkm import fock, vgamma
 from qkm.cli import UsageError, main, parse_complex
 from qkm.orthopoly import poly_rows
+from qkm.qseries import log_qpoch_table
 from qkm.registry import REGISTRY, RunConfig, run_suite, select_entries
 
 
@@ -164,6 +165,22 @@ def test_brace_entries_build_one_row_table_per_site(monkeypatch):
     reports = run_suite(RunConfig(filter="fock.brace_agreement.*"))
     assert reports and all(r.verdict == "PASS" for r in reports)
     assert calls[0] <= 34
+
+
+def test_weight_checks_build_one_table_per_point(monkeypatch):
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return log_qpoch_table(*args)
+
+    monkeypatch.setattr(fock, "log_qpoch_table", counted)
+    monkeypatch.setattr(vgamma, "log_qpoch_table", counted)
+    # the weight checks read spin grids from one table per parameter point,
+    # 66 tables a default run; one scalar call per spin pair would make 933
+    rc, _ = run_cli(["verify", "--format", "json"])
+    assert rc == 0
+    assert calls[0] <= 100
 
 
 def test_jobs_flag_rejected():

@@ -2,7 +2,7 @@
 
 import cmath
 import warnings
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -273,22 +273,44 @@ def test_tail_too_fat_raised():
 def test_star_triangle_physical_regime():
     ctx = QContext(q=-0.3)
     # x y = -q puts the first acceptance point on the delta boundary
-    r = star_triangle_fock(0.5, 0.6, 0, 0, 0, 45, ctx)
+    r = star_triangle_fock(0.5, 0.6, [(0, 0, 0)], 45, ctx)
     assert r.params["boundary"] is True and r.residual < 1e-8
-    assert star_triangle_fock(0.5, 0.6, 2, 1, 3, 45, ctx).residual < 1e-8
-    r = star_triangle_fock(0.45, 0.7, 2, 1, 3, 45, ctx)
+    assert star_triangle_fock(0.5, 0.6, [(2, 1, 3)], 45, ctx).residual < 1e-8
+    r = star_triangle_fock(0.45, 0.7, [(2, 1, 3)], 45, ctx)
     assert r.params["boundary"] is False and r.residual < 1e-8
 
 
 def test_star_triangle_generic_complex_point():
     ctx = QContext(q=0.35 * cmath.exp(0.2j))
-    assert star_triangle_fock(0.6, 0.55 + 0.1j, 1, 0, 2, 60, ctx).residual < 1e-8
+    assert star_triangle_fock(0.6, 0.55 + 0.1j, [(1, 0, 2)], 60, ctx).residual < 1e-8
 
 
 def test_star_triangle_negative_control():
     ctx = QContext(q=-0.3)
-    r = star_triangle_fock(0.45, 0.7, 2, 1, 3, 45, ctx, perturb_r=0.01)
+    r = star_triangle_fock(0.45, 0.7, [(2, 1, 3)], 45, ctx, perturb_r=0.01)
     assert r.residual > 1e-3
+
+
+@pytest.mark.parametrize("x, y, boundary", [(0.5, 0.6, True), (0.45, 0.7, False)])
+def test_star_triangle_box_reports_its_worst_triple(x, y, boundary):
+    ctx = QContext(q=-0.3)
+    box = list(product(range(3), repeat=3))
+    r = star_triangle_fock(x, y, box, 45, ctx)
+    assert r.params["boundary"] is boundary and r.residual < 1e-8
+    assert r.params["worst_at"] in box
+    assert star_triangle_fock(x, y, box, 45, ctx, perturb_r=0.01).residual > 1e-3
+
+
+def test_star_triangle_refuses_negative_spins():
+    # a negative spin would index its table from the end
+    with pytest.raises(DomainError):
+        star_triangle_fock(0.45, 0.7, [(-2, 1, 1)], 45, QContext(q=-0.3))
+
+
+def test_star_triangle_box_checks_the_tail_of_each_triple():
+    ctx = QContext(q=-0.3)
+    with pytest.raises(TailTooFat):
+        star_triangle_fock(0.45, 0.7, list(product(range(3), repeat=3)), 5, ctx)
 
 
 def test_partition_series():

@@ -118,6 +118,19 @@ def test_sector_orthogonality():
     assert abs(total) / scale < 1e-8
 
 
+def test_cross_sector_row_and_column_match_scalar_weights():
+    # the projectors entry reads its cross-sector summand from one row and
+    # one column over +-75 sites; every entry it can read must be finite
+    window = range(-75, 76)
+    row = weight_Veps_table(0.7, 1, [0], window, GENERIC, CTX)[0]
+    col = weight_Veps_table(0.8, -1, window, [1], GENERIC, CTX)[:, 0]
+    assert np.all(np.isfinite(row)) and np.all(np.isfinite(col))
+    for b in (-40, 0, 40):
+        for tab, ref in ((row, weight_Veps(0.7, 1, 0, b, GENERIC, CTX)),
+                         (col, weight_Veps(0.8, -1, b, 1, GENERIC, CTX))):
+            assert abs(tab[b + 75] - ref) <= 1e-13 * abs(ref)
+
+
 def test_projector_algebra():
     m_w = 40
     mv = np.arange(-m_w, m_w + 1)
