@@ -20,9 +20,10 @@ import numpy as np
 
 from .context import QContext
 from .errors import DomainError, EigensolverFailure, OverflowGuard, TailTooFat
-from .orthopoly import _lattice_tail_sums, overlap_sum, poly_rows, scaled_poly_values
+from .orthopoly import (_cmul, _lattice_tail_sums, overlap_grid, overlap_sum,
+                        poly_rows, scaled_poly_values)
 from .qseries import (bracket, big_theta4_const, log_qpoch_table, qpoch_finite,
-                      qpoch_inf, qpoch_inf_multi, tail_sum)
+                      qpoch_finite_table, qpoch_inf, qpoch_inf_multi, tail_sum)
 from .report import make_report, relative_residual
 
 __all__ = [
@@ -31,7 +32,7 @@ __all__ = [
     "VFormMatrices", "vform_matrices", "s_measure", "fock_norm_const",
     "cg_norm_const", "BraceMethod", "brace", "brace_spin_sums", "CGSide",
     "cg_coefficient", "weight_V_fock", "weight_V_fock_from_overlaps",
-    "weight_table",
+    "weight_table", "weight_table_from_overlaps",
     "kappa_fock", "transitivity_check_fock", "star_triangle_fock",
     "partition_series_fock", "rll_check", "vbasis_operator_matrices",
     "box_rmatrix_fock", "box_intertwining_check",
@@ -270,13 +271,13 @@ def _brace_closed(a: int, b: int, c: int, ctx: QContext) -> complex:
     q2 = q * q
     s = a + b + c
     p = a * b + a * c + b * c
-    pref = qpoch_finite(q2, q2, a) * qpoch_finite(q2, q2, b) * qpoch_finite(q2, q2, c)
+    poch = qpoch_finite_table(q2, q2, c)  # (q^2; q^2)_n for n <= c = max(a, b, c)
+    pref = poch[a] * poch[b] * poch[c]
     total = 0.0 + 0.0j
-    for k in range(min(a, b, c) + 1):
+    for k in range(a + 1):
         # prefactor q^p folded into each term so exponents stay moderate
         num = (-1) ** k * q ** (p + 3 * k * k - k - 2 * k * s)
-        den = (qpoch_finite(q2, q2, k) * qpoch_finite(q2, q2, a - k)
-               * qpoch_finite(q2, q2, b - k) * qpoch_finite(q2, q2, c - k))
+        den = poch[k] * poch[a - k] * poch[b - k] * poch[c - k]
         total += num / den
     return pref * total
 
@@ -376,6 +377,24 @@ def weight_V_fock_from_overlaps(x, m: int, mp: int, ctx: QContext) -> complex:
     pref = ctx.q_pow_half(m * (m + 1) + mp * (mp + 1)) / fock_norm_const(ctx)
     return pref * overlap_sum(ctx.q_pow_half(2 * m + 1), ctx.q_pow_half(2 * mp + 1),
                               x, ctx)
+
+
+def weight_table_from_overlaps(x, m_values, mp_values, ctx: QContext):
+    """weight_V_fock_from_overlaps on a spin grid, equal to it entry for entry.
+
+    One ``overlap_grid`` call builds each spin's occupation row once and
+    stops every entry at its own tail.  Returns the weights and the
+    largest term of each entry's sum on the same scale, so that
+    peaks / |weights| is the cancellation of each entry.
+    """
+    ms = [int(m) for m in m_values]
+    mps = [int(mp) for mp in mp_values]
+    sums, peaks = overlap_grid([ctx.q_pow_half(2 * m + 1) for m in ms],
+                               [ctx.q_pow_half(2 * mp + 1) for mp in mps], x, ctx)
+    n_f = fock_norm_const(ctx)
+    pref = np.array([[ctx.q_pow_half(m * (m + 1) + mp * (mp + 1)) / n_f for mp in mps]
+                     for m in ms])
+    return _cmul(pref, sums), np.abs(pref) * peaks
 
 
 def weight_table(x, m_values, mp_values, ctx: QContext) -> np.ndarray:
@@ -645,13 +664,50 @@ def box_rmatrix_fock(x, xp, y, yp, spins, ctx: QContext) -> complex:
             * weight_V_fock(q * q * yp / x, m1p, m2p, ctx))
 
 
+def _coproduct_apply(ops_a, ops_b, omegas, t, rows, n: int) -> list[np.ndarray]:
+    """sum_j La[i][j] (x) Lb[j][k] applied to the first two spin indices of t.
+
+    L = [[Em, -omega K0], [K0 / omega, Ep]] from the generator dicts
+    ``ops_a`` and ``ops_b``, with ``omegas`` = (omega_a, omega_b).  La acts
+    on the index p of t[p, r, ...] and Lb on r, both over every spin (Van
+    Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math. 123,
+    2000): no Kronecker product is formed.  The result keeps the spins
+    ``rows`` of p and the spins < n of r; entry i is the array
+    [p, k, r, ...] of the blocks (i, 0) and (i, 1).  Em, K0 and Ep of La
+    are each applied to t once; La's omegas move onto the Lb blocks, and
+    each i is then one product of the stacked Lb blocks with two of those.
+    """
+    dim = t.shape[0]
+    omega_a, omega_b = omegas
+    t2d = t.reshape(dim, -1)
+    firsts = [ops_a[name][rows] for name in ("Em", "K0", "Ep")]
+    u = np.empty((len(firsts[0]), 3, t2d.shape[1]), dtype=complex)
+    for m, mat in enumerate(firsts):
+        np.matmul(mat, t2d, out=u[:, m])  # u[p, (Em, K0, Ep), (r, ...)]
+    em, k0, ep = (ops_b[name][:n] for name in ("Em", "K0", "Ep"))
+    lb = [[em, -omega_b * k0], [k0 / omega_b, ep]]
+    coef = [[1.0, -omega_a], [1.0 / omega_a, 1.0]]  # La[i][j] over (Em, K0 | K0, Ep)
+    out = []
+    for i in range(2):
+        stack = np.block([[coef[i][j] * lb[j][k] for j in range(2)] for k in range(2)])
+        prod = stack @ u[:, i:i + 2].reshape(len(u), 2 * dim, -1)
+        out.append(prod.reshape(len(u), 2, n, *t.shape[2:]))
+    return out
+
+
 def box_intertwining_check(x, xp, y, yp, m_cut: int, ctx: QContext):
     """Residual of the intertwining relation for the box R-matrix.
 
     Assembles both co-product sides from the eigenbasis generator matrices
     at spin cutoff m_cut and compares against the box matrix built from
     vectorised weight tables; the comparison is restricted to the block
-    truncation cannot touch (all spins <= m_cut - 1).
+    truncation cannot touch (all spins <= m_cut - 1).  The box matrix is
+    held as the tensor S[a, b, c, d] of its rows (a, b) and columns (c, d).
+    The left side (L1 (x) L2) S acts on a and b; the right side
+    S (L2 (x) L1) is the transpose of (L2^T (x) L1^T) S^T, which acts on c
+    and d.  Both are built for five kept spins c at a time, the left side
+    on those columns and the right side on those rows, so every
+    intermediate stays a few MB.
     """
     started = time.perf_counter()
     x, xp, y, yp = (complex(v) for v in (x, xp, y, yp))
@@ -667,30 +723,35 @@ def box_intertwining_check(x, xp, y, yp, m_cut: int, ctx: QContext):
     b_tab = weight_table(x / y, spins, spins, ctx)
     c_tab = weight_table(xp / yp, spins, spins, ctx)
     d_tab = weight_table(q * q * yp / x, spins, spins, ctx)
-    s_mat = (np.einsum("ac,bd->abcd", b_tab, c_tab)
-             * a_tab[:, :, None, None] * d_tab[None, None, :, :])
-    s_mat = s_mat.reshape(dim * dim, dim * dim)
     # kernel -> coefficient matrix: the non-diagonal factors carry the
     # basis measure on their left index
     meas = np.array([s_measure(k, ctx) for k in range(dim)])
-    s_mat = np.outer(meas, meas).ravel()[:, None] * s_mat
+    s_box = np.einsum("ac,bd->abcd", b_tab, c_tab)
+    s_box *= (np.multiply.outer(meas, meas) * a_tab)[:, :, None, None]
+    s_box *= d_tab[None, None, :, :]
 
-    def l_of(ops):
-        return [[ops["Em"], -ops["K"]], [ops["Kp"], ops["Ep"]]]
-
-    l1 = l_of(vbasis_operator_matrices(omega1, mu1, m_cut, ctx))
-    l2 = l_of(vbasis_operator_matrices(omega2, mu2, m_cut, ctx))
-
-    keep = np.arange(dim * dim).reshape(dim, dim)[:dim - 1, :dim - 1].ravel()
+    ops1 = vbasis_operator_matrices(omega1, mu1, m_cut, ctx)
+    ops2 = vbasis_operator_matrices(omega2, mu2, m_cut, ctx)
+    ops1_t, ops2_t = ({name: m.T for name, m in ops.items()} for ops in (ops1, ops2))
+    n = dim - 1
+    s_t = np.ascontiguousarray(s_box.transpose(2, 3, 0, 1)[:, :, :n, :n])
+    # per block (i, k): largest |left|, |right| and |left - right|
+    tops = np.zeros((3, 2, 2))
+    for start in range(0, n, 5):
+        cs = slice(start, min(start + 5, n))
+        lhs = _coproduct_apply(ops1, ops2, (omega1, omega2), s_box[:, :, cs, :n],
+                               slice(0, n), n)
+        rhs = _coproduct_apply(ops2_t, ops1_t, (omega2, omega1), s_t, cs, n)
+        for i in range(2):
+            # left is [a, k, b, c, d], right [c, k, d, a, b]
+            diff = lhs[i] - rhs[i].transpose(3, 1, 4, 0, 2)
+            for j, part in enumerate((lhs[i], rhs[i], diff)):
+                tops[j, i] = np.maximum(tops[j, i], np.abs(part).max(axis=(0, 2, 3, 4)))
     worst = 0.0
     for i in range(2):
         for k in range(2):
-            lhs_op = sum(np.kron(l1[i][j], l2[j][k]) for j in range(2))
-            rhs_op = sum(np.kron(l2[i][j], l1[j][k]) for j in range(2))
-            lhs = (lhs_op @ s_mat)[np.ix_(keep, keep)]
-            rhs = (s_mat @ rhs_op)[np.ix_(keep, keep)]
-            scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
-            worst = max(worst, np.max(np.abs(lhs - rhs)) / scale)
+            scale = max(tops[0, i, k], tops[1, i, k], 1e-300)
+            worst = max(worst, tops[2, i, k] / scale)
     return make_report("fock.box_intertwine.4_54",
                        {"x": x, "xp": xp, "y": y, "yp": yp, "m_cut": m_cut},
                        worst, ctx.tol_identity, started)

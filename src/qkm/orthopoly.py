@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .report import make_report, relative_residual
 
 __all__ = [
     "PolyEvalMethod", "poly_P", "poly_rows", "scaled_poly_iter",
-    "scaled_poly_values", "overlap_sum", "poly_P_difference_checks",
+    "scaled_poly_values", "overlap_sum", "overlap_grid", "poly_P_difference_checks",
     "genfun_checks", "poly_norm_sum_check",
     "ChiParams", "chi", "chi_equation_checks",
 ]
@@ -248,6 +249,23 @@ def genfun_checks(z, u, v, ctx: QContext):
                        res, ctx.tol_identity, started)
 
 
+def _overlap_factors(x: complex, q: complex):
+    """Yield (-1)^a q^a x^{-a} / (q^2; q^2)_a for a = 0, 1, 2, ..."""
+    f = 1.0 + 0.0j
+    a = 0
+    while True:
+        yield f
+        f *= -q / (x * (1 - (q * q) ** (a + 1)))
+        a += 1
+
+
+def _overlap_domain(x, ctx: QContext) -> complex:
+    x = complex(x)
+    if abs(x) <= abs(ctx.q):
+        raise DomainError("overlap sum converges for |x| > |q| only")
+    return x
+
+
 def overlap_sum(xi_m, xi_mp, x, ctx: QContext, scale_m=1, scale_mp=1) -> complex:
     """Tail-ruled sum over a of (-q/x)^a / (q^2;q^2)_a row_m(a) row_mp(a).
 
@@ -255,20 +273,67 @@ def overlap_sum(xi_m, xi_mp, x, ctx: QContext, scale_m=1, scale_mp=1) -> complex
     converges for |x| > |q|.  This is the occupation overlap behind the
     Fock and sector weights and the completeness relations.
     """
-    x = complex(x)
-    q = ctx.q
-    if abs(x) <= abs(q):
-        raise DomainError("overlap sum converges for |x| > |q| only")
+    x = _overlap_domain(x, ctx)
+    terms = (f * ra * rb for f, ra, rb in zip(
+        _overlap_factors(x, ctx.q), scaled_poly_iter(xi_m, ctx, scale=scale_m),
+        scaled_poly_iter(xi_mp, ctx, scale=scale_mp)))
+    return tail_sum(terms, ctx)
 
-    def terms():
-        f = 1.0 + 0.0j  # (-1)^a q^a x^{-a} / (q^2; q^2)_a
-        rows = zip(scaled_poly_iter(xi_m, ctx, scale=scale_m),
-                   scaled_poly_iter(xi_mp, ctx, scale=scale_mp))
-        for a, (ra, rb) in enumerate(rows):
-            yield f * ra * rb
-            f *= -q / (x * (1 - (q * q) ** (a + 1)))
 
-    return tail_sum(terms(), ctx)
+def _cmul(a, b) -> np.ndarray:
+    """a * b elementwise, rounded as Python rounds a complex product.
+
+    Each real product and sum is rounded on its own; numpy's complex
+    multiply may fuse them into multiply-adds on CPUs that have them,
+    which moves last bits away from the scalar route.
+    """
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def overlap_grid(xis_m, xis_mp, x, ctx: QContext, scales_m=None, scales_mp=None):
+    """overlap_sum for every pair of a row xi and a column xi, as one array.
+
+    Entry (i, j) is ``overlap_sum(xis_m[i], xis_mp[j], x, ctx,
+    scales_m[i], scales_mp[j])`` bit for bit: the same terms, summed in
+    the same order, stopped at its own tail (three consecutive terms below
+    ``tail_cut``).  Each polynomial row is built once per xi rather than
+    once per entry, and the terms of the grid are formed as arrays, deep
+    enough for the slowest entry; the depth doubles from 64 until every
+    entry has met its tail, up to ``max_terms``.  Returns the sums and the
+    largest term of each, whose ratio is the cancellation of the sum.
+    """
+    x = _overlap_domain(x, ctx)
+    n_m = len(xis_m)
+    scales = [*([1] * n_m if scales_m is None else scales_m),
+              *([1] * len(xis_mp) if scales_mp is None else scales_mp)]
+    gens = [scaled_poly_iter(xi, ctx, scale=s)
+            for xi, s in zip([*xis_m, *xis_mp], scales)]
+    factors = _overlap_factors(x, ctx.q)
+    rows = [[] for _ in gens]
+    f = []
+    depth = 64
+    while True:
+        depth = min(depth, ctx.max_terms)
+        for g, row in zip(gens, rows):
+            row.extend(islice(g, depth - len(row)))
+        f.extend(islice(factors, depth - len(f)))
+        tab = np.array(rows).T  # (depth, rows then columns)
+        terms = _cmul(_cmul(np.array(f)[:, None], tab[:, :n_m])[:, :, None],
+                      tab[:, None, n_m:])
+        sizes = np.abs(terms)
+        below = sizes < ctx.tail_cut
+        run = below[2:] & below[1:-1] & below[:-2]
+        if run.any(axis=0).all():
+            stop = run.argmax(axis=0) + 2  # the third small term closes the sum
+            kept = np.arange(depth)[:, None, None] <= stop
+            sums = np.take_along_axis(np.cumsum(terms, axis=0), stop[None], 0)[0]
+            return sums, np.where(kept, sizes, 0.0).max(axis=0)
+        if depth == ctx.max_terms:
+            raise TruncationExhausted(f"no tail after {ctx.max_terms} terms")
+        depth *= 2
 
 
 def poly_norm_sum_check(m: int, mp: int, ctx: QContext):

@@ -23,7 +23,7 @@ from .errors import (DomainError, OverflowGuard, RepresentationMismatch,
 from .report import make_report, relative_residual
 
 __all__ = [
-    "tail_sum", "bilateral_sum", "qpoch_finite", "qpoch_inf",
+    "tail_sum", "bilateral_sum", "qpoch_finite", "qpoch_finite_table", "qpoch_inf",
     "qpoch_inf_multi", "log_qpoch_inf_array", "log_qpoch_table", "bracket",
     "ThetaKind",
     "theta", "theta_sum", "theta_product", "big_theta4_const",
@@ -83,17 +83,26 @@ def qpoch_finite(x, q, n: int) -> complex:
     which makes (x; q)_n (x q^n; q)_{-n} = ... consistent for all integers.
     """
     if n >= 0:
-        out = 1.0 + 0.0j
-        f = complex(x)
-        q = complex(q)
-        for _ in range(n):
-            out *= 1.0 - f
-            f *= q
-        return out
+        return qpoch_finite_table(x, q, n)[n]
     den = qpoch_finite(complex(x) * complex(q) ** n, q, -n)
     if den == 0:
         raise DomainError("negative-index q-Pochhammer hits a vanishing factor")
     return 1.0 / den
+
+
+def qpoch_finite_table(x, q, n: int) -> list[complex]:
+    """[(x; q)_0, (x; q)_1, ..., (x; q)_n] by one running product.
+
+    Entry k is bit-identical to ``qpoch_finite(x, q, k)``, which reads it
+    from this table.
+    """
+    out = [1.0 + 0.0j]
+    f = complex(x)
+    q = complex(q)
+    for _ in range(n):
+        out.append(out[-1] * (1.0 - f))
+        f *= q
+    return out
 
 
 def qpoch_inf(x, q, ctx: QContext) -> complex:

@@ -138,6 +138,19 @@ class Run:
         return [vgamma.GammaContext.make_selected(nu, self.ctx, window) for nu in nus]
 
 
+def refuse_cancellation(ratio: float, tol: float, what: str):
+    """Refuse a double-precision sum whose terms peak ``ratio`` times its value.
+
+    Rounding the largest terms alone leaves an error of about ratio * eps;
+    once ten times that exceeds the tolerance, the sum cannot tell a true
+    identity from a false one, and the check is refused with the number of
+    digits lost.
+    """
+    if 10 * ratio * np.finfo(float).eps > tol:
+        raise DomainError(f"{what} loses {math.log10(ratio):.1f} of 16 digits to "
+                          f"cancellation, too many for the tolerance {tol:g}")
+
+
 def sample_annulus(rng, n: int, r_min: float, r_max: float) -> np.ndarray:
     """n complex points, modulus uniform in [r_min, r_max], phase uniform."""
     r = rng.uniform(r_min, r_max, n)
@@ -274,6 +287,10 @@ def _completeness(run):
     vm = fock.vform_matrices(fock.FockRepParams(omega=1.1, lam=0.9, mu=1.2),
                              a_max, m_max, ctx)
     meas = np.array([fock.s_measure(int(m), ctx) for m in vm.m_values])
+    # the largest term of the m-sums, against identity entries of size 1
+    peak = np.max(np.abs(vm.chi)[:, :, None] * np.abs(meas)[:, None]
+                  * np.abs(vm.chi_bar)[None]) / abs(vm.n_f)
+    refuse_cancellation(peak, run.tol, "the m-sum")
     ident = np.einsum("am,m,mb->ab", vm.chi, meas, vm.chi_bar) / vm.n_f
     res_m = float(np.max(np.abs(ident - np.eye(a_max + 1))))
     # dressed version exercising the gauge prefactors
@@ -381,13 +398,20 @@ def _cg(run):
 
 def _weight_closed_vs_sum(run):
     ctx = run.ctx
+    # the occupation sum converges for |x| > |q|, so above |q| = 0.4 the
+    # annulus [0.5, 0.9] shrinks towards |x| = 1 with 1 - |q|; every point
+    # then keeps a gap of at least (1 - |q|) / 6 from |x| = |q|
+    s = min(1.0, (1 - abs(ctx.q)) / 0.6)
     for x in [0.5, 0.8 * cmath.exp(0.3j)] + list(sample_annulus(run.rng, 1, 0.5, 0.9)):
+        if s < 1:
+            x = x / abs(x) * (1 - (1 - abs(x)) * s)
         tab = fock.weight_table(x, range(7), range(7), ctx)
+        sums, peaks = fock.weight_table_from_overlaps(x, range(7), range(7), ctx)
+        refuse_cancellation(np.max(peaks / np.abs(sums)), run.tol, "the occupation sum")
         worst = 0.0
         for m in range(7):
             for mp in range(7):
-                b = fock.weight_V_fock_from_overlaps(x, m, mp, ctx)
-                worst = max(worst, relative_residual(tab[m, mp], b))
+                worst = max(worst, relative_residual(tab[m, mp], sums[m, mp]))
         yield {"x": x, "q": ctx.q, "spins": "[0,6]^2"}, worst
 
 
@@ -443,7 +467,24 @@ def _transitivity_pair(rng, q):
 
 
 def _transitivity_autogrow(x, y, m, mpp, ctx):
-    m_sum = 40
+    """The transitivity check on the middle-spin window its decay predicts.
+
+    From about the tenth site on, the summands V_x(m, k) S_k V_y(k, mpp)
+    fall like (|q| / |xy|)^k, so their size at k = 10 fixes the site where
+    they cross the tail cut (measured: within 1.4 sites of the last one
+    above it, for q from 0.05 to 0.7); the window ends 4 sites past that.
+    A window still too short doubles, up to 640 sites.  A pair with
+    |xy| <= |q|, whose sum does not decay, starts at 640.
+    """
+    k0 = 10
+    m_sum = 640
+    rate = abs(ctx.q) / abs(complex(x) * complex(y))
+    if rate < 1:
+        probe = abs(fock.weight_V_fock(x, m, k0, ctx) * fock.s_measure(k0, ctx)
+                    * fock.weight_V_fock(y, k0, mpp, ctx))
+        if 0 < probe < math.inf:
+            k_cut = k0 + math.ceil(math.log(ctx.tail_cut / probe) / math.log(rate))
+            m_sum = min(m_sum, max(k0, k_cut) + 4)
     while True:
         try:
             return fock.transitivity_check_fock(x, y, m, mpp, m_sum, ctx)

@@ -5,9 +5,10 @@ import json
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
-from qkm import fock, vgamma
+from qkm import fock, orthopoly, qseries, vgamma
 from qkm.cli import UsageError, main, parse_complex
 from qkm.orthopoly import poly_rows
 from qkm.qseries import log_qpoch_table
@@ -181,6 +182,32 @@ def test_weight_checks_build_one_table_per_point(monkeypatch):
     rc, _ = run_cli(["verify", "--format", "json"])
     assert rc == 0
     assert calls[0] <= 100
+
+
+def test_coproduct_checks_do_matrix_work(monkeypatch):
+    calls = {"transitivity": 0, "kron": 0, "qpoch_finite": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fock, "transitivity_check_fock",
+                        counted("transitivity", fock.transitivity_check_fock))
+    monkeypatch.setattr(np, "kron", counted("kron", np.kron))
+    finite = counted("qpoch_finite", qseries.qpoch_finite)
+    for module in (qseries, fock, orthopoly):
+        monkeypatch.setattr(module, "qpoch_finite", finite)
+    rc, _ = run_cli(["verify", "--format", "json"])
+    assert rc == 0
+    # one window per transitivity pair, read off the summands' decay rate
+    assert calls["transitivity"] == 3
+    # the box check applies L1 (x) L2 as two one-index products
+    assert calls["kron"] == 0
+    # closed-form braces read one prefix table each: 62 calls a default run,
+    # against 20079 with one q-product per factor
+    assert calls["qpoch_finite"] <= 93
 
 
 def test_jobs_flag_rejected():

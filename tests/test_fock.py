@@ -7,6 +7,7 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 import pytest
 
+from qkm import fock
 from qkm.context import QContext
 from qkm.errors import DomainError, TailTooFat
 from qkm.fock import (BraceMethod, CGSide, FockRepParams, Regularisation,
@@ -17,9 +18,10 @@ from qkm.fock import (BraceMethod, CGSide, FockRepParams, Regularisation,
                       kappa_fock, partition_series_fock, rll_check, s_measure,
                       spectral_experiment, star_triangle_fock,
                       transitivity_check_fock, vbasis_operator_matrices,
-                      vform_matrices, weight_table, weight_V_fock,
-                      weight_V_fock_from_overlaps, _sqrt_qpoch2)
-from qkm.qseries import bracket, qpoch_inf_multi
+                      vform_matrices, weight_table, weight_table_from_overlaps,
+                      weight_V_fock, weight_V_fock_from_overlaps, _brace_closed,
+                      _sqrt_qpoch2)
+from qkm.qseries import bracket, qpoch_finite, qpoch_inf_multi
 
 CTX = QContext(q=0.4)
 Q = 0.4
@@ -375,6 +377,76 @@ def test_box_spin_reflection_invariance():
         refl[k] = -1 - refl[k]
         w = box_rmatrix_fock(1.1, 0.8, 0.9, 1.3, tuple(refl), CTX)
         assert abs(v - w) < 1e-12 * abs(v)
+
+
+def _box_residual_dense(x, xp, y, yp, m_cut, ctx):
+    """The intertwining residual with both sides built as dense Kronecker products."""
+    omega1, omega2 = np.sqrt(x * xp + 0j), np.sqrt(y * yp + 0j)
+    dim = m_cut + 1
+    spins = np.arange(dim)
+    a, b, c, d = (weight_table(v, spins, spins, ctx)
+                  for v in (y / xp, x / y, xp / yp, ctx.q ** 2 * yp / x))
+    s_mat = (np.einsum("ac,bd->abcd", b, c) * a[:, :, None, None]
+             * d[None, None]).reshape(dim * dim, dim * dim)
+    meas = np.array([fock.s_measure(k, ctx) for k in range(dim)])
+    s_mat = np.outer(meas, meas).ravel()[:, None] * s_mat
+    ls = []
+    for omega, mu in ((omega1, x / omega1), (omega2, y / omega2)):
+        ops = vbasis_operator_matrices(omega, mu, m_cut, ctx)
+        ls.append([[ops["Em"], -ops["K"]], [ops["Kp"], ops["Ep"]]])
+    l1, l2 = ls
+    keep = np.arange(dim * dim).reshape(dim, dim)[:-1, :-1].ravel()
+    worst = 0.0
+    for i in range(2):
+        for k in range(2):
+            lhs = sum(np.kron(l1[i][j], l2[j][k]) for j in range(2)) @ s_mat
+            rhs = s_mat @ sum(np.kron(l2[i][j], l1[j][k]) for j in range(2))
+            lhs, rhs = lhs[np.ix_(keep, keep)], rhs[np.ix_(keep, keep)]
+            scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
+            worst = max(worst, np.max(np.abs(lhs - rhs)) / scale)
+    return worst
+
+
+def test_box_intertwining_matches_dense_kronecker_products(monkeypatch):
+    ctx = QContext(q=0.35)
+    point = (1.1, 0.8, 0.9, 1.3, 8)
+    dense = _box_residual_dense(*point, ctx)
+    assert abs(box_intertwining_check(*point, ctx).residual - dense) < 1e-15
+    # without the basis measure the box matrix is no intertwiner, for either route
+    monkeypatch.setattr(fock, "s_measure", lambda m, ctx: 1.0)
+    assert _box_residual_dense(*point, ctx) > 1e-3
+    assert box_intertwining_check(*point, ctx).residual > 1e-3
+
+
+@pytest.mark.parametrize("q", [0.4, -0.3, 0.35 * cmath.exp(0.2j)])
+def test_brace_closed_reads_one_prefix_table(q):
+    ctx = QContext(q=q)
+    q2 = ctx.q * ctx.q
+
+    def reference(a, b, c):
+        a, b, c = sorted((a, b, c))
+        s, p = a + b + c, a * b + a * c + b * c
+        pref = qpoch_finite(q2, q2, a) * qpoch_finite(q2, q2, b) * qpoch_finite(q2, q2, c)
+        total = 0.0 + 0.0j
+        for k in range(a + 1):
+            num = (-1) ** k * ctx.q ** (p + 3 * k * k - k - 2 * k * s)
+            den = (qpoch_finite(q2, q2, k) * qpoch_finite(q2, q2, a - k)
+                   * qpoch_finite(q2, q2, b - k) * qpoch_finite(q2, q2, c - k))
+            total += num / den
+        return pref * total
+
+    for a, b, c in product(range(13), range(13), range(8)):
+        assert _brace_closed(a, b, c, ctx) == reference(a, b, c)
+
+
+@pytest.mark.parametrize("q", [0.4, 0.3 + 0.1j])
+def test_weight_table_from_overlaps_equals_scalar_route(q):
+    ctx = QContext(q=q)
+    x = 0.8 * cmath.exp(0.3j)
+    tab, _ = weight_table_from_overlaps(x, range(4), range(-2, 5), ctx)
+    for i, m in enumerate(range(4)):
+        for j, mp in enumerate(range(-2, 5)):
+            assert tab[i, j] == weight_V_fock_from_overlaps(x, m, mp, ctx)
 
 
 def test_box_intertwining_small_cutoff():

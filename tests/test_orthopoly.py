@@ -9,10 +9,10 @@ import pytest
 from qkm.context import QContext
 from qkm.errors import DegenerateArgument, DomainError, OverflowGuard
 from qkm.orthopoly import (ChiParams, PolyEvalMethod, chi, chi_equation_checks,
-                           genfun_checks, overlap_sum, poly_norm_sum_check,
+                           genfun_checks, overlap_grid, overlap_sum, poly_norm_sum_check,
                            poly_P, poly_P_difference_checks, poly_rows,
                            scaled_poly_iter, scaled_poly_values)
-from qkm.qseries import qpoch_inf, qpoch_inf_multi
+from qkm.qseries import qpoch_inf, qpoch_inf_multi, tail_sum
 
 CTX = QContext(q=0.4)
 METHODS = list(PolyEvalMethod)
@@ -93,6 +93,34 @@ def test_poly_rows_mpmath_matches_double():
 def test_overlap_sum_domain():
     with pytest.raises(DomainError):
         overlap_sum(1.1, 0.9, 0.3, CTX)
+    with pytest.raises(DomainError):
+        overlap_grid([1.1], [0.9], 0.3, CTX)
+
+
+# a real, a complex and a near-edge x (|x| = 1.05 |q|, some 500 terms), and
+# a complex q, whose complex rows expose any fused multiply-add in the grid
+@pytest.mark.parametrize("q, x_over_q", [(0.4, 1.5), (0.4, 2.2 * np.exp(0.7j)),
+                                         (0.4, 1.05),
+                                         (0.35 * np.exp(0.2j), 2.2 * np.exp(0.7j))])
+def test_overlap_grid_equals_scalar_sums(q, x_over_q):
+    ctx = QContext(q=q)
+    x = abs(q) * x_over_q
+    xis = [ctx.q_pow_half(2 * m + 1) for m in range(7)]
+    scales = [1.3 ** m for m in range(7)]
+    sums, peaks = overlap_grid(xis, xis[::-1], x, ctx, scales, scales[::-1])
+    for i, (xi, s) in enumerate(zip(xis, scales)):
+        for j, (xj, t) in enumerate(zip(xis[::-1], scales[::-1])):
+            assert sums[i, j] == overlap_sum(xi, xj, x, ctx, s, t)
+            # the same terms through the scalar tail rule, with their peak
+            def terms():
+                f = 1.0 + 0.0j
+                rows = zip(scaled_poly_iter(xi, ctx, s), scaled_poly_iter(xj, ctx, t))
+                for a, (ra, rb) in enumerate(rows):
+                    yield f * ra * rb
+                    f *= -ctx.q / (x * (1 - (ctx.q * ctx.q) ** (a + 1)))
+
+            _, peak = tail_sum(terms(), ctx, with_peak=True)
+            assert abs(peaks[i, j] - peak) <= 1e-15 * peak
 
 
 def test_difference_equations():

@@ -148,6 +148,32 @@ def test_genfun_points_stay_inside_the_radius_at_small_q():
     assert {r["verdict"] for r in reports} == {"PASS"}
 
 
+@pytest.mark.parametrize("q", [0.7, -0.8])
+def test_weight_closed_vs_sum_points_leave_the_disc_of_q(q):
+    # the occupation sum converges for |x| > |q|; the fixed x = 0.5 and the
+    # annulus [0.5, 0.9] move towards |x| = 1 once |q| passes 0.4
+    reports = run_suite(RunConfig(q=q, filter="fock.weight_closed*"))
+    assert len(reports) == 3
+    assert all(r.verdict == "PASS" and abs(r.params["x"]) > abs(q) for r in reports)
+
+
+@pytest.mark.parametrize("entry", ["fock.completeness*", "fock.weight_closed*"])
+def test_sums_that_cancel_past_the_tolerance_are_refused(entry):
+    # at q = 0.9 the largest terms exceed the results by 14-16 digits
+    [rep] = run_suite(RunConfig(q=0.9, filter=entry))
+    assert rep.verdict == "SKIPPED"
+    reason = rep.params["skip_reason"]
+    assert reason.startswith("DomainError: ") and "digits to cancellation" in reason
+    # at q = 0.7 they keep enough digits, and the checks run
+    assert {r.verdict for r in run_suite(RunConfig(q=0.7, filter=entry))} == {"PASS"}
+
+
+def test_refuse_cancellation_bound():
+    registry.refuse_cancellation(4.5e5, 1e-9, "a sum")
+    with pytest.raises(registry.DomainError, match="a sum loses 5.7 of 16 digits"):
+        registry.refuse_cancellation(5e5, 1e-9, "a sum")
+
+
 def test_generic_gamma_of_brace_entry_is_refused_as_a_domain_error():
     [rep] = run_suite(RunConfig(filter="vgamma.brace_gamma.*", gamma=0))
     assert rep.verdict == "SKIPPED"
