@@ -14,14 +14,13 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 
 from .context import QContext
 from .errors import DomainError, EigensolverFailure, OverflowGuard, TailTooFat
-from .orthopoly import (_cmul, _lattice_tail_sums, overlap_grid, overlap_sum,
-                        poly_rows, scaled_poly_values)
+from .orthopoly import (_cmul, lattice_brace_sums, overlap_grid, overlap_sum,
+                        scaled_poly_values)
 from .qseries import (bracket, big_theta4_const, log_qpoch_table, qpoch_finite,
                       qpoch_finite_table, qpoch_inf, qpoch_inf_multi, tail_sum)
 from .report import make_report, relative_residual
@@ -37,6 +36,8 @@ __all__ = [
     "partition_series_fock", "rll_check", "vbasis_operator_matrices",
     "box_rmatrix_fock", "box_intertwining_check",
 ]
+
+_SPIN_SUM_DPS = 40  # working digits of the brace spin sums
 
 
 @dataclass(frozen=True)
@@ -282,40 +283,21 @@ def _brace_closed(a: int, b: int, c: int, ctx: QContext) -> complex:
     return pref * total
 
 
-def brace_spin_sums(triples, ctx: QContext, dps: int = 40) -> list[complex]:
+def brace_spin_sums(triples, ctx: QContext) -> list[complex]:
     """Eigenvalue-lattice sums for the triples {a, b, c}, in extended precision.
 
-    The summands are O(1) while the result can be as small as
-    q^{ab+ac+bc}, so the cancellation exceeds double precision on the
-    corners of the index box; 40-digit arithmetic restores full double
-    accuracy of the returned values.  One row stack per site serves every
-    triple, and each triple stops at its own tail, so a value does not
-    depend on the other triples of the batch.
+    The one-sided lattice_brace_sums over xi = q^{m+1/2} in 40 digits (on
+    the corners of the index box double precision would cancel away), each
+    divided by the normaliser -q^{-1/2} (q; q)_inf of (4.27-4.28).
     """
     import mpmath as mp
 
     for a, b, c in triples:
         _brace_guard(a, b, c, ctx.q)
-    with mp.workdps(dps):
+    totals, _ = lattice_brace_sums(triples, None, (1,), _SPIN_SUM_DPS, ctx)
+    with mp.workdps(_SPIN_SUM_DPS):
         q = mp.mpc(ctx.q)
-        qh = mp.sqrt(q)  # principal branch, same as QContext.q_half
-        n_top = max((max(t) for t in triples), default=0)
-
-        def site_terms(m, live):
-            xi = qh ** (2 * m + 1)
-            rows = list(islice(poly_rows(xi, q, qh, mp.mpc(1)), n_top + 1))
-            w = (-1) ** m * q ** (3 * m * (m + 1) // 2) * (xi - 1 / xi)
-            return [w * rows[a] * rows[b] * rows[c]
-                    for a, b, c in (triples[i] for i in live)]
-
-        totals, _, _ = _lattice_tail_sums(site_terms, len(triples), (1,),
-                                          mp.mpf(10) ** (5 - dps), ctx.max_terms)
-        poch = mp.mpc(1)  # (q; q)_inf for the normalising constant
-        f = q
-        while abs(f) > mp.mpf(10) ** (-dps):
-            poch *= 1 - f
-            f *= q
-        norm = -poch / qh
+        norm = -mp.qp(q, q) / mp.sqrt(q)
         return [complex(total / norm) for total in totals]
 
 

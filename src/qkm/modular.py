@@ -135,19 +135,19 @@ def faddeev_phi(x, mc: ModularContext) -> complex:
     b = mc.b
     w_num = cmath.exp(2 * cmath.pi * b * (x + mc.eta))
     w_den = cmath.exp(2 * cmath.pi * (x - mc.eta) / b)
-    num = _checked_qpoch(w_num, mc.q ** 2, mc.ctx_q, pole=False)
-    den = _checked_qpoch(w_den, mc.qbar ** 2, mc.ctx_qbar, pole=True)
+    num = qpoch_inf(w_num, mc.q ** 2, mc.ctx_q)
+    den = _checked_qpoch(w_den, mc.qbar ** 2, mc.ctx_qbar)
     return num / den
 
 
-def _checked_qpoch(w, nome, ctx, pole: bool) -> complex:
-    """qpoch_inf with proximity detection for the zero/pole lattice."""
+def _checked_qpoch(w, nome, ctx) -> complex:
+    """qpoch_inf that refuses a factor on the pole lattice of the denominator."""
     out = 1.0 + 0.0j
     f = complex(w)
     below = 0
     for k in range(ctx.max_terms):
         factor = 1.0 - f
-        if pole and abs(factor) < 1e-12:
+        if abs(factor) < 1e-12:
             raise PoleHit(f"dilogarithm pole: factor 1 - w q^{{2k}} = {factor!r} at k = {k}")
         out *= factor
         below = below + 1 if abs(f) < ctx.tail_cut else 0

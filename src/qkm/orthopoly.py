@@ -25,8 +25,8 @@ from .report import make_report, relative_residual
 
 __all__ = [
     "PolyEvalMethod", "poly_P", "poly_rows", "scaled_poly_iter",
-    "scaled_poly_values", "overlap_sum", "overlap_grid", "poly_P_difference_checks",
-    "genfun_checks", "poly_norm_sum_check",
+    "scaled_poly_values", "lattice_brace_sums", "overlap_sum", "overlap_grid",
+    "poly_P_difference_checks", "genfun_checks", "poly_norm_sum_check",
     "ChiParams", "chi", "chi_equation_checks",
 ]
 
@@ -156,6 +156,41 @@ def _lattice_tail_sums(site_terms, n: int, directions, cut, max_terms: int):
             raise TruncationExhausted("lattice sum has no tail within max_terms")
         peaks = [max(p, s) for p, s in zip(peaks, peak)]
     return totals, peaks, sites
+
+
+def lattice_brace_sums(triples, gamma, directions, dps: int, ctx: QContext):
+    """Lattice sums of the triples {a, b, c} over xi = gamma q^m, in dps digits.
+
+    Site m contributes (-1)^m (xi - 1/xi) row_a row_b row_c, the rows
+    scaled by gamma^m q^{m^2/2}; gamma None is q^{1/2} at the working
+    precision, where xi = q^{m+1/2} and the weight cubed is
+    q^{3m(m+1)/2}.  ``directions`` is (1,) for m >= 0 or (1, -1) for all
+    m.  One row stack per site serves every triple, and each stops at its
+    own tail (cut 10^(5 - dps)).  The summands are O(1) while a total can
+    be as small as q^{ab+ac+bc}; one that falls more than dps - 8 digits
+    below its peak keeps too few digits for a check and is refused.
+    Returns the mpmath totals and the number of sites walked.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        q = mp.mpc(ctx.q)
+        qh = mp.sqrt(q)  # principal branch, same as QContext.q_half
+        gamma = qh if gamma is None else mp.mpc(gamma)
+        top = max((max(t) for t in triples), default=0)
+
+        def site_terms(m, live):
+            xi = gamma * q ** m
+            rows = list(islice(poly_rows(xi, q, qh, gamma ** m * qh ** (m * m)), top + 1))
+            f = (-1) ** m * (xi - 1 / xi)
+            return [f * rows[a] * rows[b] * rows[c] for a, b, c in (triples[i] for i in live)]
+
+        totals, peaks, sites = _lattice_tail_sums(site_terms, len(triples), directions,
+                                                  mp.mpf(10) ** (5 - dps), ctx.max_terms)
+        digits = mp.mpf(10) ** (dps - 8)
+        if any(peak > abs(total) * digits for total, peak in zip(totals, peaks)):
+            raise DomainError(f"lattice sum cancels more than {dps - 8} of its {dps} digits")
+        return totals, sites
 
 
 def scaled_poly_iter(xi, ctx: QContext, scale: complex = 1.0):

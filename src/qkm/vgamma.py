@@ -13,14 +13,13 @@ import cmath
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 from .context import QContext
 from .errors import DomainError, PoleHit, SingularMeasure, TailTooFat
 from .fock import _sqrt_qpoch2, brace
-from .orthopoly import _lattice_tail_sums, overlap_sum, poly_rows, scaled_poly_values
+from .orthopoly import lattice_brace_sums, overlap_sum, scaled_poly_values
 from .qseries import (ThetaKind, bracket, log_qpoch_table, qpoch_inf,
                       qpoch_inf_multi, tail_sum, theta_product)
 from .report import make_report, relative_residual
@@ -32,6 +31,8 @@ __all__ = [
     "km_V", "km_S", "km_Phi", "km_kappa", "star_triangle_km",
     "km_log_z", "km_partition_checks", "windowed_bilateral_sum",
 ]
+
+_LATTICE_DPS = 30  # working digits of the bilateral brace lattice sums
 
 
 @dataclass(frozen=True)
@@ -183,51 +184,11 @@ def weight_Veps_from_overlaps(x, eps: int, m: int, mp: int, gc: GammaContext,
     return sign * total / gamma_norm_const(gc, ctx)
 
 
-def _lattice_brace_sums(triples, gamma, ctx: QContext, dps: int = 30):
-    """Extended-precision lattice sums of the triples and their a=b=c=0 norm.
-
-    The summands are O(1)-ish while the ratio can be as small as
-    q^{ab+ac+bc}; 30-digit arithmetic keeps the returned doubles exact.
-    One row stack per site, as deep as the deepest triple, serves every
-    triple.  Each triple and the norm stop at their own tail in each
-    direction, three sites below peak * 10^(5 - dps): a total in dps
-    digits is only known to about peak * 10^(-dps), the size of the
-    rounding of its largest terms, and the Gaussian site weight takes the
-    rest of the tail below that floor.  A part whose total falls more than
-    dps - 8 digits below its peak keeps fewer than 8 digits, too few for
-    the check, and is refused.  Returns the totals, the norm and the
-    number of sites walked.
-    """
-    import mpmath as mp
-
-    parts = [*triples, (0, 0, 0)]  # the last part is the norm
-    with mp.workdps(dps):
-        q = mp.mpc(ctx.q)
-        qh = mp.sqrt(q)
-        gamma = mp.mpc(gamma)
-        top = max(max(t) for t in triples)
-
-        def site_terms(m, live):
-            xi = gamma * q ** m
-            site = gamma ** m * qh ** (m * m)
-            rows = list(islice(poly_rows(xi, q, qh, site), top + 1))
-            f = (-1) ** m * (xi - 1 / xi)
-            return [f * rows[a] * rows[b] * rows[c] for a, b, c in (parts[i] for i in live)]
-
-        totals, peaks, sites = _lattice_tail_sums(site_terms, len(parts), (1, -1),
-                                                  mp.mpf(10) ** (5 - dps), ctx.max_terms)
-        digits = mp.mpf(10) ** (dps - 8)
-        if any(peak > abs(total) * digits for total, peak in zip(totals, peaks)):
-            raise DomainError(f"lattice sum cancels more than {dps - 8} of its {dps} digits")
-        *totals, norm = map(complex, totals)
-        return totals, norm, sites
-
-
 def brace_gamma_residuals(triples, gamma_list, ctx: QContext):
     """Worst residual and its components for each triple of brace_gamma_check.
 
-    Returns one ``(worst, details)`` pair per triple; every gamma builds
-    one lattice table for the whole batch.
+    Returns one ``(worst, details)`` pair per triple; every gamma sums
+    the whole batch and its a=b=c=0 norm M_gamma on one bilateral lattice.
     """
     if max(max(t) for t in triples) > 8:
         raise DomainError("cancellation limit of the lattice route: indices <= 8")
@@ -236,9 +197,11 @@ def brace_gamma_residuals(triples, gamma_list, ctx: QContext):
     worst = [0.0] * len(triples)
     details = [{} for _ in triples]
     for i, gamma in enumerate(gamma_list):
-        totals, m_gamma_sum, _ = _lattice_brace_sums(triples, complex(gamma), ctx)
-        m_gamma_theta = -(theta_product(ThetaKind.H, complex(gamma), ctx)
-                          * theta_product(ThetaKind.THETA3, complex(gamma), ctx)
+        gamma = complex(gamma)
+        totals, _ = lattice_brace_sums([*triples, (0, 0, 0)], gamma, (1, -1), _LATTICE_DPS, ctx)
+        *totals, m_gamma_sum = map(complex, totals)  # the last part is the norm
+        m_gamma_theta = -(theta_product(ThetaKind.H, gamma, ctx)
+                          * theta_product(ThetaKind.THETA3, gamma, ctx)
                           / qpoch_inf(q * q, q * q, ctx))
         res_norm = relative_residual(m_gamma_sum, m_gamma_theta)
         for k, total in enumerate(totals):

@@ -154,8 +154,7 @@ def test_brace_entries_build_one_row_table_per_site(monkeypatch):
         calls[0] += 1
         return poly_rows(*args)
 
-    monkeypatch.setattr(fock, "poly_rows", counted)
-    monkeypatch.setattr(vgamma, "poly_rows", counted)
+    monkeypatch.setattr(orthopoly, "poly_rows", counted)
     # one (2, 1, 1) check over 4 gammas and the [0,4]^3 box over 2 gammas,
     # each gamma on fewer than 40 sites at q = 0.4: under (4 + 2) * 40 tables
     reports = run_suite(RunConfig(filter="vgamma.brace_gamma.*"))

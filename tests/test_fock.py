@@ -4,6 +4,7 @@ import cmath
 import warnings
 from itertools import combinations_with_replacement, product
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -21,6 +22,7 @@ from qkm.fock import (BraceMethod, CGSide, FockRepParams, Regularisation,
                       vform_matrices, weight_table, weight_table_from_overlaps,
                       weight_V_fock, weight_V_fock_from_overlaps, _brace_closed,
                       _sqrt_qpoch2)
+from qkm.orthopoly import lattice_brace_sums
 from qkm.qseries import bracket, qpoch_finite, qpoch_inf_multi
 
 CTX = QContext(q=0.4)
@@ -140,6 +142,31 @@ def test_brace_spin_sums_batch_is_exact(q):
     # its order, or the triples that stop earlier or later
     assert batch == [brace(*t, ctx, BraceMethod.SPIN_SUM) for t in box]
     assert brace_spin_sums(box[::-1], ctx) == batch[::-1]
+
+
+@pytest.mark.parametrize("q", [0.4, -0.3, 0.3 + 0.1j, 0.7])
+def test_brace_spin_sums_are_the_lattice_kernel_at_gamma_q_half(q):
+    # the Fock route is the one-sided lattice sum at gamma = q^{1/2}; the
+    # gamma route's bilateral sum there, over its a=b=c=0 norm, agrees
+    ctx = QContext(q=q)
+    box = list(combinations_with_replacement(range(7), 3))
+    *totals, norm = lattice_brace_sums([*box, (0, 0, 0)], ctx.q_half, (1, -1), 30, ctx)[0]
+    for spin, total in zip(brace_spin_sums(box, ctx), totals):
+        assert abs(spin - complex(total / norm)) <= 1e-10 * abs(spin)
+    with mp.workdps(40):
+        mq = mp.mpc(q)
+        norm_mp = complex(-mp.qp(mq, mq) / mp.sqrt(mq))
+    norm_double = cg_norm_const(QContext(q=q, tol_identity=1e-15))
+    assert abs(norm_mp - norm_double) <= 1e-14 * abs(norm_double)
+    assert brace_spin_sums([], ctx) == []
+
+
+def test_brace_spin_sums_refuse_a_sum_that_cancels_its_digits():
+    box = list(combinations_with_replacement(range(7), 3))
+    # the [0,6]^3 box loses 40.7 of its 40 digits at q = 0.05
+    with pytest.raises(DomainError, match="cancels more than 32 of its 40 digits"):
+        brace_spin_sums(box, QContext(q=0.05))
+    assert len(brace_spin_sums(box, QContext(q=0.2))) == len(box)  # 25.5 digits lost
 
 
 def test_brace_permutation_symmetry():

@@ -12,9 +12,9 @@ import pytest
 from qkm.context import QContext
 from qkm.errors import DomainError, PoleHit, SingularMeasure
 from qkm.fock import BraceMethod, FockRepParams, brace, vform_matrices
-from qkm.orthopoly import poly_rows
+from qkm.orthopoly import lattice_brace_sums, poly_rows
 from qkm.qseries import bracket
-from qkm.vgamma import (GammaContext, _lattice_brace_sums, brace_gamma_check,
+from qkm.vgamma import (GammaContext, brace_gamma_check,
                         brace_gamma_residuals, gamma_norm_const,
                         km_inversion_check, km_kappa, km_log_z,
                         km_partition_checks, km_Phi, km_S, km_summation_check,
@@ -170,9 +170,9 @@ def test_brace_gamma_batch_is_exact():
     gammas = [0.6, 0.9 * cmath.exp(0.2j), CTX.q_pow_half(1)]
     batch = [(0, 0, 0), (4, 4, 4), (2, 1, 1), (0, 3, 1), (4, 0, 2)]
     for gamma in gammas:
-        totals, norm, _ = _lattice_brace_sums(batch, gamma, CTX)
+        *totals, norm = lattice_brace_sums([*batch, (0, 0, 0)], gamma, (1, -1), 30, CTX)[0]
         for t, total in zip(batch, totals):
-            assert _lattice_brace_sums([t], gamma, CTX)[:2] == ([total], norm)
+            assert lattice_brace_sums([t, (0, 0, 0)], gamma, (1, -1), 30, CTX)[0] == [total, norm]
     for t, (worst, details) in zip(batch, brace_gamma_residuals(batch, gammas, CTX)):
         rep = brace_gamma_check(*t, gammas, CTX)
         assert rep.residual == worst
@@ -203,7 +203,8 @@ def test_lattice_sums_stop_at_their_tail(q):
     box = list(combinations_with_replacement(range(5), 3))
     ctx = QContext(q=q)
     for gamma in (0.6, 0.9 * cmath.exp(0.2j)):
-        totals, norm, sites = _lattice_brace_sums(box, gamma, ctx)
+        parts, sites = lattice_brace_sums([*box, (0, 0, 0)], gamma, (1, -1), 30, ctx)
+        *totals, norm = map(complex, parts)
         ref_totals, ref_norm = _windowed_lattice_sums(box, gamma, q)
         for total, ref in zip(totals + [norm], ref_totals + [ref_norm]):
             assert abs(total - ref) <= 1e-13 * abs(ref)
