@@ -10,8 +10,10 @@ space, and the factorised box R-matrix with its intertwining check.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from decimal import getcontext
 from enum import Enum
 from functools import lru_cache
 
@@ -19,8 +21,8 @@ import numpy as np
 
 from .context import QContext
 from .errors import DomainError, EigensolverFailure, OverflowGuard, TailTooFat
-from .orthopoly import (_cmul, lattice_brace_sums, overlap_grid, overlap_sum,
-                        scaled_poly_values)
+from .orthopoly import (_cmul, decimal_digits, decimal_sqrt, lattice_brace_sums,
+                        overlap_grid, overlap_sum, scaled_poly_values, to_decimal)
 from .qseries import (bracket, big_theta4_const, log_qpoch_table, qpoch_finite,
                       qpoch_finite_table, qpoch_inf, qpoch_inf_multi, tail_sum)
 from .report import make_report, relative_residual
@@ -288,16 +290,20 @@ def brace_spin_sums(triples, ctx: QContext) -> list[complex]:
 
     The one-sided lattice_brace_sums over xi = q^{m+1/2} in 40 digits (on
     the corners of the index box double precision would cancel away), each
-    divided by the normaliser -q^{-1/2} (q; q)_inf of (4.27-4.28).
+    divided by the normaliser -q^{-1/2} (q; q)_inf of (4.27-4.28), whose
+    product runs in the same decimal arithmetic until |q|^k falls below
+    the working precision.
     """
-    import mpmath as mp
-
     for a, b, c in triples:
         _brace_guard(a, b, c, ctx.q)
     totals, _ = lattice_brace_sums(triples, None, (1,), _SPIN_SUM_DPS, ctx)
-    with mp.workdps(_SPIN_SUM_DPS):
-        q = mp.mpc(ctx.q)
-        norm = -mp.qp(q, q) / mp.sqrt(q)
+    with decimal_digits(_SPIN_SUM_DPS):
+        q = to_decimal(ctx.q)
+        qpoch, power = 1, q
+        for _ in range(math.ceil(getcontext().prec * math.log(10) / -math.log(abs(ctx.q)))):
+            qpoch *= 1 - power
+            power *= q
+        norm = -qpoch / decimal_sqrt(q)
         return [complex(total / norm) for total in totals]
 
 

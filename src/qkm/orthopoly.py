@@ -9,12 +9,15 @@ wavefunction.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from decimal import Context, Decimal, DivisionByZero, InvalidOperation, Overflow, localcontext
 from enum import Enum
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
@@ -25,13 +28,17 @@ from .report import make_report, relative_residual
 
 __all__ = [
     "PolyEvalMethod", "poly_P", "poly_rows", "scaled_poly_iter",
-    "scaled_poly_values", "lattice_brace_sums", "overlap_sum", "overlap_grid",
+    "scaled_poly_values", "DecimalComplex", "decimal_digits", "to_decimal",
+    "decimal_sqrt", "lattice_brace_sums", "overlap_sum", "overlap_grid",
     "poly_P_difference_checks", "genfun_checks", "poly_norm_sum_check",
     "ChiParams", "chi", "chi_equation_checks",
 ]
 
 # ln(1e300); exponents beyond this overflow double precision
 _LN_OVERFLOW = 690.0
+# digits the decimal lattice arithmetic carries beyond a sum's nominal dps
+_GUARD_DIGITS = 5
+_DECIMAL_TRAPS = (DivisionByZero, InvalidOperation, Overflow)
 
 
 class PolyEvalMethod(Enum):
@@ -95,7 +102,7 @@ def poly_P(n: int, xi, ctx: QContext,
     return level[0]
 
 
-def poly_rows(xi, q, qh, scale):
+def poly_rows(xi, q, qh, scale, coeffs=None):
     """Yield scale * q^{a^2/2} P_a(xi) for a = 0, 1, 2, ...
 
     The q^{a^2/2} weight is folded into the three-term recursion, whose
@@ -104,16 +111,20 @@ def poly_rows(xi, q, qh, scale):
     caller prefactor into the start value; on spin lattices xi = gamma q^m
     the natural site factor gamma^m q^{m^2/2} keeps every product bounded
     by |gamma|-powers.  The arithmetic is that of the arguments (complex
-    doubles through scaled_poly_iter, mpmath numbers in the extended-
-    precision lattice sums); ``qh`` is q^{1/2} on the caller's branch.
+    doubles through scaled_poly_iter, Decimal and DecimalComplex numbers in
+    the extended-precision lattice sums); ``qh`` is q^{1/2} on the caller's
+    branch.  ``coeffs`` are the recursion coefficients
+    (qh^{2a+1}, 1 - q^{2a}) for a = 0, 1, ..., computed once by a caller
+    that runs many xi; a finite list ends the rows after len(coeffs) + 1.
     """
+    if coeffs is None:
+        coeffs = ((qh ** (2 * a + 1), 1 - q ** (2 * a)) for a in count())
     s = xi + 1 / xi
     prev, cur = scale - scale, scale
-    a = 0
-    while True:
+    yield cur
+    for up, down in coeffs:
+        prev, cur = cur, up * s * cur + down * prev
         yield cur
-        prev, cur = cur, qh ** (2 * a + 1) * s * cur + (1 - q ** (2 * a)) * prev
-        a += 1
 
 
 def _lattice_tail_sums(site_terms, n: int, directions, cut, max_terms: int):
@@ -158,6 +169,126 @@ def _lattice_tail_sums(site_terms, n: int, directions, cut, max_terms: int):
     return totals, peaks, sites
 
 
+class DecimalComplex:
+    """x + iy over Decimal, rounded in the current decimal context.
+
+    The complex arithmetic the lattice sums need: + - * / with ints,
+    Decimals and each other, integer powers, abs, the principal square root
+    and complex().  A real lattice stays in plain Decimal (see to_decimal),
+    and mixed operands promote to this type.
+    """
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
+
+    def __add__(self, o):
+        if type(o) is DecimalComplex:
+            return DecimalComplex(self.real + o.real, self.imag + o.imag)
+        return DecimalComplex(self.real + o, self.imag)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return DecimalComplex(-self.real, -self.imag)
+
+    def __sub__(self, o):
+        if type(o) is DecimalComplex:
+            return DecimalComplex(self.real - o.real, self.imag - o.imag)
+        return DecimalComplex(self.real - o, self.imag)
+
+    def __rsub__(self, o):
+        return DecimalComplex(o - self.real, -self.imag)
+
+    def __mul__(self, o):
+        if type(o) is DecimalComplex:
+            return DecimalComplex(self.real * o.real - self.imag * o.imag,
+                                  self.real * o.imag + self.imag * o.real)
+        return DecimalComplex(self.real * o, self.imag * o)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        norm = self.real * self.real + self.imag * self.imag
+        return DecimalComplex(self.real / norm, -self.imag / norm)
+
+    def __truediv__(self, o):
+        if type(o) is DecimalComplex:
+            return self * o.inverse()
+        return DecimalComplex(self.real / o, self.imag / o)
+
+    def __rtruediv__(self, o):
+        return o * self.inverse()
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return (self ** -n).inverse()
+        out, base = DecimalComplex(Decimal(1), Decimal(0)), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+    def __abs__(self):
+        return (self.real * self.real + self.imag * self.imag).sqrt()
+
+    def sqrt(self):
+        """Principal branch; the smaller part is y / (2 * larger), so it
+        does not carry the cancellation of sqrt((|z| - |x|) / 2)."""
+        x, y = self.real, self.imag
+        big = ((abs(self) + abs(x)) / 2).sqrt()
+        if not big:
+            return DecimalComplex(big, big)
+        small = y / (2 * big)
+        if x >= 0:
+            return DecimalComplex(big, small)
+        return DecimalComplex(abs(small), big.copy_sign(y))
+
+    def __complex__(self):
+        return complex(float(self.real), float(self.imag))
+
+    def __eq__(self, o):
+        return (type(o) is DecimalComplex
+                and self.real == o.real and self.imag == o.imag)
+
+    def __repr__(self):
+        return f"DecimalComplex({self.real!r}, {self.imag!r})"
+
+
+@contextmanager
+def decimal_digits(dps: int):
+    """Decimal arithmetic in dps digits plus _GUARD_DIGITS, in this thread.
+
+    Division by zero, invalid operations and overflow are trapped and
+    raised as DomainError; the caller's decimal context is restored.
+    """
+    with localcontext(Context(prec=dps + _GUARD_DIGITS, traps=list(_DECIMAL_TRAPS))):
+        try:
+            yield
+        except _DECIMAL_TRAPS as exc:
+            raise DomainError(f"extended-precision arithmetic failed: {type(exc).__name__}") from exc
+
+
+def to_decimal(z):
+    """The complex double z exactly: a Decimal when it is real, else a DecimalComplex."""
+    z = complex(z)
+    if z.imag == 0:
+        return Decimal(z.real)
+    return DecimalComplex(Decimal(z.real), Decimal(z.imag))
+
+
+def decimal_sqrt(z):
+    """Principal square root of a Decimal or DecimalComplex, as QContext.q_half."""
+    if type(z) is DecimalComplex:
+        return z.sqrt()
+    if z >= 0:
+        return z.sqrt()
+    return DecimalComplex(Decimal(0), (-z).sqrt())
+
+
 def lattice_brace_sums(triples, gamma, directions, dps: int, ctx: QContext):
     """Lattice sums of the triples {a, b, c} over xi = gamma q^m, in dps digits.
 
@@ -169,25 +300,46 @@ def lattice_brace_sums(triples, gamma, directions, dps: int, ctx: QContext):
     own tail (cut 10^(5 - dps)).  The summands are O(1) while a total can
     be as small as q^{ab+ac+bc}; one that falls more than dps - 8 digits
     below its peak keeps too few digits for a check and is refused.
-    Returns the mpmath totals and the number of sites walked.
-    """
-    import mpmath as mp
 
-    with mp.workdps(dps):
-        q = mp.mpc(ctx.q)
-        qh = mp.sqrt(q)  # principal branch, same as QContext.q_half
-        gamma = qh if gamma is None else mp.mpc(gamma)
+    The arithmetic is stdlib decimal at dps plus a few guard digits
+    (decimal_digits), in Decimal on a real lattice and DecimalComplex
+    otherwise.  Returns those totals and the number of sites walked.
+    """
+    for name, z in (("q", ctx.q), ("gamma", gamma)):
+        if z is not None and (z == 0 or not cmath.isfinite(z)):
+            raise DomainError(f"lattice sums need a finite nonzero {name}, got {z}")
+    with decimal_digits(dps):
+        q = to_decimal(ctx.q)
+        qh = decimal_sqrt(q)  # principal branch, same as QContext.q_half
+        gamma = qh if gamma is None else to_decimal(gamma)
         top = max((max(t) for t in triples), default=0)
+        coeffs = [(qh ** (2 * a + 1), 1 - q ** (2 * a)) for a in range(top)]
+        steps = {1: (q, gamma), -1: (1 / q, 1 / gamma)}
+        # m -> (xi, gamma^m q^{m^2/2}, q^{|m|+1/2}); the walks visit m = d, 2d, ...
+        # in turn, so each site is one step on from the site before it
+        walk = {0: (gamma, 1, qh)}
 
         def site_terms(m, live):
-            xi = gamma * q ** m
-            rows = list(islice(poly_rows(xi, q, qh, gamma ** m * qh ** (m * m)), top + 1))
-            f = (-1) ** m * (xi - 1 / xi)
-            return [f * rows[a] * rows[b] * rows[c] for a, b, c in (triples[i] for i in live)]
+            if m not in walk:
+                d = 1 if m > 0 else -1
+                xi, scale, odd = walk[m - d]
+                q_step, gamma_step = steps[d]
+                walk[m] = (xi * q_step, scale * gamma_step * odd, odd * q)
+            xi, scale, _ = walk[m]
+            rows = list(poly_rows(xi, q, qh, scale, coeffs))
+            f = 1 / xi - xi if m % 2 else xi - 1 / xi
+            pairs = {}  # f row_a row_b, shared by every c
+            out = []
+            for a, b, c in (triples[i] for i in live):
+                fab = pairs.get((a, b))
+                if fab is None:
+                    fab = pairs[a, b] = f * rows[a] * rows[b]
+                out.append(fab * rows[c])
+            return out
 
         totals, peaks, sites = _lattice_tail_sums(site_terms, len(triples), directions,
-                                                  mp.mpf(10) ** (5 - dps), ctx.max_terms)
-        digits = mp.mpf(10) ** (dps - 8)
+                                                  Decimal(10) ** (5 - dps), ctx.max_terms)
+        digits = Decimal(10) ** (dps - 8)
         if any(peak > abs(total) * digits for total, peak in zip(totals, peaks)):
             raise DomainError(f"lattice sum cancels more than {dps - 8} of its {dps} digits")
         return totals, sites

@@ -847,8 +847,9 @@ def run_entry(entry: IdentityEntry, cfg: RunConfig) -> list[IdentityReport]:
     """Run one entry's check; an exception replaces all its reports with one.
 
     A library error gives a SKIPPED report; any other exception is a defect
-    and gives an ERROR report naming its class and where it was raised, so
-    the rest of the run still completes.
+    and gives an ERROR report naming its class and the file and function
+    that raised it (not the line, so an edit elsewhere in the file leaves
+    the report unchanged), and the rest of the run still completes.
     """
     run = Run(entry, cfg)
     reports = []
@@ -863,7 +864,7 @@ def run_entry(entry: IdentityEntry, cfg: RunConfig) -> list[IdentityReport]:
     except Exception as exc:
         where = traceback.extract_tb(exc.__traceback__)[-1]
         reason = (f"{type(exc).__name__}: {exc} (at {os.path.basename(where.filename)}"
-                  f":{where.lineno} in {where.name})")
+                  f" in {where.name})")
         return [skipped_report(entry.identity_id, {}, run.tol, reason, verdict=ERROR)]
     return reports
 

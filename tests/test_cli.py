@@ -1,7 +1,11 @@
 """Tests for the command-line front end and the registry plumbing."""
 
+import decimal
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import mpmath
@@ -218,6 +222,52 @@ def test_run_suite_leaves_mpmath_precision_alone():
     dps = mpmath.mp.dps
     run_suite(RunConfig(filter="vgamma.brace_gamma*"))
     assert mpmath.mp.dps == dps
+
+
+def test_run_suite_leaves_the_decimal_context_alone():
+    before = decimal.getcontext().copy()
+    run_suite(RunConfig(filter="*brace*"))
+    after = decimal.getcontext()
+    assert (after.prec, after.traps) == (before.prec, before.traps)
+
+
+BRACE_OVERRIDES = {
+    # override: verdicts of fock.brace_agreement, then vgamma.brace_gamma
+    "--q 1e-60": ["SKIPPED", "SKIPPED"],
+    "--gamma 0": ["PASS", "PASS", "SKIPPED"],
+    "--gamma 1e-200": ["PASS", "PASS", "SKIPPED"],
+    "--q 0.05": ["SKIPPED", "PASS", "PASS"],
+    "--q 0.2": ["PASS", "PASS", "PASS"],
+    "--q 0.97": ["PASS", "SKIPPED"],
+    "--q 0.99": ["SKIPPED", "SKIPPED"],
+    "--q 0.3+0.1j": ["PASS", "PASS", "PASS"],
+    "--q 0.35@0.2": ["PASS", "PASS", "PASS"],
+    "--q -0.8": ["PASS", "PASS", "PASS"],
+}
+
+
+@pytest.mark.parametrize("override", BRACE_OVERRIDES)
+def test_brace_overrides_give_verdicts_or_refusals(override, capsys):
+    # no decimal signal or other exception escapes the extended-precision
+    # lattice sums as an ERROR report, and nothing reaches stderr
+    rc, out = run_cli(["verify", "--format", "json", "--filter", "*brace*",
+                       *override.split()])
+    reports = json.loads(out)
+    assert rc == 0
+    assert [r["verdict"] for r in reports] == BRACE_OVERRIDES[override]
+    assert all(r["params"]["skip_reason"].startswith(("DomainError", "OverflowGuard"))
+               for r in reports if r["verdict"] == "SKIPPED")
+    assert capsys.readouterr().err == ""
+
+
+def test_brace_run_imports_no_mpmath():
+    code = ("import sys; sys.modules['mpmath'] = None; from qkm.cli import main; "
+            "sys.exit(main(['verify', '--format', 'json', '--filter', '*brace*']))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert {r["verdict"] for r in json.loads(proc.stdout)} == {"PASS"}
 
 
 def test_transitivity_pairs_redrawn_near_convergence_edge():

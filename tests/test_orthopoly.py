@@ -1,6 +1,9 @@
 """Tests for the Laurent polynomials and their q-hypergeometric extension."""
 
-from itertools import islice
+import cmath
+import decimal
+from decimal import Decimal
+from itertools import combinations_with_replacement, islice
 
 import mpmath as mp
 import numpy as np
@@ -8,11 +11,14 @@ import pytest
 
 from qkm.context import QContext
 from qkm.errors import DegenerateArgument, DomainError, OverflowGuard
-from qkm.orthopoly import (ChiParams, PolyEvalMethod, chi, chi_equation_checks,
-                           genfun_checks, overlap_grid, overlap_sum, poly_norm_sum_check,
-                           poly_P, poly_P_difference_checks, poly_rows,
-                           scaled_poly_iter, scaled_poly_values)
+from qkm.fock import brace_spin_sums
+from qkm.orthopoly import (ChiParams, DecimalComplex, PolyEvalMethod, chi,
+                           chi_equation_checks, decimal_digits, decimal_sqrt,
+                           genfun_checks, lattice_brace_sums, overlap_grid, overlap_sum,
+                           poly_norm_sum_check, poly_P, poly_P_difference_checks,
+                           poly_rows, scaled_poly_iter, scaled_poly_values, to_decimal)
 from qkm.qseries import qpoch_inf, qpoch_inf_multi, tail_sum
+from qkm.vgamma import GammaContext
 
 CTX = QContext(q=0.4)
 METHODS = list(PolyEvalMethod)
@@ -88,6 +94,130 @@ def test_poly_rows_mpmath_matches_double():
             extended = [complex(row) for row in islice(rows, 25)]
         for d, e in zip(double, extended):
             assert abs(d - e) <= 1e-14 * abs(e)
+
+
+def test_decimal_sqrt_of_a_real_positive_q_is_real():
+    # a real q keeps an imaginary part of exactly 0 on either representation
+    for q in (0.4, 0.3, 1e-60):
+        with decimal_digits(30):
+            root = DecimalComplex(Decimal(q), Decimal(0)).sqrt()
+            assert root.imag == 0
+            assert abs(root.real - Decimal(q).sqrt()) <= Decimal(10) ** -34 * root.real
+            assert decimal_sqrt(to_decimal(q)) == Decimal(q).sqrt()
+
+
+@pytest.mark.parametrize("q", [-0.3, 0.3 + 0.1j, 0.35 * cmath.exp(0.2j), -0.3 - 0.2j, 0.4j])
+def test_decimal_sqrt_takes_the_branch_of_q_half(q):
+    with decimal_digits(30):
+        root = decimal_sqrt(to_decimal(q))
+        assert abs(complex(root * root) - q) <= 1e-16
+    assert abs(complex(root) - QContext(q=q).q_half) <= 1e-15
+
+
+def test_decimal_complex_arithmetic():
+    z, w = 0.3 - 0.7j, -1.1 + 0.2j
+    with decimal_digits(30):
+        dz, dw = to_decimal(z), to_decimal(w)
+        cases = [(dz + dw, z + w), (dz - dw, z - w), (dz * dw, z * w), (dz / dw, z / w),
+                 (1 / dz, 1 / z), (2 - dz, 2 - z), (-dz, -z), (dz ** 5, z ** 5),
+                 (dz ** -3, z ** -3), (dz * Decimal(2), 2 * z), (abs(dz), abs(z))]
+    for got, want in cases:
+        assert abs(complex(got) - want) <= 1e-15 * abs(want)
+
+
+def test_lattice_sums_refuse_zero_or_nonfinite_arguments():
+    box = [(1, 1, 1), (0, 0, 0)]
+    for gamma in (0, 0j, float("nan"), complex("inf")):
+        with pytest.raises(DomainError, match="finite nonzero gamma"):
+            lattice_brace_sums(box, gamma, (1, -1), 30, CTX)
+    with pytest.raises(DomainError, match="finite nonzero q"):
+        lattice_brace_sums(box, 0.6, (1, -1), 30, QContext(q=0.0))
+    # a trapped decimal signal is a DomainError too, and the caller's decimal
+    # context comes back unchanged
+    before = decimal.getcontext().copy()
+    for bad in (lambda: Decimal(1) / 0, lambda: Decimal(0) / 0,
+                lambda: Decimal(10) ** 10 ** 7):
+        with pytest.raises(DomainError, match="extended-precision arithmetic"):
+            with decimal_digits(30):
+                bad()
+    after = decimal.getcontext()
+    assert (after.prec, after.traps, after.flags) == (before.prec, before.traps, before.flags)
+
+
+def _to_mp(x):
+    if isinstance(x, DecimalComplex):
+        return mp.mpc(mp.mpf(str(x.real)), mp.mpf(str(x.imag)))
+    return mp.mpf(str(x))
+
+
+def _mp_lattice_sums(triples, gamma, directions, dps, q, window=60):
+    """The lattice sums and their peak terms in mpmath at dps + 20 digits, on
+    the sites 0..window (one-sided) or |m| <= window (bilateral)."""
+    with mp.workdps(dps + 20):
+        q = mp.mpc(q)
+        qh = mp.sqrt(q)
+        gamma = qh if gamma is None else mp.mpc(gamma)
+        top = max(max(t) for t in triples)
+        totals = [mp.mpc(0)] * len(triples)
+        peaks = [mp.mpf(0)] * len(triples)
+        for m in range(0 if directions == (1,) else -window, window + 1):
+            xi = gamma * q ** m
+            rows = list(islice(poly_rows(xi, q, qh, gamma ** m * qh ** (m * m)), top + 1))
+            f = (-1) ** (m % 2) * (xi - 1 / xi)
+            for i, (a, b, c) in enumerate(triples):
+                term = f * rows[a] * rows[b] * rows[c]
+                totals[i] += term
+                peaks[i] = max(peaks[i], abs(term))
+        return totals, peaks
+
+
+@pytest.mark.parametrize("q", [0.4, -0.3, 0.3 + 0.1j, 0.7, 0.9])
+def test_lattice_sums_match_an_mpmath_oracle(q):
+    ctx = QContext(q=q)
+    fock_box = list(combinations_with_replacement(range(7), 3))
+    gamma_box = [*combinations_with_replacement(range(5), 3), (0, 0, 0)]
+    cases = [(fock_box, None, (1,), 40),
+             (gamma_box, 0.6, (1, -1), 30), (gamma_box, 0.9 * cmath.exp(0.2j), (1, -1), 30)]
+    for triples, gamma, directions, dps in cases:
+        totals, _ = lattice_brace_sums(triples, gamma, directions, dps, ctx)
+        ref, peaks = _mp_lattice_sums(triples, gamma, directions, dps, q)
+        with mp.workdps(dps + 20):
+            for total, want, peak in zip(totals, ref, peaks):
+                assert abs(_to_mp(total) - want) <= peak * mp.mpf(10) ** (8 - dps)
+
+
+def _doubles(values, dps):
+    """complex doubles of the values, a component under |value| 10^-dps (the
+    rounding floor of the arithmetic) read as 0."""
+    out = []
+    for z in map(complex, values):
+        floor = abs(z) * 10.0 ** -dps
+        out.append(complex(z.real if abs(z.real) > floor else 0.0,
+                           z.imag if abs(z.imag) > floor else 0.0))
+    return out
+
+
+def test_lattice_sums_round_to_the_oracle_at_the_default_points():
+    # the registry's brace points: every complex double is the correctly
+    # rounded value of the sum, as it was with 30/40-digit mpmath
+    gamma_box = [*combinations_with_replacement(range(5), 3), (0, 0, 0)]
+    for q in (0.3, 0.5):
+        ctx = QContext(q=q)
+        fock_box = list(combinations_with_replacement(range(7), 3))
+        ref, _ = _mp_lattice_sums(fock_box, None, (1,), 40, q)
+        with mp.workdps(60):
+            mq = mp.mpc(q)
+            norm = -mp.qp(mq, mq) / mp.sqrt(mq)
+            want = [complex(total / norm) for total in ref]
+        assert brace_spin_sums(fock_box, ctx) == want
+    ctx = QContext(q=0.4)
+    selected = [GammaContext.make_selected(nu, ctx).gamma for nu in (0.0, 0.5)]
+    generic = 0.7 * cmath.exp(0.4j)
+    for gamma in (0.6, 0.9 * cmath.exp(0.2j), generic, *selected, ctx.q_half):
+        triples = gamma_box if gamma in (0.6, 0.9 * cmath.exp(0.2j)) else [(2, 1, 1), (0, 0, 0)]
+        totals, _ = lattice_brace_sums(triples, gamma, (1, -1), 30, ctx)
+        ref, _ = _mp_lattice_sums(triples, gamma, (1, -1), 30, 0.4)
+        assert _doubles(totals, 30) == _doubles(ref, 30)
 
 
 def test_overlap_sum_domain():
