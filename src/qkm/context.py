@@ -13,7 +13,8 @@ class QContext:
 
     * ``tol_identity`` is the relative residual bound used by identity checks.
     * ``tail_cut`` ends series/products once three consecutive terms fall
-      below it (defaults to ``tol_identity / 100``).
+      below it.  It is derived, always ``tol_identity / 100``, so one
+      tolerance fixes every truncation of a run.
     * ``max_terms`` is a hard cap on any single truncated sum or product.
 
     Fractional powers of q are computed once at construction on the
@@ -23,20 +24,19 @@ class QContext:
 
     q: complex
     tol_identity: float = 1e-9
-    tail_cut: float | None = None
     max_terms: int = 10_000
+    tail_cut: float = field(init=False, compare=False)
     q_half: complex = field(init=False, repr=False, compare=False)
     q_quarter: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = complex(self.q)
         object.__setattr__(self, "q", q)
-        if abs(q) >= 1.0:
+        if not abs(q) < 1.0:
             raise DomainError(f"|q| must be strictly below 1, got {abs(q):.6g}")
-        if self.tail_cut is None:
-            object.__setattr__(self, "tail_cut", self.tol_identity / 100.0)
-        if not 0.0 < self.tail_cut < self.tol_identity < 1.0:
-            raise DomainError("tolerances must satisfy 0 < tail_cut < tol_identity < 1")
+        if not 0.0 < self.tol_identity < 1.0:
+            raise DomainError("the tolerance must satisfy 0 < tol_identity < 1")
+        object.__setattr__(self, "tail_cut", self.tol_identity / 100.0)
         object.__setattr__(self, "q_half", q ** 0.5)
         object.__setattr__(self, "q_quarter", q ** 0.25)
 

@@ -10,12 +10,12 @@ space, and the factorised box R-matrix with its intertwining check.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from decimal import getcontext
 from enum import Enum
 from functools import lru_cache
+from itertools import count
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from .errors import DomainError, EigensolverFailure, OverflowGuard, TailTooFat
 from .orthopoly import (_cmul, decimal_digits, decimal_sqrt, lattice_brace_sums,
                         overlap_grid, overlap_sum, scaled_poly_values, to_decimal)
 from .qseries import (bracket, big_theta4_const, log_qpoch_table, qpoch_finite,
-                      qpoch_finite_table, qpoch_inf, qpoch_inf_multi, tail_sum)
+                      qpoch_finite_table, qpoch_inf, qpoch_inf_multi, tail_length,
+                      tail_sum)
 from .report import make_report, relative_residual
 
 __all__ = [
@@ -291,8 +292,8 @@ def brace_spin_sums(triples, ctx: QContext) -> list[complex]:
     The one-sided lattice_brace_sums over xi = q^{m+1/2} in 40 digits (on
     the corners of the index box double precision would cancel away), each
     divided by the normaliser -q^{-1/2} (q; q)_inf of (4.27-4.28), whose
-    product runs in the same decimal arithmetic until |q|^k falls below
-    the working precision.
+    product runs in the same decimal arithmetic for the tail_length of
+    |q|^k at the cut 10^-prec of the working precision.
     """
     for a, b, c in triples:
         _brace_guard(a, b, c, ctx.q)
@@ -300,7 +301,8 @@ def brace_spin_sums(triples, ctx: QContext) -> list[complex]:
     with decimal_digits(_SPIN_SUM_DPS):
         q = to_decimal(ctx.q)
         qpoch, power = 1, q
-        for _ in range(math.ceil(getcontext().prec * math.log(10) / -math.log(abs(ctx.q)))):
+        for _ in range(tail_length(abs(ctx.q), abs(ctx.q), 10.0 ** -getcontext().prec,
+                                   ctx.max_terms)):
             qpoch *= 1 - power
             power *= q
         norm = -qpoch / decimal_sqrt(q)
@@ -526,11 +528,9 @@ def partition_series_fock(x, ctx: QContext) -> complex:
         raise DomainError(f"partition series needs |q|^2 < |x| < 1, got |x| = {abs(x):.6g}")
 
     def terms():
-        n = 1
-        while True:
+        for n in count(1):
             yield ((x ** n - (q * q / x) ** n)
                    / (n * (1 - q ** n) * (1 + (-q) ** n)))
-            n += 1
 
     return tail_sum(terms(), ctx)
 

@@ -439,11 +439,9 @@ def genfun_checks(z, u, v, ctx: QContext):
 def _overlap_factors(x: complex, q: complex):
     """Yield (-1)^a q^a x^{-a} / (q^2; q^2)_a for a = 0, 1, 2, ..."""
     f = 1.0 + 0.0j
-    a = 0
-    while True:
+    for a in count():
         yield f
         f *= -q / (x * (1 - (q * q) ** (a + 1)))
-        a += 1
 
 
 def _overlap_domain(x, ctx: QContext) -> complex:
@@ -568,11 +566,9 @@ def chi(params: ChiParams, ctx: QContext) -> complex:
 
     def terms():
         t = 1.0 + 0.0j
-        n = 0
-        while True:
+        for n in count():
             yield t
             t *= -q2 ** (n + 1) * (1 - z * q2 ** n) * u2 / (1 - q2 ** (n + 1))
-            n += 1
 
     return tail_sum(terms(), ctx)
 

@@ -472,9 +472,10 @@ def _transitivity_autogrow(x, y, m, mpp, ctx):
     From about the tenth site on, the summands V_x(m, k) S_k V_y(k, mpp)
     fall like (|q| / |xy|)^k, so their size at k = 10 fixes the site where
     they cross the tail cut (measured: within 1.4 sites of the last one
-    above it, for q from 0.05 to 0.7); the window ends 4 sites past that.
-    A window still too short doubles, up to 640 sites.  A pair with
-    |xy| <= |q|, whose sum does not decay, starts at 640.
+    above it, for q from 0.05 to 0.7); the window is the tail_length from
+    k = 10 plus one site, so it ends 4 sites past that.  A window still
+    too short doubles, up to 640 sites.  A pair with |xy| <= |q|, whose
+    sum does not decay, starts at 640.
     """
     k0 = 10
     m_sum = 640
@@ -483,8 +484,8 @@ def _transitivity_autogrow(x, y, m, mpp, ctx):
         probe = abs(fock.weight_V_fock(x, m, k0, ctx) * fock.s_measure(k0, ctx)
                     * fock.weight_V_fock(y, k0, mpp, ctx))
         if 0 < probe < math.inf:
-            k_cut = k0 + math.ceil(math.log(ctx.tail_cut / probe) / math.log(rate))
-            m_sum = min(m_sum, max(k0, k_cut) + 4)
+            tail = qseries.tail_length(probe, rate, ctx.tail_cut, ctx.max_terms)
+            m_sum = min(m_sum, k0 + tail + 1)
     while True:
         try:
             return fock.transitivity_check_fock(x, y, m, mpp, m_sum, ctx)
@@ -536,9 +537,18 @@ def _box(run):
 
 # ---------------------------------------------------------------- vgamma
 
+def _centre_block(m_window, half):
+    """The central 2 half + 1 sites of a table over the window [-m_window, m_window]."""
+    if m_window < half:
+        raise DomainError(f"the window {m_window} is narrower than the "
+                          f"{2 * half + 1}-site centre block")
+    return slice(m_window - half, m_window + half + 1)
+
+
 def _vg_completeness(run):
     ctx = run.ctx
     gc = run.gamma_ctx()
+    ctr = _centre_block(gc.m_window, 25)
     a_max = _default(run.cfg.a_max, 40)
     dec = vgamma.vgamma_decomposition(gc, 1.1, a_max, ctx)
     br = np.array([qseries.bracket(gc.gamma * ctx.q ** int(m))
@@ -551,8 +561,6 @@ def _vg_completeness(run):
             res_a = max(res_a, float(np.max(np.abs((g - tgt)[:30, :30]))))
     g = sum(np.einsum("ma,an->mn", dec.bra[e], dec.ket[e]) for e in range(2))
     tgt = np.diag(1.0 / br)
-    n_m = len(dec.m_values)
-    ctr = slice(n_m // 2 - 25, n_m // 2 + 26)
     res_m = float(np.max(np.abs((g - tgt)[ctr, ctr]))
                   / np.max(np.abs(tgt[ctr, ctr])))
     yield ({"gamma": gc.gamma, "q": ctx.q, "a_max": a_max, "res_sectors": res_a,
@@ -575,15 +583,14 @@ def _vg_projectors(run):
     ctx = run.ctx
     gc = run.gamma_ctx()
     m_w = gc.m_window
+    ctr = _centre_block(m_w, 20)
     mv = np.arange(-m_w, m_w + 1)
     tab_p = vgamma.weight_Veps_table(1.0, 1, mv, mv, gc, ctx)
     tab_m = vgamma.weight_Veps_table(1.0, -1, mv, mv, gc, ctx)
     br = np.array([qseries.bracket(gc.gamma * ctx.q ** int(m)) for m in mv])
     proj_p = br[:, None] * tab_p
     proj_m = br[:, None] * tab_m
-    n = len(mv)
-    ctr = slice(n // 2 - 20, n // 2 + 21)
-    eye = np.eye(n)
+    eye = np.eye(len(mv))
     res = max(
         float(np.max(np.abs((proj_p + proj_m - eye)[ctr, ctr]))),
         float(np.max(np.abs((proj_p @ proj_m)[ctr, ctr]))),

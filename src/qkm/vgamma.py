@@ -13,15 +13,17 @@ import cmath
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
 from .context import QContext
-from .errors import DomainError, PoleHit, SingularMeasure, TailTooFat
+from .errors import (DomainError, PoleHit, SingularMeasure, TailTooFat,
+                     TruncationExhausted)
 from .fock import _sqrt_qpoch2, brace
 from .orthopoly import lattice_brace_sums, overlap_sum, scaled_poly_values
-from .qseries import (ThetaKind, bracket, log_qpoch_table, qpoch_inf,
-                      qpoch_inf_multi, tail_sum, theta_product)
+from .qseries import (ThetaKind, bilateral_terms, bracket, log_qpoch_table,
+                      qpoch_inf, qpoch_inf_multi, tail_sum, theta_product)
 from .report import make_report, relative_residual
 
 __all__ = [
@@ -72,21 +74,10 @@ def windowed_bilateral_sum(term, m_window: int, ctx: QContext) -> complex:
     several of these lattice sums cancel by five or six orders of
     magnitude, where naive accumulation visibly pollutes the result.
     """
-    terms = [term(0)]
-    for direction in (1, -1):
-        below = 0
-        last = 0.0
-        for step in range(1, m_window + 1):
-            t = term(direction * step)
-            terms.append(t)
-            last = abs(t)
-            below = below + 1 if last < ctx.tail_cut else 0
-            if below >= 3:
-                break
-        else:
-            if last > ctx.tail_cut:
-                raise TailTooFat(
-                    f"edge term {last:.3g} above tail cut at window {m_window}")
+    try:
+        terms = bilateral_terms(term, ctx, limit=m_window)
+    except TruncationExhausted:
+        raise TailTooFat(f"no tail within the window {m_window}") from None
     return complex(math.fsum(t.real for t in terms),
                    math.fsum(t.imag for t in terms))
 
@@ -418,18 +409,14 @@ def km_log_z(x, gc: GammaContext, ctx: QContext) -> complex:
         raise DomainError(f"partition series needs |q|^3 < |x| < 1/|q|, got |x| = {abs(x):.6g}")
     if gc.nu == 0:
         def terms():
-            n = 1
-            while True:
+            for n in count(1):
                 yield (-(q ** (2 * n)) * (x ** (2 * n) - q ** (4 * n) / x ** (2 * n))
                        / (n * (1 - q ** (4 * n)) * (1 + q ** (2 * n))))
-                n += 1
     elif abs(gc.nu) == 0.5:
         def terms():
-            n = 1
-            while True:
+            for n in count(1):
                 yield (-(q ** n + (-(q * q)) ** n) * (x ** n - q ** (2 * n) / x ** n)
                        / (n * (1 - q ** (2 * n)) * (1 + q ** n)))
-                n += 1
     else:
         raise DomainError("partition series implemented for nu in {0, +-1/2}")
     return tail_sum(terms(), ctx)

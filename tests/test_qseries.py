@@ -1,20 +1,23 @@
 """Tests for the q-series kernel."""
 
 import cmath
+import math
 import warnings
+from itertools import count
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qkm import fock, qseries, vgamma
 from qkm.context import QContext
-from qkm.errors import DomainError, OverflowGuard, TruncationExhausted
-from qkm.qseries import (ThetaKind, bilateral_sum, bracket, big_theta4_const,
+from qkm.errors import DomainError, OverflowGuard, TailTooFat, TruncationExhausted
+from qkm.qseries import (ThetaKind, bilateral_terms, bracket, big_theta4_const,
                          gauss_check, gauss_double_sum_check,
                          jacobi_transform_check, pentagonal_check,
                          log_qpoch_inf_array, log_qpoch_table, qpoch_finite,
-                         qpoch_inf, theta, theta_product, theta_sum)
+                         qpoch_inf, tail_length, tail_terms, theta, theta_product,
+                         theta_sum)
 
 CTX = QContext(q=0.4)
 
@@ -135,6 +138,79 @@ def test_truncation_exhausted_raised():
         qpoch_inf(0.5, 0.9999, slow)
 
 
+def geometric(top, rate):
+    t = top
+    while True:
+        yield t
+        t *= rate
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_top=st.floats(-200.0, 200.0), rate=st.floats(1e-3, 0.999),
+       tol=st.sampled_from([1e-9, 1e-10]))
+def test_tail_length_is_the_walk_count(log_top, rate, tol):
+    # the closed form against tail_terms on sizes built by repeated products
+    ctx = QContext(q=0.4, tol_identity=tol, max_terms=10 ** 6)
+    terms = list(tail_terms(geometric(10.0 ** log_top, rate), ctx))
+    assume(all(abs(t - ctx.tail_cut) > 1e-9 * ctx.tail_cut for t in terms))
+    assert tail_length(10.0 ** log_top, rate, ctx.tail_cut, ctx.max_terms) == len(terms)
+
+
+def test_tail_length_at_the_edges():
+    assert tail_length(0.0, 0.5, 1e-11, 10) == 3  # every term below the cut
+    assert tail_length(2.0, 0.0, 1e-11, 10) == 4  # top, 0, 0, 0
+    assert tail_length(1.0, 0.5, 1e-11, 40) == math.ceil(11 * math.log2(10)) + 3
+
+
+@pytest.mark.parametrize("top, rate, max_terms", [
+    (math.nan, 0.5, 100), (math.inf, 0.5, 100), (1.0, math.nan, 100),
+    (1.0, math.inf, 100), (1.0, 1.0, 100), (1.0, 0.9, 100)])
+def test_tail_length_refusals(top, rate, max_terms):
+    # not finite, not shrinking, or 243 terms against a cap of 100
+    with pytest.raises(TruncationExhausted):
+        tail_length(top, rate, 1e-11, max_terms)
+
+
+def test_log_qpoch_array_refuses_a_count_above_max_terms():
+    with pytest.raises(TruncationExhausted):
+        log_qpoch_inf_array([0.5], 0.9999, QContext(q=0.9999, max_terms=50))
+
+
+def test_tail_terms_never_draws_past_its_limit():
+    drawn = []
+
+    def terms():
+        for k in count():
+            drawn.append(k)
+            yield 1.0
+
+    with pytest.raises(TruncationExhausted):
+        list(tail_terms(terms(), CTX, limit=5))
+    assert drawn == [0, 1, 2, 3, 4]
+    with pytest.raises(TruncationExhausted):
+        list(tail_terms(iter([1.0, 1e-20, 1e-20]), CTX))  # ends before the tail
+
+
+def test_bilateral_terms_stay_on_a_table_of_the_window():
+    # a table of exactly 2 * 5 + 1 sites: sites past the window would raise
+    # IndexError on the right and read row[-1] on the left
+    row = [1.0] * 11
+
+    def term(m):
+        assert -5 <= m <= 5
+        return row[m + 5]
+
+    with pytest.raises(TruncationExhausted):
+        bilateral_terms(term, CTX, limit=5)
+    with pytest.raises(TailTooFat):
+        vgamma.windowed_bilateral_sum(term, 5, CTX)
+    # a window whose edge term alone is below the cut has no tail either
+    with pytest.raises(TailTooFat):
+        vgamma.windowed_bilateral_sum(lambda m: 0.0 if abs(m) == 5 else 1.0, 5, CTX)
+    terms = bilateral_terms(lambda m: 0.0 if abs(m) >= 3 else 1.0 + m, CTX, limit=5)
+    assert terms == [1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0]
+
+
 def test_bracket_fixed_points():
     assert bracket(1.0) == 0
     assert bracket(-1.0) == 0
@@ -246,16 +322,17 @@ def test_pentagonal_series():
 def test_bilateral_sum_gaussian():
     # sum of q^{n^2} over Z equals the theta-constant at u = -1
     q = 0.4
-    total = bilateral_sum(lambda n: q ** (n * n), CTX)
+    total = sum(bilateral_terms(lambda n: q ** (n * n), CTX))
     s, _ = theta_sum(ThetaKind.CAP_THETA3, 1.0, CTX)
     assert abs(total - s) < 1e-12
 
 
 def test_context_validation():
-    with pytest.raises(DomainError):
-        QContext(q=1.2)
-    with pytest.raises(DomainError):
-        QContext(q=0.4, tol_identity=1e-9, tail_cut=1e-3)  # cut above tol
+    for q in (1.2, float("nan"), complex("nan+0.1j")):
+        with pytest.raises(DomainError):
+            QContext(q=q)
+    with pytest.raises(TypeError):
+        QContext(q=0.4, tol_identity=1e-9, tail_cut=1e-3)  # the cut is derived
     ctx = QContext(q=0.4, tol_identity=1e-6)
     assert ctx.tail_cut == pytest.approx(1e-8)
     assert ctx.q_pow_half(3) == pytest.approx(complex(0.4) ** 1.5)

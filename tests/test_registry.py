@@ -213,3 +213,34 @@ def test_entry_that_reads_no_q_ignores_a_bad_q():
     assert [r.verdict for r in reports] == ["PASS"]
     [rep] = run_suite(RunConfig(q=1.5, filter="orthopoly.chi_special.*"))
     assert rep.verdict == "SKIPPED" and rep.tolerance == 1e-9
+
+
+@pytest.mark.parametrize("q", ["nan", "nan+0.1j"])
+def test_a_nan_q_is_refused_like_one_outside_the_disc(q, capsys):
+    # a NaN q once ran: max(worst, nan) dropped the NaN and gave PASS at 0.0
+    def verdicts(flag):
+        rc, out = run_cli(["verify", "--format", "json", "--q", flag])
+        assert rc == 0
+        reports = json.loads(out)
+        assert all(r["params"]["skip_reason"].startswith("DomainError")
+                   for r in reports if r["verdict"] == "SKIPPED")
+        return Counter((r["identity_id"], r["verdict"]) for r in reports)
+
+    assert verdicts(q) == verdicts("1.5")
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("window", [20, 15])
+def test_vgamma_centre_blocks_refuse_a_narrower_window(window):
+    # a 51- and a 41-site centre block on 2 window + 1 sites: a negative
+    # slice start would read the window's last sites as the centre
+    blocks = {"vgamma.completeness.5_8": 51, "vgamma.projectors.5_12_5_13": 41}
+    for entry in REGISTRY:
+        if entry.identity_id in blocks:
+            [rep] = registry.run_entry(entry, RunConfig(m_window=window, a_max=8))
+            refusal = (f"DomainError: the window {window} is narrower than the "
+                       f"{blocks[entry.identity_id]}-site centre block")
+            if 2 * window + 1 < blocks[entry.identity_id]:
+                assert (rep.verdict, rep.params["skip_reason"]) == ("SKIPPED", refusal)
+            else:
+                assert rep.params.get("skip_reason") != refusal
