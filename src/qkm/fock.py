@@ -174,7 +174,6 @@ def fock_norm_const(ctx: QContext) -> complex:
     return -ctx.q_pow_half(-1) * big_theta4_const(ctx)
 
 
-@lru_cache(maxsize=128)
 def cg_norm_const(ctx: QContext) -> complex:
     """Normalisation constant -q^{-1/2} (q; q)_inf of the brace sum."""
     return -ctx.q_pow_half(-1) * qpoch_inf(ctx.q, ctx.q, ctx)
@@ -393,9 +392,10 @@ def weight_table(x, m_values, mp_values, ctx: QContext) -> np.ndarray:
     Assembled in log space: the four numerator products grow like
     q^{-(m+m')^2/4} before the q^{(m(m+1)+m'(m'+1))/2} prefactor tames
     them, which overflows plain double arithmetic on wide spin windows.
-    Each product depends only on m - m' or m + m', so ``log_qpoch_table``
-    evaluates it once per distinct value: O(M) q-products for M x M
-    entries.
+    ``log_qpoch_table`` takes each product from one anchored chain per
+    factor, O(M) logarithms for M x M entries, and every entry depends on
+    its own (m, m') alone: it equals ``weight_V_fock`` bit for bit, whatever
+    grid it is read from.
     """
     x = complex(x)
     if x == 0:

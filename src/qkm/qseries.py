@@ -5,8 +5,9 @@ the modular-double machinery) is built on the primitives here.  Infinite
 sums and products are truncated by one uniform tail rule: stop after
 three consecutive terms below ``ctx.tail_cut``, hard-capped at
 ``ctx.max_terms``.  ``tail_terms`` walks a term iterable; ``tail_length``
-is the same count in closed form for terms of geometric size.  The two
-hottest scalar products, ``qpoch_inf`` and ``modular._checked_qpoch``,
+is the same count in closed form for terms of geometric size, and
+``log_qpoch_table`` applies it to every exponent of a grid from one
+anchored chain per factor.  The two hottest scalar products, ``qpoch_inf`` and ``modular._checked_qpoch``,
 keep the rule inline: a generator walk or an up-front count measured
 about twice as slow there.  Nomes are always explicit; nothing squares a
 nome implicitly, callers pass q*q where a base-q**2 symbol is wanted.
@@ -57,6 +58,13 @@ def tail_terms(terms, ctx: QContext, limit: int | None = None):
     raise TruncationExhausted(f"no tail within {limit} terms")
 
 
+def _first_below(size: float, rate: float, cut: float) -> int:
+    """Smallest integer j with size * rate**j < cut, in closed form (size > 0)."""
+    if rate == 0.0:
+        return 0 if size < cut else 1
+    return math.ceil((math.log(cut) - math.log(size)) / math.log(rate))
+
+
 def tail_length(top: float, rate: float, cut: float, max_terms: int) -> int:
     """The tail_terms count for terms of size top * rate**k, 0 <= rate < 1.
 
@@ -67,12 +75,7 @@ def tail_length(top: float, rate: float, cut: float, max_terms: int) -> int:
     """
     if not (math.isfinite(top) and 0.0 <= rate < 1.0):
         raise TruncationExhausted(f"terms of size {top:.3g} * {rate:.3g}**k have no tail")
-    if top < cut:
-        above = 0
-    elif rate == 0.0:
-        above = 1
-    else:
-        above = math.ceil((math.log(cut) - math.log(top)) / math.log(rate))
+    above = 0 if top < cut else _first_below(top, rate, cut)
     if above + 3 > max_terms:
         raise TruncationExhausted(f"no tail within {max_terms} terms")
     return above + 3
@@ -158,30 +161,64 @@ def log_qpoch_inf_array(xs, q, ctx: QContext) -> np.ndarray:
         return np.sum(np.log(1.0 - xs[..., None] * powers), axis=-1)
 
 
+def _log_qpoch_chain(coef, expo, q, ctx: QContext) -> np.ndarray:
+    """log (coef q^e; q^2)_inf at each exponent e of the integer grid ``expo``.
+
+    Each entry is the tail_terms walk over log(1 - coef q^j), j = e, e + 2,
+    ...: it ends three terms past the anchor, the first j of e's parity
+    from which |coef q^j| < ctx.tail_cut.  The anchor depends on (coef, q,
+    tail_cut) alone, so one reverse cumulative sum per parity, over the
+    integers from min(e) to the anchor, serves every entry at or below it,
+    in the same order of additions whatever the grid; an entry above it
+    takes its own three terms.  Raises TruncationExhausted where
+    tail_length would: on sizes that are not finite or do not shrink, and
+    on a chain longer than ctx.max_terms.
+    """
+    lo, hi = int(expo.min()), int(expo.max())
+    size, rate = abs(coef), abs(q)
+    if not (math.isfinite(size) and 0.0 <= rate < 1.0):
+        raise TruncationExhausted(f"terms of size {size:.3g} * {rate:.3g}**j have no tail")
+    first = _first_below(size, rate, ctx.tail_cut) if size else lo
+    if (first + 5 - lo) // 2 + 1 > ctx.max_terms:
+        raise TruncationExhausted(f"no tail within {ctx.max_terms} terms")
+    js = np.arange(lo, max(hi, first + 1) + 5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        args = coef * q ** js.astype(float)
+    if not np.all(np.isfinite(args)):
+        raise OverflowGuard("q-product argument leaves double range; "
+                            "narrow the spin window")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.log(1.0 - args)
+    # each entry's own three terms, replaced by the chain's running sums
+    # at or below the anchor of its parity
+    sums = np.empty_like(terms)
+    sums[:-4] = terms[:-4] + (terms[2:-2] + terms[4:])
+    for anchor in (first, first + 1):
+        if anchor >= lo:
+            start = (anchor - lo) % 2
+            chain = np.cumsum(terms[start:anchor + 5 - lo:2][::-1])[::-1]
+            sums[start:anchor + 1 - lo:2] = chain[:-2]
+    return sums[expo - lo]
+
+
 def log_qpoch_table(log_pref, factors, q, den, ctx: QContext) -> np.ndarray:
     """exp(log_pref + sum_f log (c_f q^{e_f}; q^2)_inf) / den on a grid.
 
     ``factors`` lists (c_f, e_f) pairs of a scalar coefficient and an
     integer exponent grid; every grid broadcasts against ``log_pref``.
-    Each log q-product is evaluated once per distinct exponent and gathered
-    back onto its grid: a spin-grid weight has O(M) distinct m - m' and
-    m + m' but O(M^2) entries.  The set of arguments, hence the truncation,
-    is that of the full grid, so the gather changes no bit.  Summing the
-    logarithms keeps wide spin windows clear of the overflow of the raw
-    products; entries whose weight leaves double range come out as 0 or
-    inf.  A factor argument that itself overflows raises OverflowGuard.
+    Each log q-product is one entry of an anchored chain per factor (see
+    _log_qpoch_chain): O(range of e) logarithms for a whole grid, and every
+    entry a function of its own exponent alone, so a table entry equals
+    the 1 x 1 table bit for bit whatever grid it is read from.  Summing
+    the logarithms keeps wide spin windows clear of the overflow of the
+    raw products; entries whose weight leaves double range come out as 0
+    or inf.  A factor argument that itself overflows raises OverflowGuard.
     """
     if den == 0:
         raise DomainError("weight evaluated on a pole of its closed form")
     log_v = log_pref
     for coef, expo in factors:
-        distinct, inverse = np.unique(expo, return_inverse=True)
-        with np.errstate(over="ignore", invalid="ignore"):
-            args = coef * q ** distinct.astype(float)
-        if not np.all(np.isfinite(args)):
-            raise OverflowGuard("q-product argument leaves double range; "
-                                "narrow the spin window")
-        log_v = log_v + log_qpoch_inf_array(args, q * q, ctx)[inverse.reshape(expo.shape)]
+        log_v = log_v + _log_qpoch_chain(complex(coef), np.asarray(expo), complex(q), ctx)
     log_v = log_v - np.log(den)
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         return np.exp(log_v)

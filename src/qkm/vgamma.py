@@ -18,8 +18,8 @@ from itertools import count
 import numpy as np
 
 from .context import QContext
-from .errors import (DomainError, PoleHit, SingularMeasure, TailTooFat,
-                     TruncationExhausted)
+from .errors import (DomainError, OverflowGuard, PoleHit, SingularMeasure,
+                     TailTooFat, TruncationExhausted)
 from .fock import _sqrt_qpoch2, brace
 from .orthopoly import lattice_brace_sums, overlap_sum, scaled_poly_values
 from .qseries import (ThetaKind, bilateral_terms, bracket, log_qpoch_table,
@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 _LATTICE_DPS = 30  # working digits of the bilateral brace lattice sums
+# km_V folds its running product into a logarithm outside this band, which
+# leaves 2^523 of head-room on either side for the next factor ratio
+_FOLD_LOW, _FOLD_HIGH = 2.0 ** -500, 2.0 ** 500
 
 
 @dataclass(frozen=True)
@@ -218,48 +221,19 @@ def brace_gamma_check(a: int, b: int, c: int, gamma_list, ctx: QContext):
                        ctx.tol_identity, started)
 
 
-def _finite_factors(x, p, n: int):
-    out = []
-    f = complex(x)
-    p = complex(p)
-    for _ in range(n):
-        out.append(1.0 - f)
-        f *= p
-    return out
-
-
-def _log_ratio_signed(top, bot, n: int, q2) -> complex | None:
-    """log of (top; q2)_n / (bot; q2)_n for integer n of either sign.
-
-    Returns None when the numerator vanishes exactly (the ratio is 0);
-    raises PoleHit when the denominator does.
-    """
-    if n >= 0:
-        tops = _finite_factors(top, q2, n)
-        bots = _finite_factors(bot, q2, n)
-    else:
-        tops = _finite_factors(bot * q2 ** n, q2, -n)
-        bots = _finite_factors(top * q2 ** n, q2, -n)
-    out = 0.0 + 0.0j
-    zero = False
-    for t in tops:
-        if t == 0:
-            zero = True
-        else:
-            out += cmath.log(t)
-    for b in bots:
-        if abs(b) < 1e-14:
-            raise PoleHit(f"vanishing denominator factor {b!r} in a finite q-ratio")
-        out -= cmath.log(b)
-    return None if zero else out
-
-
 def km_V(x, m: int, mp: int, gc: GammaContext, ctx: QContext) -> complex:
     """Bold edge weight of the rational Kashiwara-Miwa model.
 
     V_x(m, m') = (q/x)^{2m} (x;q^2)_{m-m'} / (q^2/x;q^2)_{m-m'}
     times (g^2 x;q^2)_{m+m'} / (g^2 q^2/x;q^2)_{m+m'} with g = gamma;
-    negative Pochhammer indices use the standard reciprocal extension.
+    negative Pochhammer indices use the standard reciprocal extension
+    (a;p)_{-n} = 1/(a p^{-n};p)_n.  Each ratio is one loop over its bounded
+    factor ratios (1 - top q^{2k})/(1 - bot q^{2k}); the running product is
+    folded into a logarithm whenever it nears the ends of double range, and
+    one exp at the end gives the weight.  A vanishing denominator factor
+    raises PoleHit, an exactly vanishing numerator factor makes the weight
+    0, and a weight or a factor argument outside double range raises
+    OverflowGuard.
     """
     x = complex(x)
     if x == 0:
@@ -267,11 +241,37 @@ def km_V(x, m: int, mp: int, gc: GammaContext, ctx: QContext) -> complex:
     q = ctx.q
     q2 = q * q
     g2 = gc.gamma ** 2
-    r1 = _log_ratio_signed(x, q2 / x, m - mp, q2)
-    r2 = _log_ratio_signed(g2 * x, g2 * q2 / x, m + mp, q2)
-    if r1 is None or r2 is None:
-        return 0.0 + 0.0j
-    return cmath.exp(2 * m * cmath.log(q / x) + r1 + r2)
+    prod = 1.0 + 0.0j
+    zero = False
+    low, high = _FOLD_LOW, _FOLD_HIGH
+    try:
+        log_v = 2 * m * cmath.log(q / x)
+        for top, bot, n in ((x, q2 / x, m - mp), (g2 * x, g2 * q2 / x, m + mp)):
+            if n < 0:
+                top, bot, n = bot * q2 ** n, top * q2 ** n, -n
+            for _ in range(n):
+                b = 1.0 - bot
+                if abs(b) < 1e-14:
+                    raise PoleHit(f"vanishing denominator factor {b!r} in a finite q-ratio")
+                t = 1.0 - top
+                if t == 0:
+                    zero = True
+                else:
+                    prod *= t / b
+                    if not low < abs(prod) < high:
+                        log_v += cmath.log(prod)
+                        prod = 1.0 + 0.0j
+                top *= q2
+                bot *= q2
+        if zero:
+            return 0.0 + 0.0j
+        v = cmath.exp(log_v + cmath.log(prod))
+        if cmath.isfinite(v):
+            return v
+    except (OverflowError, ValueError, ZeroDivisionError):
+        pass
+    raise OverflowGuard(f"km_V at (m, m') = ({m}, {mp}): the weight or a factor "
+                        "of it leaves double range")
 
 
 def km_S(m: int, gc: GammaContext, ctx: QContext) -> complex:

@@ -310,14 +310,16 @@ def test_table_fock_grid():
 
 
 def test_table_overflow_is_classified(capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc, out = run_cli(["table", "fock.V", "--x", "0.7",
-                           "--m-range=0:800", "--mp-range=0:0"])
-    assert rc == 2
-    assert out == ""
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: OverflowGuard: ")
+    # a q-product argument, and a km_V weight, outside double range
+    for argv in (["fock.V", "--x", "0.7", "--m-range=0:800", "--mp-range=0:0"],
+                 ["vgamma.Vbold", "--x", "1e-6", "--m-range=40:40", "--mp-range=40:40"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out = run_cli(["table", *argv])
+        assert rc == 2
+        assert out == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: OverflowGuard: "), argv
 
 
 def test_table_vbold_all_ones_at_x_q():

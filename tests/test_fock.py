@@ -273,6 +273,26 @@ def test_weight_table_matches_scalar():
             assert abs(tab[m, mp] - weight_V_fock(0.7, m, mp, CTX)) < 1e-13
 
 
+def test_wide_weight_table_corners_match_an_mpmath_oracle():
+    # the corners of a 161-spin window, where each log q-product takes its
+    # longest chain, against the closed form in 40 digits
+    window = np.arange(-80, 81)
+    with mp.workdps(40):
+        q = mp.mpf(Q)
+        q2 = q * q
+        norm = -mp.qp(q, q2) ** 2 * mp.qp(q2, q2) / mp.sqrt(q)
+        for x in (0.7 * cmath.exp(0.9j), 0.55):
+            tab = weight_table(x, window, window, CTX)
+            y = 1 / mp.mpc(x)
+            for i, j in product((0, 160), repeat=2):
+                a, b = int(window[i]), int(window[j])
+                expect = q ** ((a * (a + 1) + b * (b + 1)) // 2) / (mp.qp(q2 * y * y, q2) * norm)
+                for e in (2 + a - b, 2 - a + b, 3 + a + b, 1 - a - b):
+                    expect *= mp.qp(y * q ** e, q2)
+                expect = complex(expect)
+                assert abs(tab[i, j] - expect) <= 1e-11 * abs(expect), (x, a, b)
+
+
 def test_transitivity():
     assert transitivity_check_fock(0.8, 0.7, 0, 0, 90, CTX).residual < 1e-10
     assert transitivity_check_fock(0.8, 0.7, 2, 1, 90, CTX).residual < 1e-10

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qkm import fock, qseries, vgamma
+from qkm import fock, vgamma
 from qkm.context import QContext
 from qkm.errors import DomainError, OverflowGuard, TailTooFat, TruncationExhausted
-from qkm.qseries import (ThetaKind, bilateral_terms, bracket, big_theta4_const,
-                         gauss_check, gauss_double_sum_check,
+from qkm.qseries import (ThetaKind, _log_qpoch_chain, bilateral_terms, bracket,
+                         big_theta4_const, gauss_check, gauss_double_sum_check,
                          jacobi_transform_check, pentagonal_check,
                          log_qpoch_inf_array, log_qpoch_table, qpoch_finite,
                          qpoch_inf, tail_length, tail_terms, theta, theta_product,
@@ -74,18 +74,8 @@ def test_log_qpoch_table_matches_scalar_products():
         log_qpoch_table(pref, [(0.7j, expo)], q, 0.0, CTX)
 
 
-def _grid_log_qpoch_table(log_pref, factors, q, den, ctx):
-    """log_qpoch_table without the gather: every factor on its full grid."""
-    log_v = log_pref
-    for coef, expo in factors:
-        log_v = log_v + log_qpoch_inf_array(coef * q ** expo.astype(float), q * q, ctx)
-    log_v = log_v - np.log(den)
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        return np.exp(log_v)
-
-
 @pytest.mark.parametrize("q", [0.4, -0.3, 0.35 * cmath.exp(0.2j)])
-def test_weight_tables_gather_is_exact(q, monkeypatch):
+def test_weight_tables_gather_is_exact(q):
     ctx = QContext(q=q)
     gc = vgamma.GammaContext(gamma=0.7 * cmath.exp(0.4j))
     x = 0.7 * cmath.exp(0.9j)
@@ -96,32 +86,69 @@ def test_weight_tables_gather_is_exact(q, monkeypatch):
     }
     # unsorted, sparse, with repeated spins
     ms, mps = [7, -3, 0, 7, 15, -11, 2, -3], [1, 12, -3, 1, 0, 9, 5]
-    got = {name: table(ms, mps) for name, table in tables.items()}
-    # the deduplicated sorted window has the same exponent set, hence the
-    # same truncation, so its entries must match bit for bit
     um, ump = sorted(set(ms)), sorted(set(mps))
     rows, cols = [um.index(m) for m in ms], [ump.index(mp) for mp in mps]
+    window = np.arange(-80, 81)
+    # every entry is a function of its own spins alone, so it equals the
+    # 1 x 1 table bit for bit; on the 161 window, the first and last rows
+    # already take every exponent of every factor
+    lines = [(i, j) for i in (0, 160) for j in range(161)]
     for name, table in tables.items():
-        assert np.array_equal(table(um, ump)[np.ix_(rows, cols)], got[name]), name
-    monkeypatch.setattr(fock, "log_qpoch_table", _grid_log_qpoch_table)
-    monkeypatch.setattr(vgamma, "log_qpoch_table", _grid_log_qpoch_table)
-    for name, table in tables.items():
-        assert np.array_equal(table(ms, mps), got[name]), name
+        got = table(ms, mps)
+        assert np.array_equal(table(um, ump)[np.ix_(rows, cols)], got), name
+        one = [[table([m], [mp])[0, 0] for mp in mps] for m in ms]
+        assert np.array_equal(np.array(one), got), name
+        wide = table(window, window)
+        for i, j in lines:
+            assert wide[i, j] == table([window[i]], [window[j]])[0, 0], (name, i, j)
 
 
 def test_weight_table_evaluates_each_distinct_exponent_once(monkeypatch):
+    # one anchored chain per factor: a logarithm per integer from the
+    # smallest exponent to the anchor (about 30 past 0 at q = 0.4), not a
+    # full tail per distinct exponent (about 95 terms each)
     sizes = []
-    evaluate = qseries.log_qpoch_inf_array
+    log = np.log
 
-    def recording(xs, q, ctx):
-        sizes.append(np.size(xs))
-        return evaluate(xs, q, ctx)
+    def recording(z, *args, **kwargs):
+        sizes.append(np.size(z))
+        return log(z, *args, **kwargs)
 
-    monkeypatch.setattr(qseries, "log_qpoch_inf_array", recording)
-    window = np.arange(-80, 81)
-    fock.weight_table(0.7, window, window, CTX)
-    assert len(sizes) == 4
-    assert max(sizes) <= 2 * window.size - 1
+    monkeypatch.setattr(np, "log", recording)
+    for n in (41, 161):
+        sizes.clear()
+        window = np.arange(-(n // 2), n - n // 2)
+        fock.weight_table(0.7, window, window, CTX)
+        chains = [size for size in sizes if size > 1]
+        assert len(chains) == 4
+        assert max(chains) <= 2 * n + 40
+
+
+@pytest.mark.parametrize("q", [0.4, -0.3, 0.35 * cmath.exp(0.2j)])
+def test_log_qpoch_chain_is_the_tail_walk_of_each_exponent(q):
+    # around the anchor each entry is a small logarithm, on which one term
+    # more or fewer than the walk takes would show
+    q, coef = complex(q), 0.7 * cmath.exp(0.9j)
+    expo = np.arange(-10, 45)
+    got = _log_qpoch_chain(coef, expo, q, CTX)
+    for e, value in zip(expo.tolist(), got):
+        args = tail_terms((coef * q ** (e + 2 * k) for k in count()), CTX)
+        walk = sum(cmath.log(1 - a) for a in args)
+        assert abs(value - walk) <= 1e-13 * abs(walk), e
+
+
+def test_log_qpoch_table_chain_keeps_the_tail_rule_refusals():
+    expo = np.arange(0, 5)[:, None]
+    with pytest.raises(TruncationExhausted):  # 120 terms against a cap of 50
+        log_qpoch_table(np.zeros(expo.shape), [(0.5, expo)], 0.9,
+                        1.0, QContext(q=0.9, max_terms=50))
+    with pytest.raises(TruncationExhausted):  # a size that is not finite
+        log_qpoch_table(np.zeros(expo.shape), [(math.inf, expo)], 0.4, 1.0, CTX)
+    # q = 0: (c 0^e; 0)_inf is 1 - c at e = 0 and 1 above it
+    tab = log_qpoch_table(np.zeros(expo.shape), [(0.5, expo)], 0.0, 1.0, CTX)
+    assert np.array_equal(tab[:, 0], [0.5, 1, 1, 1, 1])
+    with pytest.raises(OverflowGuard):
+        log_qpoch_table(np.zeros(expo.shape), [(0.5, expo - 1)], 0.0, 1.0, CTX)
 
 
 def test_log_qpoch_table_overflowing_argument_is_classified():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qkm.context import QContext
-from qkm.errors import DomainError, PoleHit, SingularMeasure
+from qkm.errors import DomainError, OverflowGuard, PoleHit, SingularMeasure
 from qkm.fock import BraceMethod, FockRepParams, brace, vform_matrices
 from qkm.orthopoly import lattice_brace_sums, poly_rows
 from qkm.qseries import bracket
@@ -129,6 +129,33 @@ def test_cross_sector_row_and_column_match_scalar_weights():
         for tab, ref in ((row, weight_Veps(0.7, 1, 0, b, GENERIC, CTX)),
                          (col, weight_Veps(0.8, -1, b, 1, GENERIC, CTX))):
             assert abs(tab[b + 75] - ref) <= 1e-13 * abs(ref)
+
+
+def _mp_weight_Veps(x, eps, m, mp_, gamma, q):
+    """V_x^{(eps)}(m, m') from its closed q-product form in mpmath."""
+    x, g = mp.mpc(x), mp.mpc(gamma)
+    g2, q2 = g * g, q * q
+    value = mp.sqrt(q) ** (m * m + mp_ * mp_) * g ** (m + mp_)
+    for c, e in ((g2 / x, 2 + m + mp_), (1 / (g2 * x), 2 - m - mp_),
+                 (1 / x, 2 + m - mp_), (1 / x, 2 - m + mp_)):
+        value *= mp.qp(c * q ** e, q2)
+    h_gamma = mp.qp(g2, q2) * mp.qp(q2 / g2, q2) * mp.qp(q2, q2) / g
+    sign = (1 if (m + mp_) % 2 == 0 else eps) * (-1) ** (m % 2)
+    return complex(sign * value / (mp.qp(q2 / (x * x), q2) * -2 * h_gamma))
+
+
+def test_veps_row_and_column_match_an_mpmath_oracle():
+    # a row and a column over +-70 sites, read every fifth site
+    window = range(-70, 71)
+    row = weight_Veps_table(0.7, 1, [0], window, GENERIC, CTX)[0]
+    col = weight_Veps_table(0.8 * cmath.exp(0.6j), -1, window, [1], GENERIC, CTX)[:, 0]
+    with mp.workdps(30):
+        q = mp.mpf(Q)
+        for b in window[::5]:
+            for got, expect in ((row[b + 70], _mp_weight_Veps(0.7, 1, 0, b, GENERIC.gamma, q)),
+                                (col[b + 70], _mp_weight_Veps(0.8 * cmath.exp(0.6j), -1, b, 1,
+                                                              GENERIC.gamma, q))):
+                assert abs(got - expect) <= 1e-11 * abs(expect), b
 
 
 def test_projector_algebra():
@@ -253,6 +280,59 @@ def test_km_weight_symmetry_box():
                 assert abs(km_V(Q, a, b, gc, CTX) - 1.0) < 1e-13
                 expect = 1 / km_S(a, gc, CTX) if a == b else 0.0
                 assert abs(km_V(1.0, a, b, gc, CTX) - expect) < 1e-12
+
+
+def _mp_qratio(top, bot, p, n):
+    """(top; p)_n / (bot; p)_n in mpmath, with (a; p)_{-n} = 1/(a p^{-n}; p)_n."""
+    if n < 0:
+        return _mp_qratio(bot * p ** n, top * p ** n, p, -n)
+    return mp.fprod((1 - top * p ** k) / (1 - bot * p ** k) for k in range(n))
+
+
+def _mp_km_V(x, m, mp_, g2, q):
+    x = mp.mpc(x)
+    q2 = q * q
+    return complex((q / x) ** (2 * m) * _mp_qratio(x, q2 / x, q2, m - mp_)
+                   * _mp_qratio(g2 * x, g2 * q2 / x, q2, m + mp_))
+
+
+def test_km_weight_matches_an_mpmath_oracle():
+    # the 41 x 41 grid of the bulk-table benchmark (q = 0.4, nu = 1/2)
+    gc = GammaContext.make_selected(0.5, CTX)
+    with mp.workdps(40):
+        q = mp.mpf(Q)
+        g2 = -q  # gamma = i q^{1/2}
+        for x in (0.62 * cmath.exp(2.2j), 0.85 * cmath.exp(-0.7j)):
+            x_mp = mp.mpc(x)
+            ratio1 = {n: _mp_qratio(x_mp, q * q / x_mp, q * q, n) for n in range(-40, 41)}
+            ratio2 = {n: _mp_qratio(g2 * x_mp, g2 * q * q / x_mp, q * q, n)
+                      for n in range(-40, 41)}
+            for a in range(-20, 21):
+                for b in range(-20, 21):
+                    expect = complex((q / x_mp) ** (2 * a) * ratio1[a - b] * ratio2[a + b])
+                    got = km_V(x, a, b, gc, CTX)
+                    assert abs(got - expect) <= 1e-13 * abs(expect), (x, a, b)
+
+
+@pytest.mark.parametrize("x, m, mp_", [
+    (50.0, -40, -40),  # 3.2315e-164: the factor ratios alone reach 1e-320
+    (0.05, 100, 0),    # -1.4433e180
+    (0.7, 80, -80),    # 4.5923e-40
+])
+def test_km_weight_far_from_one_matches_an_mpmath_oracle(x, m, mp_):
+    gc = GammaContext.make_selected(0.5, CTX)
+    with mp.workdps(40):
+        expect = _mp_km_V(x, m, mp_, -mp.mpf(Q), mp.mpf(Q))
+    assert abs(km_V(x, m, mp_, gc, CTX) - expect) <= 1e-12 * abs(expect)
+
+
+def test_km_weight_outside_double_range_is_classified():
+    gc = GammaContext.make_selected(0.5, CTX)
+    with pytest.raises(OverflowGuard):
+        km_V(1e-6, 40, 40, gc, CTX)
+    # (q^2)^{-3} for the reciprocal extension overflows at q = 1e-60
+    with pytest.raises(OverflowGuard):
+        km_V(0.7, 0, 3, gc, QContext(q=1e-60))
 
 
 def test_km_weight_set_bundle():
