@@ -10,6 +10,7 @@ space, and the factorised box R-matrix with its intertwining check.
 
 from __future__ import annotations
 
+import cmath
 import time
 from dataclasses import dataclass
 from decimal import getcontext
@@ -20,11 +21,12 @@ from itertools import count
 import numpy as np
 
 from .context import QContext
-from .errors import DomainError, EigensolverFailure, OverflowGuard, TailTooFat
+from .errors import (DomainError, EigensolverFailure, OverflowGuard, TailTooFat,
+                     TruncationExhausted)
 from .orthopoly import (_cmul, decimal_digits, decimal_sqrt, lattice_brace_sums,
                         overlap_grid, overlap_sum, scaled_poly_values, to_decimal)
-from .qseries import (bracket, big_theta4_const, log_qpoch_table, qpoch_finite,
-                      qpoch_finite_table, qpoch_inf, qpoch_inf_multi, tail_length,
+from .qseries import (_first_below, bracket, big_theta4_const, log_qpoch_table,
+                      qpoch_finite, qpoch_finite_table, qpoch_inf, qpoch_inf_multi,
                       tail_sum)
 from .report import make_report, relative_residual
 
@@ -265,7 +267,7 @@ def brace(a: int, b: int, c: int, ctx: QContext,
     _brace_guard(a, b, c, ctx.q)
     if method is BraceMethod.CLOSED_FORM:
         return _brace_closed(a, b, c, ctx)
-    return _brace_recursion(ctx)(a, b, c)
+    return _brace_recursion(a, b, c, ctx)
 
 
 def _brace_closed(a: int, b: int, c: int, ctx: QContext) -> complex:
@@ -290,26 +292,44 @@ def brace_spin_sums(triples, ctx: QContext) -> list[complex]:
 
     The one-sided lattice_brace_sums over xi = q^{m+1/2} in 40 digits (on
     the corners of the index box double precision would cancel away), each
-    divided by the normaliser -q^{-1/2} (q; q)_inf of (4.27-4.28), whose
-    product runs in the same decimal arithmetic for the tail_length of
-    |q|^k at the cut 10^-prec of the working precision.
+    divided by the normaliser -q^{-1/2} (q; q)_inf of (4.27-4.28), taken in
+    the same decimal arithmetic by _spin_sum_norm.
     """
     for a, b, c in triples:
         _brace_guard(a, b, c, ctx.q)
     totals, _ = lattice_brace_sums(triples, None, (1,), _SPIN_SUM_DPS, ctx)
     with decimal_digits(_SPIN_SUM_DPS):
-        q = to_decimal(ctx.q)
-        qpoch, power = 1, q
-        for _ in range(tail_length(abs(ctx.q), abs(ctx.q), 10.0 ** -getcontext().prec,
-                                   ctx.max_terms)):
-            qpoch *= 1 - power
-            power *= q
-        norm = -qpoch / decimal_sqrt(q)
+        norm = _spin_sum_norm(ctx)
         return [complex(total / norm) for total in totals]
 
 
-@lru_cache(maxsize=32)
-def _brace_recursion(ctx: QContext):
+def _spin_sum_norm(ctx: QContext):
+    """-q^{-1/2} (q; q)_inf at the working decimal precision prec.
+
+    The product takes the factors 1 - q^k for k <= K, the first K with
+    |q^{K+1} / (1 - q)| < 10^-(prec/2 + 1), and closes with its tail
+    1 - q^{K+1} / (1 - q): the tail's next order is that bound squared, so
+    it is exact to working precision, and about half the factors of a
+    product run to 10^-prec are left out.  (Euler's pentagonal series
+    would be shorter still, but near |q| = 1 it cancels more digits than
+    the working precision carries.)
+    """
+    q = to_decimal(ctx.q)
+    rate = abs(ctx.q)
+    n_factors = max(_first_below(rate / abs(1 - ctx.q), rate,
+                                 10.0 ** -(getcontext().prec / 2 + 1)), 0)
+    if n_factors > ctx.max_terms:
+        raise TruncationExhausted(f"no tail within {ctx.max_terms} terms")
+    qpoch, power = 1, q
+    for _ in range(n_factors):
+        qpoch *= 1 - power
+        power *= q
+    qpoch *= 1 - power / (1 - q)
+    return -qpoch / decimal_sqrt(q)
+
+
+def _brace_recursion(a: int, b: int, c: int, ctx: QContext) -> complex:
+    """The two-term descent in c, memoised within this one call."""
     q = ctx.q
     memo = {}
 
@@ -324,7 +344,7 @@ def _brace_recursion(ctx: QContext):
                          - (1 - q ** (2 * a)) * (1 - q ** (2 * b)) * rec(a - 1, b - 1, c - 1) / q)
         return memo[key]
 
-    return rec
+    return rec(a, b, c)
 
 
 class CGSide(Enum):
@@ -395,19 +415,23 @@ def weight_table(x, m_values, mp_values, ctx: QContext) -> np.ndarray:
     ``log_qpoch_table`` takes each product from one anchored chain per
     factor, O(M) logarithms for M x M entries, and every entry depends on
     its own (m, m') alone: it equals ``weight_V_fock`` bit for bit, whatever
-    grid it is read from.
+    grid it is read from.  An x so small that q^2/x^2 leaves double range
+    is refused with OverflowGuard.
     """
     x = complex(x)
     if x == 0:
         raise DomainError("weight needs x != 0")
     q = ctx.q
     y = 1.0 / x
+    arg = q * q * y * y
+    if not cmath.isfinite(arg):
+        raise OverflowGuard(f"weight argument x = {x} puts q^2/x^2 outside double range")
     ms = np.asarray(m_values, dtype=int)[:, None]
     mps = np.asarray(mp_values, dtype=int)[None, :]
     log_v = np.log(complex(ctx.q_half)) * (ms * (ms + 1) + mps * (mps + 1))
     factors = [(y, expo)
                for expo in (2 + ms - mps, 2 - ms + mps, 3 + ms + mps, 1 - ms - mps)]
-    den = qpoch_inf(q * q * y * y, q * q, ctx) * fock_norm_const(ctx)
+    den = qpoch_inf(arg, q * q, ctx) * fock_norm_const(ctx)
     return log_qpoch_table(log_v, factors, q, den, ctx)
 
 

@@ -102,7 +102,7 @@ def poly_P(n: int, xi, ctx: QContext,
     return level[0]
 
 
-def poly_rows(xi, q, qh, scale, coeffs=None):
+def poly_rows(xi, q, qh, scale, coeffs=None, xi_inv=None):
     """Yield scale * q^{a^2/2} P_a(xi) for a = 0, 1, 2, ...
 
     The q^{a^2/2} weight is folded into the three-term recursion, whose
@@ -116,12 +116,18 @@ def poly_rows(xi, q, qh, scale, coeffs=None):
     branch.  ``coeffs`` are the recursion coefficients
     (qh^{2a+1}, 1 - q^{2a}) for a = 0, 1, ..., computed once by a caller
     that runs many xi; a finite list ends the rows after len(coeffs) + 1.
+    ``xi_inv`` is 1/xi when the caller already has it (a lattice walks it
+    beside xi), else it is computed here.
     """
     if coeffs is None:
         coeffs = ((qh ** (2 * a + 1), 1 - q ** (2 * a)) for a in count())
-    s = xi + 1 / xi
-    prev, cur = scale - scale, scale
-    yield cur
+    coeffs = iter(coeffs)
+    s = xi + (1 / xi if xi_inv is None else xi_inv)
+    yield scale
+    # P_{-1} = 0: the first step has no down term
+    for up, _ in islice(coeffs, 1):
+        prev, cur = scale, up * s * scale
+        yield cur
     for up, down in coeffs:
         prev, cur = cur, up * s * cur + down * prev
         yield cur
@@ -141,24 +147,28 @@ def _lattice_tail_sums(site_terms, n: int, directions, cut, max_terms: int):
     running total already carries a rounding error of about peak * 10^(-dps)
     from its largest terms, and the site weight decays like a Gaussian in m,
     so beyond three terms under the cut the neglected tail lies below that
-    error and cannot change the total.  The totals are running sums; no
-    term list is kept.  Returns the totals, the peaks over all sites and
-    the number of sites walked; raises TruncationExhausted when a direction
-    reaches ``max_terms`` sites.
+    error and cannot change the total.  Sizes are compared squared
+    (|t|^2 against peak^2 cut^2), so no term takes a square root.  The
+    totals are running sums; no term list is kept.  Returns the totals,
+    the squared peaks over all sites and the number of sites walked;
+    raises TruncationExhausted when a direction reaches ``max_terms`` sites.
     """
+    cut2 = cut * cut
     totals = list(site_terms(0, range(n)))
-    peaks = [abs(t) for t in totals]
+    peaks = [_size2(t) for t in totals]
     sites = 1
     for d in directions:
         peak = peaks[:]
+        floor = [p * cut2 for p in peak]
         below = [0] * n
         live = range(n)
         for k in range(1, max_terms):
             for i, t in zip(live, site_terms(d * k, live)):
                 totals[i] += t
-                size = abs(t)
-                peak[i] = max(peak[i], size)
-                below[i] = below[i] + 1 if size < peak[i] * cut else 0
+                size = _size2(t)
+                if size > peak[i]:
+                    peak[i], floor[i] = size, size * cut2
+                below[i] = below[i] + 1 if size < floor[i] else 0
             sites += 1
             live = [i for i in live if below[i] < 3]
             if not live:
@@ -167,6 +177,13 @@ def _lattice_tail_sums(site_terms, n: int, directions, cut, max_terms: int):
             raise TruncationExhausted("lattice sum has no tail within max_terms")
         peaks = [max(p, s) for p, s in zip(peaks, peak)]
     return totals, peaks, sites
+
+
+def _size2(t):
+    """|t|^2 of a Decimal or a DecimalComplex, without a square root."""
+    if type(t) is DecimalComplex:
+        return t.real * t.real + t.imag * t.imag
+    return t * t
 
 
 class DecimalComplex:
@@ -314,20 +331,22 @@ def lattice_brace_sums(triples, gamma, directions, dps: int, ctx: QContext):
         gamma = qh if gamma is None else to_decimal(gamma)
         top = max((max(t) for t in triples), default=0)
         coeffs = [(qh ** (2 * a + 1), 1 - q ** (2 * a)) for a in range(top)]
-        steps = {1: (q, gamma), -1: (1 / q, 1 / gamma)}
-        # m -> (xi, gamma^m q^{m^2/2}, q^{|m|+1/2}); the walks visit m = d, 2d, ...
-        # in turn, so each site is one step on from the site before it
-        walk = {0: (gamma, 1, qh)}
+        q_inv = 1 / q
+        steps = {1: (q, q_inv, gamma), -1: (q_inv, q, 1 / gamma)}
+        # m -> (xi, 1/xi, gamma^m q^{m^2/2}, q^{|m|+1/2}); the walks visit
+        # m = d, 2d, ... in turn, so each site is one step on from the site
+        # before it, and 1/xi is walked beside xi rather than inverted
+        walk = {0: (gamma, 1 / gamma, 1, qh)}
 
         def site_terms(m, live):
             if m not in walk:
                 d = 1 if m > 0 else -1
-                xi, scale, odd = walk[m - d]
-                q_step, gamma_step = steps[d]
-                walk[m] = (xi * q_step, scale * gamma_step * odd, odd * q)
-            xi, scale, _ = walk[m]
-            rows = list(poly_rows(xi, q, qh, scale, coeffs))
-            f = 1 / xi - xi if m % 2 else xi - 1 / xi
+                xi, xi_inv, scale, odd = walk[m - d]
+                q_step, inv_step, gamma_step = steps[d]
+                walk[m] = (xi * q_step, xi_inv * inv_step, scale * gamma_step * odd, odd * q)
+            xi, xi_inv, scale, _ = walk[m]
+            rows = list(poly_rows(xi, q, qh, scale, coeffs, xi_inv))
+            f = xi_inv - xi if m % 2 else xi - xi_inv
             pairs = {}  # f row_a row_b, shared by every c
             out = []
             for a, b, c in (triples[i] for i in live):
@@ -339,8 +358,8 @@ def lattice_brace_sums(triples, gamma, directions, dps: int, ctx: QContext):
 
         totals, peaks, sites = _lattice_tail_sums(site_terms, len(triples), directions,
                                                   Decimal(10) ** (5 - dps), ctx.max_terms)
-        digits = Decimal(10) ** (dps - 8)
-        if any(peak > abs(total) * digits for total, peak in zip(totals, peaks)):
+        digits2 = Decimal(10) ** (2 * (dps - 8))
+        if any(peak2 > _size2(total) * digits2 for total, peak2 in zip(totals, peaks)):
             raise DomainError(f"lattice sum cancels more than {dps - 8} of its {dps} digits")
         return totals, sites
 

@@ -146,13 +146,20 @@ def weight_Veps(x, eps: int, m: int, mp: int, gc: GammaContext,
 
 def weight_Veps_table(x, eps: int, m_values, mp_values, gc: GammaContext,
                       ctx: QContext) -> np.ndarray:
-    """V_x^{(eps)} on a spin grid (assembled in log space, see weight_table)."""
+    """V_x^{(eps)} on a spin grid (assembled in log space, see weight_table).
+
+    An x so small that q^2/x^2 leaves double range is refused with
+    OverflowGuard.
+    """
     x = complex(x)
     if x == 0:
         raise DomainError("weight needs x != 0")
     if eps not in (1, -1):
         raise DomainError("eps is a sign")
     q = ctx.q
+    x2 = x * x
+    if x2 == 0 or not cmath.isfinite(q * q / x2):
+        raise OverflowGuard(f"weight argument x = {x} puts q^2/x^2 outside double range")
     gamma = gc.gamma
     g2 = gamma * gamma
     ms = np.asarray(m_values, dtype=int)[:, None]
@@ -161,7 +168,7 @@ def weight_Veps_table(x, eps: int, m_values, mp_values, gc: GammaContext,
         + (ms + mps) * np.log(gamma)
     factors = [(g2 / x, 2 + ms + mps), (1 / g2 / x, 2 - ms - mps),
                (1 / x, 2 + ms - mps), (1 / x, 2 - ms + mps)]
-    den = qpoch_inf(q * q / (x * x), q * q, ctx) * gamma_norm_const(gc, ctx)
+    den = qpoch_inf(q * q / x2, q * q, ctx) * gamma_norm_const(gc, ctx)
     signs = np.where((ms + mps) % 2 == 0, 1.0, float(eps)) * (-1.0) ** (ms % 2)
     return signs * log_qpoch_table(log_v, factors, q, den, ctx)
 

@@ -260,6 +260,14 @@ def test_brace_overrides_give_verdicts_or_refusals(override, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_small_q_fock_brace_refusal_names_its_digits():
+    rc, out = run_cli(["verify", "--format", "json", "--filter", "fock.brace*", "--q", "0.05"])
+    [report] = json.loads(out)
+    assert rc == 0 and report["verdict"] == "SKIPPED"
+    assert report["params"]["skip_reason"] == (
+        "DomainError: lattice sum cancels more than 32 of its 40 digits")
+
+
 def test_brace_run_imports_no_mpmath():
     code = ("import sys; sys.modules['mpmath'] = None; from qkm.cli import main; "
             "sys.exit(main(['verify', '--format', 'json', '--filter', '*brace*']))")

@@ -10,7 +10,7 @@ import pytest
 
 from qkm import fock
 from qkm.context import QContext
-from qkm.errors import DomainError, TailTooFat
+from qkm.errors import DomainError, OverflowGuard, TailTooFat
 from qkm.fock import (BraceMethod, CGSide, FockRepParams, Regularisation,
                       TruncatedHamiltonian, box_intertwining_check,
                       box_rmatrix_fock, brace, brace_spin_sums,
@@ -22,7 +22,7 @@ from qkm.fock import (BraceMethod, CGSide, FockRepParams, Regularisation,
                       vform_matrices, weight_table, weight_table_from_overlaps,
                       weight_V_fock, weight_V_fock_from_overlaps, _brace_closed,
                       _sqrt_qpoch2)
-from qkm.orthopoly import lattice_brace_sums
+from qkm.orthopoly import decimal_digits, lattice_brace_sums
 from qkm.qseries import bracket, qpoch_finite, qpoch_inf_multi
 
 CTX = QContext(q=0.4)
@@ -169,6 +169,30 @@ def test_brace_spin_sums_refuse_a_sum_that_cancels_its_digits():
     assert len(brace_spin_sums(box, QContext(q=0.2))) == len(box)  # 25.5 digits lost
 
 
+@pytest.mark.parametrize("r", [0.05, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95])
+def test_spin_sum_norm_matches_mpmath(r):
+    # the product closed by its tail 1 - q^{K+1}/(1 - q) keeps the working
+    # precision, near the real axis and away from it
+    for phase in (0.1, 1.2, -2.5):
+        q = r * cmath.exp(1j * phase)
+        with decimal_digits(40):
+            norm = fock._spin_sum_norm(QContext(q=q))
+        with mp.workdps(60):
+            mq = mp.mpc(q)
+            want = -mp.qp(mq, mq) / mp.sqrt(mq)
+            got = mp.mpc(mp.mpf(str(norm.real)), mp.mpf(str(norm.imag)))
+            assert abs(got - want) <= mp.mpf(10) ** -40 * abs(want)
+
+
+def test_brace_recursion_memo_lives_in_one_call():
+    # nothing is kept between calls: a fresh context per call fills no cache
+    assert not hasattr(fock._brace_recursion, "cache_info")
+    ctx = QContext(q=0.35 * cmath.exp(0.2j))
+    first = brace(3, 2, 4, ctx, BraceMethod.RECURSION)
+    assert brace(3, 2, 4, QContext(q=ctx.q), BraceMethod.RECURSION) == first
+    assert abs(first - brace(3, 2, 4, ctx)) <= 1e-12 * abs(first)
+
+
 def test_brace_permutation_symmetry():
     v = brace(3, 1, 2, CTX)
     assert brace(2, 3, 1, CTX) == v  # closed form is manifestly symmetric
@@ -271,6 +295,14 @@ def test_weight_table_matches_scalar():
     for m in range(4):
         for mp in range(4):
             assert abs(tab[m, mp] - weight_V_fock(0.7, m, mp, CTX)) < 1e-13
+
+
+@pytest.mark.parametrize("x", [1e-320, 1e-160])
+def test_weight_table_refuses_an_argument_outside_double_range(x):
+    # 1/x is infinite at 1e-320 and q^2/x^2 at 1e-160: refused before the
+    # denominator's product is walked, not reported as a truncation failure
+    with pytest.raises(OverflowGuard, match="outside double range"):
+        weight_table(x, [0], [0], CTX)
 
 
 def test_wide_weight_table_corners_match_an_mpmath_oracle():

@@ -220,6 +220,73 @@ def test_lattice_sums_round_to_the_oracle_at_the_default_points():
         assert _doubles(totals, 30) == _doubles(ref, 30)
 
 
+def _mp_site_terms(triples, gamma, q, window):
+    """{m: the terms of every triple at site m} for |m| <= window, in 60-digit
+    mpmath, with 1/xi taken by division at each site."""
+    with mp.workdps(60):
+        q = mp.mpc(q)
+        qh = mp.sqrt(q)
+        gamma = qh if gamma is None else mp.mpc(gamma)
+        top = max(max(t) for t in triples)
+        terms = {}
+        for m in range(-window, window + 1):
+            xi = gamma * q ** m
+            rows = list(islice(poly_rows(xi, q, qh, gamma ** m * qh ** (m * m)), top + 1))
+            f = (-1) ** (m % 2) * (xi - 1 / xi)
+            terms[m] = [f * rows[a] * rows[b] * rows[c] for a, b, c in triples]
+        return terms
+
+
+def _mp_stop_rule(terms, n, directions, dps):
+    """Totals, peaks and sites walked of the three-below-cut rule of
+    _lattice_tail_sums, read off the mpmath terms and magnitudes."""
+    with mp.workdps(60):
+        cut = mp.mpf(10) ** (5 - dps)
+        totals = list(terms[0])
+        peaks = [abs(t) for t in totals]
+        sites = 1
+        for d in directions:
+            peak, below, live, k = peaks[:], [0] * n, range(n), 0
+            while live:
+                k += 1
+                for i in live:
+                    t = terms[d * k][i]
+                    totals[i] += t
+                    peak[i] = max(peak[i], abs(t))
+                    below[i] = below[i] + 1 if abs(t) < peak[i] * cut else 0
+                live = [i for i in live if below[i] < 3]
+            sites += k
+            peaks = [max(p, s) for p, s in zip(peaks, peak)]
+        return totals, peaks, sites
+
+
+# complex q and gamma, as the point sweep draws them, and the Fock route
+@pytest.mark.parametrize("q, gamma", [
+    (0.4 * cmath.exp(0.3j), 0.75 * cmath.exp(2.1j)),
+    (0.33 * cmath.exp(-0.5j), 0.62 * cmath.exp(-0.9j)),
+    (0.48 * cmath.exp(0.55j), 0.88 * cmath.exp(0.4j)),
+    (0.35 * cmath.exp(0.2j), None),
+    (0.6 * cmath.exp(-0.25j), None),
+])
+def test_lattice_sums_match_a_60_digit_oracle_at_complex_q(q, gamma):
+    # the walked 1/xi and the squared stop test change no total beyond the
+    # digits the kernel keeps, and the kernel walks exactly the sites of the
+    # stop rule evaluated on exact magnitudes
+    if gamma is None:
+        triples, directions, dps = list(combinations_with_replacement(range(7), 3)), (1,), 40
+    else:
+        triples, directions, dps = list(combinations_with_replacement(range(5), 3)), (1, -1), 30
+    totals, sites = lattice_brace_sums(triples, gamma, directions, dps, QContext(q=q))
+    ref, peaks, want_sites = _mp_stop_rule(_mp_site_terms(triples, gamma, q, 40),
+                                           len(triples), directions, dps)
+    assert sites == want_sites
+    with mp.workdps(60):
+        for total, want, peak in zip(totals, ref, peaks):
+            err = abs(_to_mp(total) - want)
+            assert err <= peak * mp.mpf(10) ** (8 - dps)  # against the refusal's scale
+            assert err <= abs(want) * mp.mpf(10) ** -8  # every accepted total keeps 8 digits
+
+
 def test_overlap_sum_domain():
     with pytest.raises(DomainError):
         overlap_sum(1.1, 0.9, 0.3, CTX)

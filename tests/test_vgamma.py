@@ -158,6 +158,15 @@ def test_veps_row_and_column_match_an_mpmath_oracle():
                 assert abs(got - expect) <= 1e-11 * abs(expect), b
 
 
+@pytest.mark.parametrize("x", [1e-170, 1e-160])
+def test_veps_table_refuses_an_argument_outside_double_range(x):
+    # x^2 underflows to 0 at 1e-170 and q^2/x^2 overflows at 1e-160: refused
+    # before the denominator is built, with no bare ZeroDivisionError
+    gc = GammaContext.make_selected(0.5, CTX)
+    with pytest.raises(OverflowGuard, match="outside double range"):
+        weight_Veps_table(x, 1, [0], [0], gc, CTX)
+
+
 def test_projector_algebra():
     m_w = 40
     mv = np.arange(-m_w, m_w + 1)
