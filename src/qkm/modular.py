@@ -4,23 +4,33 @@ wavefunction, and the hyperbolic Kashiwara-Miwa weight.
 Everything runs in the strongly coupled wedge b = exp(i theta) with
 theta in (0, pi/2), where both nomes q = exp(i pi b^2) and
 qbar = exp(-i pi / b^2) are inside the unit disc and all products and
-series converge fast.  Quadratures use a composite midpoint rule on a
-uniform grid, with the point count doubled until two successive answers
-agree (an error certificate), and the grid never lands on the double
-zeros of the sigma-space norm on the real axis.
+series converge fast.
 
-The default grid starts at 64 points.  Both integrands are analytic in a
-strip around the real axis and decay exponentially, to about 3e-11 of
-their peak at the +-8 window edge, so the midpoint rule converges
-geometrically in the point count (Trefethen and Weideman, "The
-exponentially convergent trapezoidal rule", SIAM Rev. 56, 2014).  Once
-two successive answers agree, the finer one is already far more accurate
-than their difference, so a certificate that starts at 64 points is as
-sound as one that starts at 256; a coarse start only costs one more
-doubling where the grid has not yet resolved the integrand.  At the
-registry's points the spectral integral certifies at 128 points and the
-convolution at 128 or 256, within 4e-10 and 2e-8 (relative) of a
-512-point start.
+Quadratures use an equal-weight rule on a shifted lattice of [-L, L]:
+level 0 has the n0 nodes -L + h0/3 + h0 k (h0 = 2L/n0), and each
+refinement adds only the nodes shifted by h/2, so every value already
+summed is kept and level j holds n0 2^j nodes.  Two successive levels that
+agree within tol_quad/10 certify the answer.  The lattice never holds
+sigma = 0, where the sigma-space norm (z; q^2)_inf (zbar; qbar^2)_inf
+vanishes and the spectral integrand is a removable singularity that
+floating point cannot evaluate (a node there raises ZeroDivisionError).
+Both integrands are analytic in a strip around the
+real axis and decay exponentially, so the rule converges geometrically in
+the node count (Trefethen and Weideman, "The exponentially convergent
+trapezoidal rule", SIAM Rev. 56, 2014, sec. 5); once two levels agree, the
+finer one is already far more accurate than their difference.  At the
+registry's points the spectral integral certifies at 128 nodes and the
+convolution at 128 or 256, out of a 64-node start.
+
+A window is refused with WindowTooSmall when the integrand has not decayed
+at its edges.  The convolution is refused when |f(+-L)| times the window
+length 2L exceeds tol_quad/100.  The spectral integrand falls about e-fold
+per unit of sigma near L = 8 (the tail beyond the window measured 0.66 to
+1.42 times |f(+-L)| at the registry's points for theta = 0.9 and 1.0), so
+|f(+-L)| is about the tail the window drops, and the spectral integral is
+refused when it exceeds tol_quad: at most 7.2e-7 at the default
+theta = pi/5 and 2.8e-5 at 0.9, but 4.7e-4 at 1.0, where the truncated
+integral missed the closed form by 1.4e-3.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from .qseries import ThetaKind, qpoch_inf, theta_product
 from .report import make_report, relative_residual
 
 __all__ = [
-    "ModularContext", "HyperbolicPoint", "faddeev_phi",
+    "ModularContext", "faddeev_phi",
     "psi", "psi_eigen_check", "phi_mu", "weight_V_modular",
     "weight_V_modular_integral", "weight_Vbar_modular", "s_weight",
     "summation_check_modular", "adaptive_midpoint",
@@ -53,7 +63,8 @@ class ModularContext:
     Fractional powers of the nomes are built directly from theta, so all
     of q^{1/2}, q^{1/4} and their barred partners sit on one consistent
     branch by construction.  The two nome contexts ``ctx_q`` and
-    ``ctx_qbar`` are built once here and shared by every evaluation; like
+    ``ctx_qbar`` are built once here and shared by every evaluation, as are
+    the squared nomes and the powers b^{1/2}, q^{1/4} and qbar^{1/4}; like
     the other derived fields they take no part in equality or hashing.
     """
 
@@ -65,6 +76,11 @@ class ModularContext:
     q: complex = field(init=False, repr=False, compare=False)
     qbar: complex = field(init=False, repr=False, compare=False)
     eta: complex = field(init=False, repr=False, compare=False)
+    q2: complex = field(init=False, repr=False, compare=False)
+    qbar2: complex = field(init=False, repr=False, compare=False)
+    b_half: complex = field(init=False, repr=False, compare=False)
+    q_quarter: complex = field(init=False, repr=False, compare=False)
+    qbar_quarter: complex = field(init=False, repr=False, compare=False)
     ctx_q: QContext = field(init=False, repr=False, compare=False)
     ctx_qbar: QContext = field(init=False, repr=False, compare=False)
 
@@ -83,45 +99,13 @@ class ModularContext:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "qbar", qbar)
         object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "q2", q * q)
+        object.__setattr__(self, "qbar2", qbar * qbar)
+        object.__setattr__(self, "b_half", cmath.exp(0.5j * self.theta))
+        object.__setattr__(self, "q_quarter", cmath.exp(0.25j * cmath.pi * b * b))
+        object.__setattr__(self, "qbar_quarter", cmath.exp(-0.25j * cmath.pi / (b * b)))
         object.__setattr__(self, "ctx_q", QContext(q=q, tol_identity=1e-10))
         object.__setattr__(self, "ctx_qbar", QContext(q=qbar, tol_identity=1e-10))
-
-    @property
-    def b_half(self) -> complex:
-        return cmath.exp(0.5j * self.theta)
-
-    @property
-    def q_quarter(self) -> complex:
-        return cmath.exp(0.25j * cmath.pi * self.b * self.b)
-
-    @property
-    def qbar_quarter(self) -> complex:
-        return cmath.exp(-0.25j * cmath.pi / (self.b * self.b))
-
-
-@dataclass(frozen=True)
-class HyperbolicPoint:
-    """A point (sigma, x); all derived exponentials are recomputed on access."""
-
-    sigma: complex
-    x: complex
-    mc: ModularContext
-
-    @property
-    def u(self) -> complex:
-        return cmath.exp(cmath.pi * self.mc.b * self.x)
-
-    @property
-    def ubar(self) -> complex:
-        return cmath.exp(cmath.pi * self.x / self.mc.b)
-
-    @property
-    def z(self) -> complex:
-        return cmath.exp(-2 * cmath.pi * self.mc.b * self.sigma)
-
-    @property
-    def zbar(self) -> complex:
-        return cmath.exp(-2 * cmath.pi * self.sigma / self.mc.b)
 
 
 def faddeev_phi(x, mc: ModularContext) -> complex:
@@ -135,8 +119,8 @@ def faddeev_phi(x, mc: ModularContext) -> complex:
     b = mc.b
     w_num = cmath.exp(2 * cmath.pi * b * (x + mc.eta))
     w_den = cmath.exp(2 * cmath.pi * (x - mc.eta) / b)
-    num = qpoch_inf(w_num, mc.q ** 2, mc.ctx_q)
-    den = _checked_qpoch(w_den, mc.qbar ** 2, mc.ctx_qbar)
+    num = qpoch_inf(w_num, mc.q2, mc.ctx_q)
+    den = _checked_qpoch(w_den, mc.qbar2, mc.ctx_qbar)
     return num / den
 
 
@@ -157,15 +141,36 @@ def _checked_qpoch(w, nome, ctx) -> complex:
     raise TruncationExhausted("dilogarithm product has no tail")
 
 
-def _chi_pair(pt: HyperbolicPoint):
-    """chi factors of the wavefunction at a point, unbarred and barred."""
-    mc = pt.mc
+def _z_pair(sigma: complex, mc: ModularContext):
+    """z = e^{-2 pi b sigma} and zbar = e^{-2 pi sigma / b}."""
+    return (cmath.exp(-2 * cmath.pi * mc.b * sigma),
+            cmath.exp(-2 * cmath.pi * sigma / mc.b))
+
+
+def _psi_in_sigma(x, mc: ModularContext):
+    """Psi(., x) as a function of (sigma, z, zbar), its x-only factors built once.
+
+    u = e^{pi b x}, ubar = e^{pi x / b}, their reciprocals, H(u) and G(x)
+    depend on x alone; z and zbar come from the caller (see _z_pair), which
+    may share them with the sigma-space norm.
+    """
+    x = complex(x)
+    q, qb = mc.q, mc.qbar
     ctxq, ctxqb = mc.ctx_q, mc.ctx_qbar
-    u, ub = pt.u, pt.ubar
-    z, zb = pt.z, pt.zbar
-    c = lambda uu: chi(ChiParams(uu, z, mc.q), ctxq)
-    cb = lambda uu: chi(ChiParams(uu, zb, mc.qbar), ctxqb)
-    return c(u), c(1 / u), cb(ub), cb(1 / ub)
+    u = cmath.exp(cmath.pi * mc.b * x)
+    ub = cmath.exp(cmath.pi * x / mc.b)
+    iu, iub = 1 / u, 1 / ub
+    h_u = theta_product(ThetaKind.H, u, ctxq)
+    g = (cmath.exp(-1j * cmath.pi / 8 + 0.5j * cmath.pi * x ** 2)
+         / (mc.b_half * mc.q_quarter * h_u))
+
+    def at(sigma, z, zb):
+        phase = cmath.exp(1j * cmath.pi * sigma * x)
+        brack = (phase * chi(ChiParams(iub, zb, qb), ctxqb) * chi(ChiParams(u, z, q), ctxq)
+                 - chi(ChiParams(ub, zb, qb), ctxqb) * chi(ChiParams(iu, z, q), ctxq) / phase)
+        return g * brack
+
+    return at
 
 
 def psi(sigma, x, mc: ModularContext) -> complex:
@@ -173,18 +178,13 @@ def psi(sigma, x, mc: ModularContext) -> complex:
 
     Psi = G(x) (e^{i pi sigma x} chibar(1/ubar) chi(u)
                 - e^{-i pi sigma x} chibar(ubar) chi(1/u)),
-    G(x) = e^{-i pi/8 + i pi x^2/2} / (b^{1/2} q^{1/4} H(u)); the zeros of
-    the theta function H(u) cancel against the bracket, so the whole
-    expression is finite everywhere.
+    G(x) = e^{-i pi/8 + i pi x^2/2} / (b^{1/2} q^{1/4} H(u)), with chi at
+    z = e^{-2 pi b sigma} and chibar at zbar = e^{-2 pi sigma / b}; the
+    zeros of the theta function H(u) cancel against the bracket, so the
+    whole expression is finite everywhere.
     """
-    pt = HyperbolicPoint(complex(sigma), complex(x), mc)
-    c_u, c_iu, cb_ub, cb_iub = _chi_pair(pt)
-    phase = cmath.exp(1j * cmath.pi * pt.sigma * pt.x)
-    brack = phase * cb_iub * c_u - cb_ub * c_iu / phase
-    h_u = theta_product(ThetaKind.H, pt.u, mc.ctx_q)
-    g = (cmath.exp(-1j * cmath.pi / 8 + 0.5j * cmath.pi * pt.x ** 2)
-         / (mc.b_half * mc.q_quarter * h_u))
-    return g * brack
+    sigma = complex(sigma)
+    return _psi_in_sigma(x, mc)(sigma, *_z_pair(sigma, mc))
 
 
 def psi_eigen_check(sigma, x, mc: ModularContext):
@@ -259,18 +259,35 @@ def s_weight(y, mc: ModularContext) -> complex:
 
 def adaptive_midpoint(f, halfwidth: float, n0: int, tol: float,
                       max_doublings: int = 6) -> complex:
-    """Composite midpoint rule on [-L, L], doubling points until certified."""
-    prev = None
+    """Equal-weight rule on a shifted lattice of [-L, L], refined until certified.
+
+    Level 0 sums f over the n = max(n0, 8) nodes -L + h/3 + h k, h = 2L/n.
+    Each refinement adds the n nodes shifted by h/2 to the running sum and
+    halves h, so no node is evaluated twice and none lies at 0; the answer
+    is certified once two successive levels agree within ``tol``.
+    """
     n = max(n0, 8)
-    for _ in range(max_doublings + 1):
-        h = 2.0 * halfwidth / n
-        grid = -halfwidth + h * (np.arange(n) + 0.5)
-        val = h * sum(f(t) for t in grid)
-        if prev is not None and abs(val - prev) < tol:
+    h = 2.0 * halfwidth / n
+    start = -halfwidth + h / 3
+    total = sum(f(t) for t in start + h * np.arange(n))
+    prev = h * total
+    for _ in range(max_doublings):
+        total += sum(f(t) for t in start + h / 2 + h * np.arange(n))
+        n *= 2
+        h /= 2
+        val = h * total
+        if abs(val - prev) < tol:
             return val
         prev = val
-        n *= 2
     raise TruncationExhausted("quadrature did not certify; raise quad_points or tol")
+
+
+def _refuse_undecayed(f, mc: ModularContext, length: float, bound: float) -> None:
+    """WindowTooSmall when the larger |f(+-L)|, times ``length``, exceeds ``bound``."""
+    edge = max(abs(f(mc.quad_halfwidth)), abs(f(-mc.quad_halfwidth)))
+    if edge * length > bound:
+        raise WindowTooSmall(
+            f"integrand magnitude {edge:.3g} at the window edge; raise quad_halfwidth")
 
 
 def weight_V_modular_integral(mu, x, y, mc: ModularContext) -> complex:
@@ -278,22 +295,28 @@ def weight_V_modular_integral(mu, x, y, mc: ModularContext) -> complex:
 
     Integrates e^{2 pi i mu sigma} Psi(sigma, x) Psi(sigma, y) divided by
     the sigma-space norm, against the constant N^{-1}; reproduces the
-    closed form including its scalar Phi(mu).
+    closed form including its scalar Phi(mu).  The x- and y-only factors
+    of the two wavefunctions are built once, and each node computes z and
+    zbar once for the norm and both wavefunctions.
     """
     mu = complex(mu)
-    q, qb = mc.q, mc.qbar
+    q2, qb2 = mc.q2, mc.qbar2
     ctxq, ctxqb = mc.ctx_q, mc.ctx_qbar
     n_const = 2.0 / (mc.q_quarter * mc.qbar_quarter
-                     * qpoch_inf(q * q, q * q, ctxq)
-                     * qpoch_inf(qb * qb, qb * qb, ctxqb))
+                     * qpoch_inf(q2, q2, ctxq) * qpoch_inf(qb2, qb2, ctxqb))
+    psi_x = _psi_in_sigma(x, mc)
+    psi_y = _psi_in_sigma(y, mc)
 
     def integrand(sigma):
-        pt = HyperbolicPoint(complex(sigma), 0.0, mc)
-        norm = (qpoch_inf(pt.z, q * q, ctxq)
-                * qpoch_inf(pt.zbar, qb * qb, ctxqb))
+        sigma = complex(sigma)
+        z, zb = _z_pair(sigma, mc)
+        norm = qpoch_inf(z, q2, ctxq) * qpoch_inf(zb, qb2, ctxqb)
         return (cmath.exp(2j * cmath.pi * mu * sigma)
-                * psi(sigma, x, mc) * psi(sigma, y, mc) / norm)
+                * psi_x(sigma, z, zb) * psi_y(sigma, z, zb) / norm)
 
+    # the integrand falls about e-fold per unit of sigma near the edges, so
+    # |f(+-L)| times one unit estimates the tail the window drops
+    _refuse_undecayed(integrand, mc, 1.0, mc.tol_quad)
     val = adaptive_midpoint(integrand, mc.quad_halfwidth, mc.quad_points,
                             mc.tol_quad / 10.0)
     return val / n_const
@@ -316,10 +339,7 @@ def summation_check_modular(mu, mup, x, z, mc: ModularContext):
         return (_weight_ratio(mu, x, y, mc) * s_weight(y, mc)
                 * _weight_ratio(mup, y, z, mc) * inv_norm)
 
-    edge = max(abs(integrand(mc.quad_halfwidth)), abs(integrand(-mc.quad_halfwidth)))
-    if edge * 2 * mc.quad_halfwidth > mc.tol_quad * 1e-2:
-        raise WindowTooSmall(
-            f"integrand magnitude {edge:.3g} at the window edge; raise quad_halfwidth")
+    _refuse_undecayed(integrand, mc, 2 * mc.quad_halfwidth, mc.tol_quad * 1e-2)
     lhs = adaptive_midpoint(integrand, mc.quad_halfwidth, mc.quad_points,
                             mc.tol_quad / 10.0)
     rhs = weight_V_modular(mu + mup, x, z, mc)

@@ -576,7 +576,8 @@ class ChiParams:
 def chi(params: ChiParams, ctx: QContext) -> complex:
     """chi(u, z) = sum_n (-)^n q^{n(n+1)} (z;q^2)_n / (q^2;q^2)_n u^{2n}.
 
-    Entire in u (terms carry q^{n(n+1)}); truncated by the tail rule.
+    Entire in u (terms carry q^{n(n+1)}); truncated by the tail rule.  The
+    walk carries q^{2n} as a running product.
     """
     q = complex(params.nome)
     q2 = q * q
@@ -585,9 +586,12 @@ def chi(params: ChiParams, ctx: QContext) -> complex:
 
     def terms():
         t = 1.0 + 0.0j
-        for n in count():
+        p = 1.0 + 0.0j  # q^{2n}
+        while True:
             yield t
-            t *= -q2 ** (n + 1) * (1 - z * q2 ** n) * u2 / (1 - q2 ** (n + 1))
+            p_next = p * q2
+            t *= -p_next * (1 - z * p) * u2 / (1 - p_next)
+            p = p_next
 
     return tail_sum(terms(), ctx)
 

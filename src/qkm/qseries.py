@@ -182,7 +182,7 @@ def _log_qpoch_chain(coef, expo, q, ctx: QContext) -> np.ndarray:
     if (first + 5 - lo) // 2 + 1 > ctx.max_terms:
         raise TruncationExhausted(f"no tail within {ctx.max_terms} terms")
     js = np.arange(lo, max(hi, first + 1) + 5)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         args = coef * q ** js.astype(float)
     if not np.all(np.isfinite(args)):
         raise OverflowGuard("q-product argument leaves double range; "

@@ -3,17 +3,18 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from qkm import modular
-from qkm.errors import DomainError, PoleHit, WindowTooSmall
-from qkm.modular import (HyperbolicPoint, ModularContext, adaptive_midpoint,
+from qkm.errors import DomainError, PoleHit, TruncationExhausted, WindowTooSmall
+from qkm.modular import (ModularContext, adaptive_midpoint,
                          faddeev_phi, psi,
                          psi_eigen_check, s_weight, summation_check_modular,
                          weight_V_modular, weight_V_modular_integral,
                          weight_Vbar_modular)
 from qkm.orthopoly import ChiParams, chi
-from qkm.qseries import ThetaKind, theta_product
+from qkm.qseries import ThetaKind, qpoch_inf, theta_product
 from qkm.report import relative_residual
 
 MC = ModularContext(theta=math.pi / 5)
@@ -27,9 +28,29 @@ def test_context_regime_validation():
     assert abs(MC.eta - 1j * math.cos(math.pi / 5)) < 1e-15
 
 
+def _z_pair(s):
+    return (cmath.exp(-2 * cmath.pi * MC.b * s), cmath.exp(-2 * cmath.pi * s / MC.b))
+
+
 def test_derived_point_quantities():
-    pt = HyperbolicPoint(0.3, 0.4, MC)
-    assert abs(pt.u - cmath.exp(cmath.pi * MC.b * 0.4)) < 1e-15
+    # the context's constants are the direct exponentials of theta and b, and
+    # psi is G(x) times its bracket at u = e^{pi b x}, ubar = e^{pi x / b},
+    # z = e^{-2 pi b sigma} and zbar = e^{-2 pi sigma / b}
+    b = MC.b
+    assert MC.q2 == MC.q * MC.q and MC.qbar2 == MC.qbar * MC.qbar
+    assert MC.b_half == cmath.exp(0.5j * MC.theta)
+    assert MC.q_quarter == cmath.exp(0.25j * cmath.pi * b * b)
+    assert MC.qbar_quarter == cmath.exp(-0.25j * cmath.pi / (b * b))
+    s, x = 0.3, 0.4
+    u, ub = cmath.exp(cmath.pi * b * x), cmath.exp(cmath.pi * x / b)
+    z, zb = _z_pair(s)
+    c = lambda uu: chi(ChiParams(uu, z, MC.q), MC.ctx_q)
+    cb = lambda uu: chi(ChiParams(uu, zb, MC.qbar), MC.ctx_qbar)
+    phase = cmath.exp(1j * cmath.pi * s * x)
+    g = (cmath.exp(-1j * cmath.pi / 8 + 0.5j * cmath.pi * x ** 2)
+         / (MC.b_half * MC.q_quarter * theta_product(ThetaKind.H, u, MC.ctx_q)))
+    rebuilt = g * (phase * cb(1 / ub) * c(u) - cb(ub) * c(1 / u) / phase)
+    assert relative_residual(rebuilt, psi(s, x, MC)) < 1e-14
 
 
 def test_dilog_functional_equations():
@@ -94,13 +115,14 @@ def test_psi_modular_partner_consistency():
     # conjugates the explicit phases; rebuilt that way from the barred
     # series, the wavefunction must coincide with itself (it is real)
     s, x = 0.3, 0.4
-    pt = HyperbolicPoint(s, x, MC)
+    u, ub = cmath.exp(cmath.pi * MC.b * x), cmath.exp(cmath.pi * x / MC.b)
+    z, zb = _z_pair(s)
     ctxq, ctxqb = MC.ctx_q, MC.ctx_qbar
-    c = lambda uu: chi(ChiParams(uu, pt.z, MC.q), ctxq)
-    cb = lambda uu: chi(ChiParams(uu, pt.zbar, MC.qbar), ctxqb)
+    c = lambda uu: chi(ChiParams(uu, z, MC.q), ctxq)
+    cb = lambda uu: chi(ChiParams(uu, zb, MC.qbar), ctxqb)
     phase = cmath.exp(1j * cmath.pi * s * x)
-    bracket_swapped = c(1 / pt.u) * cb(pt.ubar) / phase - phase * c(pt.u) * cb(1 / pt.ubar)
-    h_bar = theta_product(ThetaKind.H, pt.ubar, ctxqb)
+    bracket_swapped = c(1 / u) * cb(ub) / phase - phase * c(u) * cb(1 / ub)
+    h_bar = theta_product(ThetaKind.H, ub, ctxqb)
     qbq = cmath.exp(-0.25j * cmath.pi / MC.b ** 2)
     g_swapped = (cmath.exp(1j * cmath.pi / 8 - 0.5j * cmath.pi * x ** 2)
                  / (cmath.exp(-0.5j * MC.theta) * qbq * h_bar))
@@ -195,7 +217,8 @@ def test_default_quadrature_certifies_from_64_points(monkeypatch):
     calls = _record_quadratures(monkeypatch)
     weight_V_modular_integral(0.15j + MC.eta / 3, 0.3, 0.5, MC)
     summation_check_modular(0.2j, 0.25j, 0.3, 0.5, MC)
-    assert [c["evals"] for c in calls] == [64 + 128] * 2
+    # the nested lattice keeps its 64 nodes and adds 64 to certify
+    assert [c["evals"] for c in calls] == [128, 128]
 
 
 def test_default_start_agrees_with_a_512_point_reference(monkeypatch):
@@ -221,3 +244,48 @@ def test_hoisted_summation_integrand_is_the_weight_product(monkeypatch):
         product = (weight_V_modular(mu, x, y, MC) * s_weight(y, MC)
                    * weight_V_modular(mup, y, z, MC))
         assert relative_residual(rec["f"](y), product) < 1e-13
+
+
+@pytest.mark.parametrize("halfwidth, n0", [(8.0, 64), (1.5, 3)])
+def test_nested_lattice_keeps_every_node_and_avoids_zero(halfwidth, n0):
+    nodes = []
+
+    def recording(t):
+        nodes.append(float(t))
+        return math.exp(-t * t)
+
+    # a zero tolerance never certifies, so all 7 levels run
+    with pytest.raises(TruncationExhausted):
+        adaptive_midpoint(recording, halfwidth, n0, 0.0)
+    n = max(n0, 8)
+    h0 = 2 * halfwidth / n
+    assert len(nodes) == n * 2 ** 6
+    assert len(set(nodes)) == len(nodes)
+    for level in range(7):
+        seen = np.sort(nodes[:n * 2 ** level])
+        h = h0 / 2 ** level
+        lattice = -halfwidth + h0 / 3 + h * np.arange(n * 2 ** level)
+        assert np.max(np.abs(seen - lattice)) < 1e-12
+        assert np.min(np.abs(seen)) > 1e-12
+
+
+def test_spectral_integrand_is_psi_times_psi_over_the_norm(monkeypatch):
+    calls = _record_quadratures(monkeypatch)
+    mu, x, y = 0.15j + MC.eta / 3, 0.3, 0.5
+    weight_V_modular_integral(mu, x, y, MC)
+    [rec] = calls
+    for s in (-7.5, -2.0, -0.3, 0.01, 0.45, 1.7, 6.0):
+        s = complex(s)
+        z, zb = _z_pair(s)
+        norm = qpoch_inf(z, MC.q2, MC.ctx_q) * qpoch_inf(zb, MC.qbar2, MC.ctx_qbar)
+        assert rec["f"](s) == (cmath.exp(2j * cmath.pi * mu * s)
+                               * psi(s, x, MC) * psi(s, y, MC) / norm)
+
+
+@pytest.mark.parametrize("theta", [1.0, 1.2])
+def test_spectral_integral_refuses_an_undecayed_window(theta):
+    # |f(-8)| is 4.7e-4 at theta = 1.0 and 0.26 at 1.2, above tol_quad = 1e-4;
+    # the truncated integral missed the closed form by 1.4e-3 and 1.7 there
+    mc = ModularContext(theta=theta)
+    with pytest.raises(WindowTooSmall):
+        weight_V_modular_integral(0.25j + mc.eta / 3, 0.35, 0.15, mc)

@@ -426,3 +426,20 @@ def test_chi_wronskian_grid():
         for z in (0.1, 0.25, 0.4, 0.15 + 0.1j, 0.55):
             r = chi_equation_checks(ChiParams(u, z, 0.4), CTX)
             assert r.params["res_wronskian"] < 1e-9
+
+
+@pytest.mark.parametrize("q", [0.4 + 0.3j, -0.5 + 0.45j, 0.3 * cmath.exp(2j),
+                               cmath.exp(1j * cmath.pi * cmath.exp(0.4j * cmath.pi))])
+def test_chi_matches_a_40_digit_oracle_at_complex_nome(q):
+    # the last nome is the modular q at theta = pi/5
+    # the terms fall below 1e-300 well before n = 60 at every (q, u, z) here
+    ctx = QContext(q=q, tol_identity=1e-10)
+    with mp.workdps(40):
+        qq = mp.mpc(q)
+        for u in (1.3, 0.7 + 0.4j, 2.1j, 1 / (0.7 + 0.4j)):
+            for z in (0.3, 1.5 - 0.6j, 4 + 2j, 3e5 - 1e5j):
+                uu, zz = mp.mpc(u) ** 2, mp.mpc(z)
+                ref = complex(mp.fsum((-1) ** n * qq ** (n * (n + 1)) * mp.qp(zz, qq ** 2, n)
+                                      / mp.qp(qq ** 2, qq ** 2, n) * uu ** n
+                                      for n in range(60)))
+                assert abs(chi(ChiParams(u, z, q), ctx) - ref) < 1e-13 * abs(ref)

@@ -159,6 +159,16 @@ def test_log_qpoch_table_overflowing_argument_is_classified():
             log_qpoch_table(np.zeros(expo.shape), [(1.0, -expo)], 0.4, 1.0, CTX)
 
 
+def test_log_qpoch_table_power_that_divides_by_zero_is_classified():
+    # at q = 1e-8, q^-43 is an infinite power; numpy flags it as a division
+    # by zero, which must stay off stderr and end in the guard, not a warning
+    tiny = QContext(q=1e-8, tol_identity=1e-8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowGuard):
+            log_qpoch_table(0.0, [(2.2222222222222223, np.arange(-43, 5))], 1e-8, 1.0, tiny)
+
+
 def test_truncation_exhausted_raised():
     slow = QContext(q=0.9999, max_terms=50)
     with pytest.raises(TruncationExhausted):
