@@ -1,11 +1,14 @@
 """Fock-space representation, its eigenbasis, and the lattice model built on it.
 
 Contents: the truncated tridiagonal operator and its spectral experiment,
-the basis-change matrices to the eigenbasis (the "V-form"), symmetric
-Clebsch-Gordan coefficients {a,b,c} (three evaluation routes), the edge
-Boltzmann weight V_x(m, m'), its transitivity and star-triangle relations,
-the per-edge partition series, the six-vertex RLL check on the truncated
-space, and the factorised box R-matrix with its intertwining check.
+the basis-change matrices to the eigenbasis (the "V-form"), the symmetric
+coefficients {a,b,c} (three evaluation routes) and the Clebsch-Gordan
+table built from them, the edge Boltzmann weight V_x(m, m'), its
+transitivity and star-triangle relations, the per-edge partition series,
+the six-vertex RLL check on the truncated space, and the factorised box
+R-matrix with its intertwining check.  The (q^2; q^2)_n tables, their
+square roots and the normaliser N_F are built inside the call that needs
+them; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import time
 from dataclasses import dataclass
 from decimal import getcontext
 from enum import Enum
-from functools import lru_cache
 from itertools import count
 
 import numpy as np
@@ -26,16 +28,15 @@ from .errors import (DomainError, EigensolverFailure, OverflowGuard, TailTooFat,
 from .orthopoly import (_cmul, decimal_digits, decimal_sqrt, lattice_brace_sums,
                         overlap_grid, overlap_sum, scaled_poly_values, to_decimal)
 from .qseries import (_first_below, bracket, big_theta4_const, log_qpoch_table,
-                      qpoch_finite, qpoch_finite_table, qpoch_inf, qpoch_inf_multi,
-                      tail_sum)
+                      qpoch_finite_table, qpoch_inf, qpoch_inf_multi, tail_sum)
 from .report import make_report, relative_residual
 
 __all__ = [
     "FockRepParams", "Regularisation", "TruncatedHamiltonian",
     "build_truncated_H", "SpectralReport", "spectral_experiment",
     "VFormMatrices", "vform_matrices", "s_measure", "fock_norm_const",
-    "cg_norm_const", "BraceMethod", "brace", "brace_spin_sums", "CGSide",
-    "cg_coefficient", "weight_V_fock", "weight_V_fock_from_overlaps",
+    "sqrt_qpoch2_table", "BraceMethod", "brace", "brace_spin_sums",
+    "cg_table", "weight_V_fock", "weight_V_fock_from_overlaps",
     "weight_table", "weight_table_from_overlaps",
     "kappa_fock", "transitivity_check_fock", "star_triangle_fock",
     "partition_series_fock", "rll_check", "vbasis_operator_matrices",
@@ -170,15 +171,9 @@ def spectral_experiment(q: float, n_values, regularisation: Regularisation,
     return report
 
 
-@lru_cache(maxsize=128)
 def fock_norm_const(ctx: QContext) -> complex:
     """Normalisation constant -q^{-1/2} (q, q, q^2; q^2)_inf of the V-form."""
     return -ctx.q_pow_half(-1) * big_theta4_const(ctx)
-
-
-def cg_norm_const(ctx: QContext) -> complex:
-    """Normalisation constant -q^{-1/2} (q; q)_inf of the brace sum."""
-    return -ctx.q_pow_half(-1) * qpoch_inf(ctx.q, ctx.q, ctx)
 
 
 def s_measure(m: int, ctx: QContext) -> complex:
@@ -186,10 +181,10 @@ def s_measure(m: int, ctx: QContext) -> complex:
     return (-1) ** m * bracket(ctx.q_pow_half(2 * m + 1))
 
 
-@lru_cache(maxsize=512)
-def _sqrt_qpoch2(ctx: QContext, n: int) -> complex:
-    """Principal square root of (q^2; q^2)_n."""
-    return complex(np.sqrt(qpoch_finite(ctx.q * ctx.q, ctx.q * ctx.q, n) + 0j))
+def sqrt_qpoch2_table(ctx: QContext, n: int) -> np.ndarray:
+    """Principal square roots of (q^2; q^2)_k for k = 0, ..., n."""
+    q2 = ctx.q * ctx.q
+    return np.sqrt(np.array(qpoch_finite_table(q2, q2, n)) + 0j)
 
 
 @dataclass
@@ -228,8 +223,7 @@ def vform_matrices(params: FockRepParams, a_max: int, m_max: int,
     for j, m in enumerate(m_values):
         xi = ctx.q_pow_half(2 * m + 1)
         chi[:, j] = scaled_poly_values(a_max, xi, ctx, scale=ctx.q_pow_half(m * (m + 1)))
-    norms = np.array([_sqrt_qpoch2(ctx, a) for a in range(a_max + 1)])
-    chi /= norms[:, None]
+    chi /= sqrt_qpoch2_table(ctx, a_max)[:, None]
     signs = np.array([(-1) ** a * q ** a for a in range(a_max + 1)])
     chi_bar = (chi * signs[:, None]).T.copy()
     return VFormMatrices(chi=chi, chi_bar=chi_bar, n_f=fock_norm_const(ctx),
@@ -347,29 +341,25 @@ def _brace_recursion(a: int, b: int, c: int, ctx: QContext) -> complex:
     return rec(a, b, c)
 
 
-class CGSide(Enum):
-    KET = "ket"
-    BRA = "bra"
+def cg_table(n: int, c: int, params1: FockRepParams, params2: FockRepParams,
+             omega, ctx: QContext) -> np.ndarray:
+    """Symmetric Clebsch-Gordan coefficients of the two-factor co-product.
 
-
-def cg_coefficient(side: CGSide, a: int, b: int, c: int,
-                   params1: FockRepParams, params2: FockRepParams,
-                   omega, ctx: QContext,
-                   method: BraceMethod = BraceMethod.CLOSED_FORM) -> complex:
-    """Symmetric Clebsch-Gordan coefficient for the two-factor co-product.
-
-    The ket side couples occupation labels (a, b) to the composite label c;
-    the bra side is its dual, differing only in inverted gauge prefactors
-    and the orientation of the (-q omega ratio)^c factor.
+    Entry [a, b] couples the occupation labels a, b <= n to the composite
+    label c: f1^a f2^b f3^c {a, b, c} / sqrt((q^2;q^2)_a (q^2;q^2)_b
+    (q^2;q^2)_c), with every square root read from one table.
     """
     omega = complex(omega)
-    core = brace(a, b, c, ctx, method) / (
-        _sqrt_qpoch2(ctx, a) * _sqrt_qpoch2(ctx, b) * _sqrt_qpoch2(ctx, c))
+    norms = sqrt_qpoch2_table(ctx, max(n, c)).tolist()
     f1 = omega / (params1.lam * params2.omega)
     f2 = params1.omega / (params2.lam * omega)
-    if side is CGSide.KET:
-        return f1 ** a * f2 ** b * (-ctx.q * params2.omega / params1.omega) ** c * core
-    return f1 ** (-a) * f2 ** (-b) * (-ctx.q * params1.omega / params2.omega) ** c * core
+    f3 = (-ctx.q * params2.omega / params1.omega) ** c
+    out = np.empty((n + 1, n + 1), dtype=complex)
+    for a in range(n + 1):
+        for b in range(n + 1):
+            core = brace(a, b, c, ctx) / (norms[a] * norms[b] * norms[c])
+            out[a, b] = f1 ** a * f2 ** b * f3 * core
+    return out
 
 
 def weight_V_fock(x, m: int, mp: int, ctx: QContext) -> complex:

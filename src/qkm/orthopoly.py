@@ -16,14 +16,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Context, Decimal, DivisionByZero, InvalidOperation, Overflow, localcontext
 from enum import Enum
-from functools import lru_cache
 from itertools import count, islice
 
 import numpy as np
 
 from .context import QContext
 from .errors import DegenerateArgument, DomainError, OverflowGuard, TruncationExhausted
-from .qseries import qpoch_finite, qpoch_inf, qpoch_inf_multi, tail_sum, big_theta4_const
+from .qseries import qpoch_finite_table, qpoch_inf, qpoch_inf_multi, tail_sum, big_theta4_const
 from .report import make_report, relative_residual
 
 __all__ = [
@@ -45,18 +44,6 @@ class PolyEvalMethod(Enum):
     EXPLICIT_SUM = "explicit_sum"
     FORWARD_RECURSION = "forward_recursion"
     QSHIFT_RECURSION = "qshift_recursion"
-
-
-@lru_cache(maxsize=4096)
-def _qpoch2_finite(q: complex, n: int) -> complex:
-    """(q^2; q^2)_n, cached per nome."""
-    return qpoch_finite(q * q, q * q, n)
-
-
-@lru_cache(maxsize=65536)
-def _qbinom2(q: complex, n: int, k: int) -> complex:
-    """q^2-binomial coefficient as a ratio of finite Pochhammers."""
-    return _qpoch2_finite(q, n) / (_qpoch2_finite(q, k) * _qpoch2_finite(q, n - k))
 
 
 def _guard_scale(n: int, q: complex):
@@ -81,9 +68,11 @@ def poly_P(n: int, xi, ctx: QContext,
     q = ctx.q
     _guard_scale(n, q)
     if method is PolyEvalMethod.EXPLICIT_SUM:
+        poch = qpoch_finite_table(q * q, q * q, n)  # (q^2; q^2)_k for k <= n
         total = 0.0 + 0.0j
         for k in range(n + 1):
-            total += xi ** (2 * k - n) * q ** (-2 * k * (n - k)) * _qbinom2(q, n, k)
+            total += (xi ** (2 * k - n) * q ** (-2 * k * (n - k))
+                      * (poch[n] / (poch[k] * poch[n - k])))
         return total
     if method is PolyEvalMethod.FORWARD_RECURSION:
         prev, cur = 0.0 + 0.0j, 1.0 + 0.0j  # P_{-1} (unused), P_0

@@ -144,8 +144,11 @@ def refuse_cancellation(ratio: float, tol: float, what: str):
     Rounding the largest terms alone leaves an error of about ratio * eps;
     once ten times that exceeds the tolerance, the sum cannot tell a true
     identity from a false one, and the check is refused with the number of
-    digits lost.
+    digits lost.  A ratio that is not finite (a peak or a value that left
+    double range, such as 0 / 0) is refused as well.
     """
+    if not math.isfinite(ratio):
+        raise DomainError(f"{what} leaves double range: its peak-to-value ratio is {ratio}")
     if 10 * ratio * np.finfo(float).eps > tol:
         raise DomainError(f"{what} loses {math.log10(ratio):.1f} of 16 digits to "
                           f"cancellation, too many for the tolerance {tol:g}")
@@ -369,8 +372,7 @@ def _cg(run):
     p2 = fock.FockRepParams(omega=0.8, lam=1.1)
     omega = 1.05
     a_dim = 12
-    c0 = np.array([[fock.cg_coefficient(fock.CGSide.KET, a, b, 0, p1, p2, omega, ctx)
-                    for b in range(a_dim + 1)] for a in range(a_dim + 1)])
+    c0 = fock.cg_table(a_dim, 0, p1, p2, omega, ctx)
     worst_vac = 0.0
     for a in range(a_dim - 1):
         for b in range(a_dim - 1):
@@ -382,9 +384,7 @@ def _cg(run):
     worst_raise = 0.0
     prev = c0
     for c in range(6):
-        nxt = np.array([[fock.cg_coefficient(fock.CGSide.KET, a, b, c + 1, p1, p2,
-                                             omega, ctx)
-                         for b in range(a_dim + 1)] for a in range(a_dim + 1)])
+        nxt = fock.cg_table(a_dim, c + 1, p1, p2, omega, ctx)
         for a in range(1, a_dim - 1):
             for b in range(1, a_dim - 1):
                 lhs = (np.sqrt(1 - q ** (2 * a)) * np.sqrt(1 - q ** (2 * b))
@@ -407,7 +407,9 @@ def _weight_closed_vs_sum(run):
             x = x / abs(x) * (1 - (1 - abs(x)) * s)
         tab = fock.weight_table(x, range(7), range(7), ctx)
         sums, peaks = fock.weight_table_from_overlaps(x, range(7), range(7), ctx)
-        refuse_cancellation(np.max(peaks / np.abs(sums)), run.tol, "the occupation sum")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.max(peaks / np.abs(sums))
+        refuse_cancellation(ratio, run.tol, "the occupation sum")
         worst = 0.0
         for m in range(7):
             for mp in range(7):

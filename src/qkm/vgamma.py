@@ -20,7 +20,7 @@ import numpy as np
 from .context import QContext
 from .errors import (DomainError, OverflowGuard, PoleHit, SingularMeasure,
                      TailTooFat, TruncationExhausted)
-from .fock import _sqrt_qpoch2, brace
+from .fock import brace, sqrt_qpoch2_table
 from .orthopoly import lattice_brace_sums, overlap_sum, scaled_poly_values
 from .qseries import (ThetaKind, bilateral_terms, bracket, log_qpoch_table,
                       qpoch_inf, qpoch_inf_multi, tail_sum, theta_product)
@@ -119,7 +119,7 @@ def vgamma_decomposition(gc: GammaContext, mu, a_max: int,
     ket = np.empty((2, a_max + 1, n_m), dtype=complex)
     bra = np.empty((2, n_m, a_max + 1), dtype=complex)
     n_gamma = gamma_norm_const(gc, ctx)
-    norms = np.array([_sqrt_qpoch2(ctx, a) for a in range(a_max + 1)])
+    norms = sqrt_qpoch2_table(ctx, a_max)
     a_range = np.arange(a_max + 1)
     mu_pow = mu ** a_range
     q_pow = q ** a_range

@@ -199,18 +199,18 @@ def test_coproduct_checks_do_matrix_work(monkeypatch):
     monkeypatch.setattr(fock, "transitivity_check_fock",
                         counted("transitivity", fock.transitivity_check_fock))
     monkeypatch.setattr(np, "kron", counted("kron", np.kron))
-    finite = counted("qpoch_finite", qseries.qpoch_finite)
-    for module in (qseries, fock, orthopoly):
-        monkeypatch.setattr(module, "qpoch_finite", finite)
+    monkeypatch.setattr(qseries, "qpoch_finite", counted("qpoch_finite", qseries.qpoch_finite))
     rc, _ = run_cli(["verify", "--format", "json"])
     assert rc == 0
     # one window per transitivity pair, read off the summands' decay rate
     assert calls["transitivity"] == 3
     # the box check applies L1 (x) L2 as two one-index products
     assert calls["kron"] == 0
-    # closed-form braces read one prefix table each: 62 calls a default run,
-    # against 20079 with one q-product per factor
-    assert calls["qpoch_finite"] <= 93
+    # closed-form braces, the cg norms and the explicit sum read (q^2;q^2)_n
+    # from prefix tables: no library module calls the scalar q-product,
+    # against 20079 calls with one q-product per factor
+    assert not any(hasattr(module, "qpoch_finite") for module in (fock, orthopoly))
+    assert calls["qpoch_finite"] == 0
 
 
 def test_jobs_flag_rejected():

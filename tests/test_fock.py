@@ -1,6 +1,10 @@
 """Tests for the Fock-space sector: spectra, braces, weights, lattice relations."""
 
 import cmath
+import gc
+import importlib
+import pkgutil
+import tracemalloc
 import warnings
 from itertools import combinations_with_replacement, product
 
@@ -8,22 +12,22 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import qkm
 from qkm import fock
 from qkm.context import QContext
 from qkm.errors import DomainError, OverflowGuard, TailTooFat
-from qkm.fock import (BraceMethod, CGSide, FockRepParams, Regularisation,
+from qkm.fock import (BraceMethod, FockRepParams, Regularisation,
                       TruncatedHamiltonian, box_intertwining_check,
                       box_rmatrix_fock, brace, brace_spin_sums,
-                      build_truncated_H,
-                      cg_coefficient, cg_norm_const, fock_norm_const,
+                      build_truncated_H, cg_table, fock_norm_const,
                       kappa_fock, partition_series_fock, rll_check, s_measure,
-                      spectral_experiment, star_triangle_fock,
+                      spectral_experiment, sqrt_qpoch2_table, star_triangle_fock,
                       transitivity_check_fock, vbasis_operator_matrices,
                       vform_matrices, weight_table, weight_table_from_overlaps,
-                      weight_V_fock, weight_V_fock_from_overlaps, _brace_closed,
-                      _sqrt_qpoch2)
-from qkm.orthopoly import decimal_digits, lattice_brace_sums
-from qkm.qseries import bracket, qpoch_finite, qpoch_inf_multi
+                      weight_V_fock, weight_V_fock_from_overlaps, _brace_closed)
+from qkm.orthopoly import PolyEvalMethod, decimal_digits, lattice_brace_sums, poly_P
+from qkm.qseries import bracket, qpoch_finite, qpoch_inf, qpoch_inf_multi
+from qkm.vgamma import GammaContext, vgamma_decomposition
 
 CTX = QContext(q=0.4)
 Q = 0.4
@@ -153,11 +157,6 @@ def test_brace_spin_sums_are_the_lattice_kernel_at_gamma_q_half(q):
     *totals, norm = lattice_brace_sums([*box, (0, 0, 0)], ctx.q_half, (1, -1), 30, ctx)[0]
     for spin, total in zip(brace_spin_sums(box, ctx), totals):
         assert abs(spin - complex(total / norm)) <= 1e-10 * abs(spin)
-    with mp.workdps(40):
-        mq = mp.mpc(q)
-        norm_mp = complex(-mp.qp(mq, mq) / mp.sqrt(mq))
-    norm_double = cg_norm_const(QContext(q=q, tol_identity=1e-15))
-    assert abs(norm_mp - norm_double) <= 1e-14 * abs(norm_double)
     assert brace_spin_sums([], ctx) == []
 
 
@@ -185,12 +184,47 @@ def test_spin_sum_norm_matches_mpmath(r):
 
 
 def test_brace_recursion_memo_lives_in_one_call():
-    # nothing is kept between calls: a fresh context per call fills no cache
-    assert not hasattr(fock._brace_recursion, "cache_info")
+    # nothing is kept between calls: no function of the library carries a
+    # process-wide cache, so a fresh context per call fills none
+    modules = [importlib.import_module(f"qkm.{info.name}")
+               for info in pkgutil.iter_modules(qkm.__path__)]
+    cached = [f"{module.__name__}.{name}"
+              for module in modules for name, value in vars(module).items()
+              if callable(value) and hasattr(value, "cache_info")]
+    assert cached == []
     ctx = QContext(q=0.35 * cmath.exp(0.2j))
     first = brace(3, 2, 4, ctx, BraceMethod.RECURSION)
     assert brace(3, 2, 4, QContext(q=ctx.q), BraceMethod.RECURSION) == first
     assert abs(first - brace(3, 2, 4, ctx)) <= 1e-12 * abs(first)
+
+
+def test_q_tables_are_not_retained():
+    contexts = []  # kept alive, so anything stored on a context shows
+
+    def point(k):
+        ctx = QContext(q=0.3 + 0.01 * k)
+        contexts.append(ctx)
+        poly_P(8, 0.7 * cmath.exp(0.1j * k), ctx, PolyEvalMethod.EXPLICIT_SUM)
+        vform_matrices(FockRepParams(), 10, 20, ctx)
+        vgamma_decomposition(GammaContext(gamma=0.7 * cmath.exp(0.4j), m_window=10),
+                             1.1, 8, ctx)
+        cg_table(6, 2, P1, P2, OMEGA, ctx)
+        weight_V_fock(0.7, 1, 2, ctx)
+
+    point(-1)  # imports and first-use set-up
+    contexts.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for k in range(20):
+            point(k)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the 20 contexts take ~7 KB; caching (q^2;q^2)_n, its square roots
+    # and N_F per nome keeps about 6 KB a point, 120 KB in all
+    assert retained < 32 * 1024
 
 
 def test_brace_permutation_symmetry():
@@ -206,20 +240,45 @@ OMEGA = 1.05
 
 
 def test_cg_vacuum_closed_form():
+    c0 = cg_table(4, 0, P1, P2, OMEGA, CTX)
+    norms = sqrt_qpoch2_table(CTX, 4)
+    assert c0.shape == (5, 5)
     for a in range(5):
         for b in range(5):
-            v = cg_coefficient(CGSide.KET, a, b, 0, P1, P2, OMEGA, CTX)
             f1 = OMEGA / (P1.lam * P2.omega)
             f2 = P1.omega / (P2.lam * OMEGA)
-            expect = (f1 ** a * f2 ** b * Q ** (a * b)
-                      / (_sqrt_qpoch2(CTX, a) * _sqrt_qpoch2(CTX, b)))
-            assert abs(v - expect) < 1e-13
+            expect = f1 ** a * f2 ** b * Q ** (a * b) / (norms[a] * norms[b])
+            assert abs(c0[a, b] - expect) < 1e-13
+
+
+def test_sqrt_qpoch2_table_is_the_principal_root():
+    for q in (0.4, -0.3, 0.3 + 0.1j, 0.35 * cmath.exp(2.5j)):
+        ctx = QContext(q=q)
+        roots = sqrt_qpoch2_table(ctx, 6)
+        assert roots.shape == (7,)
+        for n, root in enumerate(roots):
+            assert root == np.sqrt(qpoch_finite(q * q, q * q, n) + 0j)
+            assert root.real > 0
+
+
+def test_cg_table_reads_the_table_of_its_largest_label():
+    # c above n still finds its norm, and every entry is f1^a f2^b f3^c
+    # {a,b,c} / sqrt((q^2;q^2)_a (q^2;q^2)_b (q^2;q^2)_c)
+    tab = cg_table(2, 5, P1, P2, OMEGA, CTX)
+    norms = sqrt_qpoch2_table(CTX, 5)
+    f1 = OMEGA / (P1.lam * P2.omega)
+    f2 = P1.omega / (P2.lam * OMEGA)
+    f3 = -Q * P2.omega / P1.omega
+    for a in range(3):
+        for b in range(3):
+            expect = (f1 ** a * f2 ** b * f3 ** 5 * brace(a, b, 5, CTX)
+                      / (norms[a] * norms[b] * norms[5]))
+            assert abs(tab[a, b] - expect) <= 1e-14 * abs(expect)
 
 
 def test_cg_vacuum_annihilation():
     dim = 12
-    c0 = np.array([[cg_coefficient(CGSide.KET, a, b, 0, P1, P2, OMEGA, CTX)
-                    for b in range(dim + 1)] for a in range(dim + 1)])
+    c0 = cg_table(dim, 0, P1, P2, OMEGA, CTX)
     worst = 0.0
     for a in range(dim - 1):
         for b in range(dim - 1):
@@ -232,11 +291,9 @@ def test_cg_vacuum_annihilation():
 
 def test_cg_raising_identity():
     dim = 10
-    prev = np.array([[cg_coefficient(CGSide.KET, a, b, 0, P1, P2, OMEGA, CTX)
-                      for b in range(dim + 1)] for a in range(dim + 1)])
+    prev = cg_table(dim, 0, P1, P2, OMEGA, CTX)
     for c in range(6):
-        nxt = np.array([[cg_coefficient(CGSide.KET, a, b, c + 1, P1, P2, OMEGA, CTX)
-                         for b in range(dim + 1)] for a in range(dim + 1)])
+        nxt = cg_table(dim, c + 1, P1, P2, OMEGA, CTX)
         for a in range(1, dim - 1):
             for b in range(1, dim - 1):
                 lhs = (np.sqrt((1 - Q ** (2 * a)) * (1 - Q ** (2 * b)))
@@ -251,10 +308,11 @@ def test_brace_spin_sum_route_matches_cg_kernel():
     # the weighted eigenbasis triple sum equals (-q)^c {a,b,c} / norms
     vm = vform_matrices(FockRepParams(), 10, 60, CTX)
     meas = np.array([s_measure(int(m), CTX) for m in vm.m_values])
+    norm = -CTX.q_pow_half(-1) * qpoch_inf(Q, Q, CTX)  # -q^{-1/2} (q; q)_inf
+    roots = sqrt_qpoch2_table(CTX, 4)
     for (a, b, c) in ((0, 0, 0), (1, 2, 1), (3, 1, 2), (4, 4, 3)):
-        lhs = np.sum(vm.chi[a] * vm.chi[b] * meas * vm.chi_bar[:, c]) / cg_norm_const(CTX)
-        rhs = ((-Q) ** c * brace(a, b, c, CTX)
-               / (_sqrt_qpoch2(CTX, a) * _sqrt_qpoch2(CTX, b) * _sqrt_qpoch2(CTX, c)))
+        lhs = np.sum(vm.chi[a] * vm.chi[b] * meas * vm.chi_bar[:, c]) / norm
+        rhs = (-Q) ** c * brace(a, b, c, CTX) / (roots[a] * roots[b] * roots[c])
         assert abs(lhs - rhs) < 1e-10 * abs(rhs)
 
 

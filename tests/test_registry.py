@@ -2,6 +2,7 @@
 
 import io
 import json
+import warnings
 from collections import Counter
 
 import pytest
@@ -172,6 +173,23 @@ def test_refuse_cancellation_bound():
     registry.refuse_cancellation(4.5e5, 1e-9, "a sum")
     with pytest.raises(registry.DomainError, match="a sum loses 5.7 of 16 digits"):
         registry.refuse_cancellation(5e5, 1e-9, "a sum")
+
+
+@pytest.mark.parametrize("ratio", [float("nan"), float("inf")])
+def test_refuse_cancellation_refuses_a_ratio_out_of_range(ratio):
+    with pytest.raises(registry.DomainError, match="a sum leaves double range"):
+        registry.refuse_cancellation(ratio, 1e-9, "a sum")
+
+
+def test_occupation_sum_out_of_range_is_refused_without_a_warning():
+    # at q = 1e-8 the factor q^{m(m+1)/2} of the occupation sums underflows
+    # to 0, so their peak-to-value ratio is 0 / 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [rep] = run_suite(RunConfig(q=1e-8, filter="fock.weight_closed*"))
+    assert rep.verdict == "SKIPPED"
+    assert rep.params["skip_reason"].startswith(
+        "DomainError: the occupation sum leaves double range")
 
 
 def test_generic_gamma_of_brace_entry_is_refused_as_a_domain_error():
