@@ -13,10 +13,6 @@ class TruncationExhausted(QkmError):
     """A series or product hit the hard term cap before its tail criterion."""
 
 
-class RepresentationMismatch(QkmError):
-    """Sum and product evaluations of the same function disagree (truncation bug)."""
-
-
 class DegenerateArgument(QkmError):
     """A difference quotient is evaluated too close to its singular point."""
 

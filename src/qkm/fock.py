@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from decimal import getcontext
 from enum import Enum
-from itertools import count
+from itertools import count, product
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .orthopoly import (_cmul, decimal_digits, decimal_sqrt, lattice_brace_sums,
                         overlap_grid, overlap_sum, scaled_poly_values, to_decimal)
 from .qseries import (_first_below, bracket, big_theta4_const, log_qpoch_table,
                       qpoch_finite_table, qpoch_inf, qpoch_inf_multi, tail_sum)
-from .report import make_report, relative_residual
+from .report import make_report, relative_residual, worst_residual
 
 __all__ = [
     "FockRepParams", "Regularisation", "TruncatedHamiltonian",
@@ -40,7 +40,7 @@ __all__ = [
     "weight_table", "weight_table_from_overlaps",
     "kappa_fock", "transitivity_check_fock", "star_triangle_fock",
     "partition_series_fock", "rll_check", "vbasis_operator_matrices",
-    "box_rmatrix_fock", "box_intertwining_check",
+    "box_intertwining_check",
 ]
 
 _SPIN_SUM_DPS = 40  # working digits of the brace spin sums
@@ -71,7 +71,6 @@ class TruncatedHamiltonian:
     """Finite section of the tridiagonal operator, with its boundary rule."""
     n: int
     regularisation: Regularisation
-    lambda_over_mu: complex = 1.0
 
     def __post_init__(self):
         if self.n < 1:
@@ -84,18 +83,18 @@ def build_truncated_H(params: TruncatedHamiltonian, ctx: QContext) -> np.ndarray
     Interior rows are the exact difference equation; the last row closes
     the out-of-range term psi_{N+1} by the selected boundary rule:
     I: psi_{N+1} = (mu/lam) psi_N, II: the same with a minus sign,
-    III: psi_{N+1} = 0.
+    III: psi_{N+1} = 0.  The gauge ratio lam/mu is 1: a diagonal similarity
+    removes it exactly, so the spectrum does not depend on it.
     """
     n = params.n
-    t = complex(params.lambda_over_mu)
     q = ctx.q
     h = np.zeros((n + 1, n + 1), dtype=complex)
     for a in range(n + 1):
         pref = ctx.q_pow_half(-2 * a - 1)
         if a + 1 <= n:
-            h[a, a + 1] = pref * t * np.sqrt(1 - q ** (2 * a + 2))
+            h[a, a + 1] = pref * np.sqrt(1 - q ** (2 * a + 2))
         if a - 1 >= 0:
-            h[a, a - 1] = -pref / t * np.sqrt(1 - q ** (2 * a))
+            h[a, a - 1] = -pref * np.sqrt(1 - q ** (2 * a))
     edge = ctx.q_pow_half(-2 * n - 1) * np.sqrt(1 - q ** (2 * n + 2))
     if params.regularisation is Regularisation.I:
         h[n, n] += edge
@@ -240,11 +239,10 @@ def _brace_guard(a: int, b: int, c: int, q: complex):
     if min(a, b, c) < 0:
         raise DomainError("brace indices must be nonnegative")
     s = a + b + c
-    worst = 0.0
     ln_inv_q = np.log(1.0 / abs(q))
-    for k in range(min(a, b, c) + 1):
-        worst = max(worst, (2 * k * s + k - 3 * k * k - (a * b + a * c + b * c)) * ln_inv_q)
-    if worst > 690.0 or max(a, b, c) > 30:
+    log_peak = max((2 * k * s + k - 3 * k * k - (a * b + a * c + b * c)) * ln_inv_q
+                   for k in range(min(a, b, c) + 1))
+    if log_peak > 690.0 or max(a, b, c) > 30:
         raise OverflowGuard("brace indices too large for double precision; reduce (a, b, c)")
 
 
@@ -523,11 +521,11 @@ def star_triangle_fock(x, y, spins, m_sum: int, ctx: QContext,
             lhs = summands.sum()
             rhs = r * tab_qy[m_a, m_c] * tab_xy[m_a, m_b] * tab_qx[m_b, m_c]
         residuals.append(relative_residual(lhs, rhs))
-    worst = int(np.argmax(residuals))  # the first NaN, if any, is the worst
+    worst = int(np.argmax(residuals))  # the first worst triple, or the first NaN
     return make_report("fock.star_triangle.4_49",
                        {"x": x, "y": y, "spins": spins, "q": q, "perturb_r": perturb_r,
                         "boundary": boundary, "worst_at": spins[worst]},
-                       residuals[worst], ctx.tol_identity, started)
+                       worst_residual(residuals), ctx.tol_identity, started)
 
 
 def partition_series_fock(x, ctx: QContext) -> complex:
@@ -549,18 +547,18 @@ def partition_series_fock(x, ctx: QContext) -> complex:
     return tail_sum(terms(), ctx)
 
 
-def _fock_rep_matrices(lam, a_max: int, ctx: QContext):
-    """Occupation-basis generator matrices truncated to a <= a_max (sign label +1)."""
+def _fock_rep_matrices(a_max: int, ctx: QContext):
+    """Occupation-basis generator matrices truncated to a <= a_max (sign label +1,
+    ladder gauge 1)."""
     q = ctx.q
-    lam = complex(lam)
     dim = a_max + 1
     k0 = np.diag([ctx.q_pow_half(2 * a + 1) for a in range(dim)]).astype(complex)
     em = np.zeros((dim, dim), dtype=complex)
     ep = np.zeros((dim, dim), dtype=complex)
     for a in range(1, dim):
-        em[a - 1, a] = lam * np.sqrt(1 - q ** (2 * a))
+        em[a - 1, a] = np.sqrt(1 - q ** (2 * a))
     for a in range(dim - 1):
-        ep[a + 1, a] = np.sqrt(1 - q ** (2 * a + 2)) / lam
+        ep[a + 1, a] = np.sqrt(1 - q ** (2 * a + 2))
     return em, ep, k0
 
 
@@ -578,7 +576,7 @@ def rll_check(lam, mu_spec, a_max: int, ctx: QContext,
     lam = complex(lam)
     mu = complex(mu_spec)
     q = ctx.q
-    em, ep, k0 = _fock_rep_matrices(1.0, a_max, ctx)
+    em, ep, k0 = _fock_rep_matrices(a_max, ctx)
 
     def l_matrix(spectral):
         entries = [[em, -k0 / spectral], [spectral * k0, ep]]
@@ -598,35 +596,35 @@ def rll_check(lam, mu_spec, a_max: int, ctx: QContext,
 
     dim = a_max + 1
     block = slice(0, max(dim - 2, 1))
-    worst = 0.0
-    for i1 in range(2):
-        for i2 in range(2):
-            for k1 in range(2):
-                for k2 in range(2):
-                    lhs = np.zeros((dim, dim), dtype=complex)
-                    rhs = np.zeros((dim, dim), dtype=complex)
-                    for j1 in range(2):
-                        for j2 in range(2):
-                            lhs += r[i1, i2, j1, j2] * (l_lam[j1][k1] @ l_mu[j2][k2])
-                            rhs += (l_mu[i2][j2] @ l_lam[i1][j1]) * r[j1, j2, k1, k2]
-                    diff = np.max(np.abs(lhs[block, block] - rhs[block, block]))
-                    scale = max(np.max(np.abs(lhs[block, block])),
-                                np.max(np.abs(rhs[block, block])), 1e-300)
-                    worst = max(worst, diff / scale)
+
+    def residual(i1, i2, k1, k2):
+        lhs = np.zeros((dim, dim), dtype=complex)
+        rhs = np.zeros((dim, dim), dtype=complex)
+        for j1 in range(2):
+            for j2 in range(2):
+                lhs += r[i1, i2, j1, j2] * (l_lam[j1][k1] @ l_mu[j2][k2])
+                rhs += (l_mu[i2][j2] @ l_lam[i1][j1]) * r[j1, j2, k1, k2]
+        diff = np.max(np.abs(lhs[block, block] - rhs[block, block]))
+        scale = max(np.max(np.abs(lhs[block, block])),
+                    np.max(np.abs(rhs[block, block])), 1e-300)
+        return diff / scale
+
+    worst = worst_residual(residual(*aux) for aux in product(range(2), repeat=4))
     return make_report("fock.rll.2_15",
                        {"lam": lam, "mu": mu, "a_max": a_max,
                         "sigma_x": sigma_x, "scramble": scramble},
                        worst, ctx.tol_identity, started)
 
 
-def vbasis_operator_matrices(omega, mu, m_cut: int, ctx: QContext) -> dict:
-    """Generator matrices in the eigenbasis, folded onto spins m >= 0.
+def vbasis_operator_matrices(mu, m_cut: int, ctx: QContext) -> dict:
+    """Generator matrices K0, Ep and Em in the eigenbasis, folded onto spins m >= 0.
 
     The basis vectors with labels m and -1-m coincide, so the action that
     lowers m = 0 to m = -1 folds back into the m = 0 row.  Entries follow
-    the two-term shift action with unit normalisation of the basis.
+    the two-term shift action with unit normalisation of the basis.  The
+    central parameter omega enters only through K = omega K0 and
+    K' = K0 / omega, which the co-product applies as scalars.
     """
-    omega = complex(omega)
     mu = complex(mu)
     dim = m_cut + 1
     k0 = np.zeros((dim, dim), dtype=complex)
@@ -648,22 +646,7 @@ def vbasis_operator_matrices(omega, mu, m_cut: int, ctx: QContext) -> dict:
         add(ep, m + 1, m, -1.0 / (xi * mu * br))
         add(em, m + 1, m, mu * xi / br)
         add(em, m - 1, m, -mu / (xi * br))
-    return {"K0": k0, "K": omega * k0, "Kp": k0 / omega, "Ep": ep, "Em": em}
-
-
-def box_rmatrix_fock(x, xp, y, yp, spins, ctx: QContext) -> complex:
-    """Factorised box R-matrix element at spins (m1, m2, m1', m2').
-
-    Four-factor product of edge weights; the diagonal factors take the
-    sign label -1, which turns them into weights at arguments y/x' and
-    q^2 y'/x.
-    """
-    m1, m2, m1p, m2p = spins
-    q = ctx.q
-    return (weight_V_fock(y / xp, m1, m2, ctx)
-            * weight_V_fock(x / y, m1, m1p, ctx)
-            * weight_V_fock(xp / yp, m2, m2p, ctx)
-            * weight_V_fock(q * q * yp / x, m1p, m2p, ctx))
+    return {"K0": k0, "Ep": ep, "Em": em}
 
 
 def _coproduct_apply(ops_a, ops_b, omegas, t, rows, n: int) -> list[np.ndarray]:
@@ -732,8 +715,8 @@ def box_intertwining_check(x, xp, y, yp, m_cut: int, ctx: QContext):
     s_box *= (np.multiply.outer(meas, meas) * a_tab)[:, :, None, None]
     s_box *= d_tab[None, None, :, :]
 
-    ops1 = vbasis_operator_matrices(omega1, mu1, m_cut, ctx)
-    ops2 = vbasis_operator_matrices(omega2, mu2, m_cut, ctx)
+    ops1 = vbasis_operator_matrices(mu1, m_cut, ctx)
+    ops2 = vbasis_operator_matrices(mu2, m_cut, ctx)
     ops1_t, ops2_t = ({name: m.T for name, m in ops.items()} for ops in (ops1, ops2))
     n = dim - 1
     s_t = np.ascontiguousarray(s_box.transpose(2, 3, 0, 1)[:, :, :n, :n])
@@ -749,11 +732,8 @@ def box_intertwining_check(x, xp, y, yp, m_cut: int, ctx: QContext):
             diff = lhs[i] - rhs[i].transpose(3, 1, 4, 0, 2)
             for j, part in enumerate((lhs[i], rhs[i], diff)):
                 tops[j, i] = np.maximum(tops[j, i], np.abs(part).max(axis=(0, 2, 3, 4)))
-    worst = 0.0
-    for i in range(2):
-        for k in range(2):
-            scale = max(tops[0, i, k], tops[1, i, k], 1e-300)
-            worst = max(worst, tops[2, i, k] / scale)
+    worst = worst_residual(tops[2, i, k] / max(tops[0, i, k], tops[1, i, k], 1e-300)
+                           for i in range(2) for k in range(2))
     return make_report("fock.box_intertwine.4_54",
                        {"x": x, "xp": xp, "y": y, "yp": yp, "m_cut": m_cut},
                        worst, ctx.tol_identity, started)

@@ -30,7 +30,9 @@ per unit of sigma near L = 8 (the tail beyond the window measured 0.66 to
 |f(+-L)| is about the tail the window drops, and the spectral integral is
 refused when it exceeds tol_quad: at most 7.2e-7 at the default
 theta = pi/5 and 2.8e-5 at 0.9, but 4.7e-4 at 1.0, where the truncated
-integral missed the closed form by 1.4e-3.
+integral missed the closed form by 1.4e-3.  An edge value that is not
+finite is refused with OverflowGuard: at theta <= 0.25 Psi Psi and the
+sigma-space norm both overflow at sigma = -8.
 """
 
 from __future__ import annotations
@@ -43,10 +45,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .context import QContext
-from .errors import DomainError, PoleHit, TruncationExhausted, WindowTooSmall
+from .errors import DomainError, OverflowGuard, PoleHit, TruncationExhausted, WindowTooSmall
 from .orthopoly import ChiParams, chi
 from .qseries import ThetaKind, qpoch_inf, theta_product
-from .report import make_report, relative_residual
+from .report import make_report, relative_residual, worst_residual
 
 __all__ = [
     "ModularContext", "faddeev_phi",
@@ -212,7 +214,7 @@ def psi_eigen_check(sigma, x, mc: ModularContext):
     return make_report("modular.psi_eigen.6_14",
                        {"sigma": sigma, "x": x, "theta": mc.theta,
                         "res_b": res1, "res_binv": res2},
-                       max(res1, res2), 1e-7, started)
+                       worst_residual((res1, res2)), 1e-7, started)
 
 
 def phi_mu(mu, mc: ModularContext) -> complex:
@@ -283,8 +285,16 @@ def adaptive_midpoint(f, halfwidth: float, n0: int, tol: float,
 
 
 def _refuse_undecayed(f, mc: ModularContext, length: float, bound: float) -> None:
-    """WindowTooSmall when the larger |f(+-L)|, times ``length``, exceeds ``bound``."""
-    edge = max(abs(f(mc.quad_halfwidth)), abs(f(-mc.quad_halfwidth)))
+    """WindowTooSmall when the larger |f(+-L)|, times ``length``, exceeds ``bound``.
+
+    An edge value that is not finite (the integrand overflowed there) is
+    refused with OverflowGuard, since no window width would mend it.
+    """
+    edges = (abs(f(mc.quad_halfwidth)), abs(f(-mc.quad_halfwidth)))
+    if not all(map(math.isfinite, edges)):
+        raise OverflowGuard(f"integrand magnitudes {edges[0]:.3g}, {edges[1]:.3g} at the "
+                            "window edges +-L leave double range")
+    edge = max(edges)
     if edge * length > bound:
         raise WindowTooSmall(
             f"integrand magnitude {edge:.3g} at the window edge; raise quad_halfwidth")

@@ -23,7 +23,7 @@ import numpy as np
 from .context import QContext
 from .errors import DegenerateArgument, DomainError, OverflowGuard, TruncationExhausted
 from .qseries import qpoch_finite_table, qpoch_inf, qpoch_inf_multi, tail_sum, big_theta4_const
-from .report import make_report, relative_residual
+from .report import make_report, relative_residual, worst_residual
 
 __all__ = [
     "PolyEvalMethod", "poly_P", "poly_rows", "scaled_poly_iter",
@@ -390,7 +390,7 @@ def poly_P_difference_checks(n: int, xi, ctx: QContext):
     else:
         lhs = (1 - q ** (-2 * n)) * poly_P(n - 1, xi, ctx)
         res_back = relative_residual(lhs, q ** (-n) * (p_up - p_dn) / br)
-    res = max(res_fwd, res_back)
+    res = worst_residual((res_fwd, res_back))
     return make_report("orthopoly.difference.B_4_B_5",
                        {"n": n, "xi": xi, "q": q,
                         "res_difference": res_fwd, "res_backward": res_back},
@@ -437,7 +437,7 @@ def genfun_checks(z, u, v, ctx: QContext):
             / qpoch_inf(z * z / (q * q), q * q, ctx))
     res2 = relative_residual(lhs2, rhs2)
 
-    res = max(res1, res2)
+    res = worst_residual((res1, res2))
     return make_report("orthopoly.genfun.B_6_B_7",
                        {"z": z, "u": u, "v": v, "q": q,
                         "res_single": res1, "res_double": res2},
@@ -617,7 +617,7 @@ def chi_equation_checks(params: ChiParams, ctx: QContext):
     rhs_w = qpoch_inf_multi((u * u, q * q / (u * u), z), q * q, ctx)
     res_w = relative_residual(lhs_w, rhs_w)
 
-    res = max(res_shift_u, res_z_up, res_z_dn, res_laurent, res_w)
+    res = worst_residual((res_shift_u, res_z_up, res_z_dn, res_laurent, res_w))
     return make_report("orthopoly.chi_equations.C_3_C_4_C_5_C_6",
                        {"u": u, "z": z, "q": q,
                         "res_shift_u": res_shift_u, "res_z_up": res_z_up,

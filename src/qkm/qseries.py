@@ -26,16 +26,14 @@ from operator import add
 import numpy as np
 
 from .context import QContext
-from .errors import (DomainError, OverflowGuard, RepresentationMismatch,
-                     TruncationExhausted)
-from .report import make_report, relative_residual
+from .errors import DomainError, OverflowGuard, TruncationExhausted
+from .report import make_report, relative_residual, worst_residual
 
 __all__ = [
-    "tail_terms", "tail_length", "bilateral_terms", "tail_sum", "qpoch_finite",
+    "tail_terms", "tail_length", "bilateral_terms", "tail_sum",
     "qpoch_finite_table", "qpoch_inf",
     "qpoch_inf_multi", "log_qpoch_inf_array", "log_qpoch_table", "bracket",
-    "ThetaKind",
-    "theta", "theta_sum", "theta_product", "big_theta4_const",
+    "ThetaKind", "theta_sum", "theta_product", "big_theta4_const",
     "jacobi_transform_check", "gauss_check", "gauss_double_sum_check",
     "pentagonal_check",
 ]
@@ -94,25 +92,11 @@ def tail_sum(terms, ctx: QContext) -> complex:
     return reduce(add, tail_terms(terms, ctx), 0.0 + 0.0j)
 
 
-def qpoch_finite(x, q, n: int) -> complex:
-    """Finite q-Pochhammer prod_{k=0}^{n-1} (1 - x q^k); empty product is 1.
-
-    Negative n uses the standard extension (x; q)_{-n} = 1 / (x q^{-n}; q)_n,
-    which makes (x; q)_n (x q^n; q)_{-n} = ... consistent for all integers.
-    """
-    if n >= 0:
-        return qpoch_finite_table(x, q, n)[n]
-    den = qpoch_finite(complex(x) * complex(q) ** n, q, -n)
-    if den == 0:
-        raise DomainError("negative-index q-Pochhammer hits a vanishing factor")
-    return 1.0 / den
-
-
 def qpoch_finite_table(x, q, n: int) -> list[complex]:
     """[(x; q)_0, (x; q)_1, ..., (x; q)_n] by one running product.
 
-    Entry k is bit-identical to ``qpoch_finite(x, q, k)``, which reads it
-    from this table.
+    Entry k is prod_{j<k} (1 - x q^j), the empty product 1 first; a call
+    that needs (x; q)_k for several k reads them all from one table.
     """
     out = [1.0 + 0.0j]
     f = complex(x)
@@ -280,22 +264,6 @@ def theta_product(kind: ThetaKind, u, ctx: QContext) -> complex:
     return qpoch_inf_multi((u2, q * q / u2, q * q), q * q, ctx) / u
 
 
-def theta(kind: ThetaKind, u, ctx: QContext) -> complex:
-    """Theta function, evaluated by both the sum and the product forms.
-
-    The two evaluations must agree within ctx.tol_identity (relative to the
-    larger of the two values and the largest summand, so exact zeros do not
-    trip the comparison); the sum value is returned.
-    """
-    s, peak = theta_sum(kind, u, ctx)
-    p = theta_product(kind, u, ctx)
-    scale = max(abs(s), abs(p), peak, 1e-300)
-    if abs(s - p) / scale > ctx.tol_identity:
-        raise RepresentationMismatch(
-            f"{kind.value}: sum {s} vs product {p} disagree beyond tolerance")
-    return s
-
-
 def big_theta4_const(ctx: QContext) -> complex:
     """Theta constant (q, q, q^2; q^2)_inf used in normalisation constants."""
     q = ctx.q
@@ -409,7 +377,7 @@ def gauss_double_sum_check(z1, z2, ctx: QContext):
     return make_report("qseries.gauss_double.A_8",
                        {"z1": z1, "z2": z2, "q": q,
                         "res_double": res1, "res_diagonal": res3},
-                       max(res1, res3), ctx.tol_identity, started)
+                       worst_residual((res1, res3)), ctx.tol_identity, started)
 
 
 def pentagonal_check(ctx: QContext):

@@ -31,7 +31,7 @@ from . import fock, modular, orthopoly, qseries, vgamma
 from .context import QContext
 from .errors import DomainError, QkmError, TailTooFat
 from .report import (ERROR, IdentityReport, make_report, relative_residual,
-                     skipped_report)
+                     skipped_report, worst_residual)
 
 DEFAULT_Q = 0.4
 DEFAULT_THETA = math.pi / 5
@@ -165,14 +165,16 @@ def sample_annulus(rng, n: int, r_min: float, r_max: float) -> np.ndarray:
 
 def _theta(run):
     ctx = run.ctx
+
+    def residual(kind, u):
+        s, peak = qseries.theta_sum(kind, u, ctx)
+        p = qseries.theta_product(kind, u, ctx)
+        return abs(s - p) / max(abs(s), abs(p), peak)
+
     for kind in qseries.ThetaKind:
         us = sample_annulus(run.rng, 50, 0.5, 2.0)
-        worst = 0.0
-        for u in us:
-            s, peak = qseries.theta_sum(kind, u, ctx)
-            p = qseries.theta_product(kind, u, ctx)
-            worst = max(worst, abs(s - p) / max(abs(s), abs(p), peak))
-        yield {"kind": kind.value, "q": ctx.q, "n_points": 50}, worst
+        yield ({"kind": kind.value, "q": ctx.q, "n_points": 50},
+               worst_residual(residual(kind, u) for u in us))
 
 
 def _theta_const(run):
@@ -181,8 +183,8 @@ def _theta_const(run):
     p = qseries.theta_product(qseries.ThetaKind.CAP_THETA4, 1.0, ctx)
     ratio = (qseries.qpoch_inf(ctx.q, ctx.q, ctx)
              / qseries.qpoch_inf(-ctx.q, ctx.q, ctx))
-    yield {"q": ctx.q}, max(relative_residual(s, p), relative_residual(p, ratio),
-                            relative_residual(s, ratio))
+    yield {"q": ctx.q}, worst_residual((relative_residual(s, p), relative_residual(p, ratio),
+                                        relative_residual(s, ratio)))
 
 
 def _pentagonal(run):
@@ -212,17 +214,18 @@ def _jacobi(run):
 
 # -------------------------------------------------------------- orthopoly
 
+def _route_spread(vals):
+    """The largest distance between three routes' values, relative to the second."""
+    return worst_residual((abs(vals[0] - vals[1]), abs(vals[1] - vals[2]),
+                           abs(vals[0] - vals[2]))) / max(abs(vals[1]), 1e-300)
+
+
 def _poly_methods(run):
     ctx = run.ctx
     for n in (5, 12, 20):
-        worst = 0.0
-        for xi in sample_annulus(run.rng, 5, 0.5, 2.0):
-            vals = [orthopoly.poly_P(n, xi, ctx, m) for m in orthopoly.PolyEvalMethod]
-            scale = max(abs(vals[1]), 1e-300)
-            worst = max(worst,
-                        max(abs(vals[0] - vals[1]), abs(vals[1] - vals[2]),
-                            abs(vals[0] - vals[2])) / scale)
-        yield {"n": n, "q": ctx.q, "n_points": 5}, worst
+        devs = [_route_spread([orthopoly.poly_P(n, xi, ctx, m) for m in orthopoly.PolyEvalMethod])
+                for xi in sample_annulus(run.rng, 5, 0.5, 2.0)]
+        yield {"n": n, "q": ctx.q, "n_points": 5}, worst_residual(devs)
 
 
 def _poly_difference(run):
@@ -252,12 +255,12 @@ def _norm_sum(run):
 def _chi_special(run):
     ctx = run.ctx
     q = ctx.q
-    worst = 0.0
+    residuals = []
     for m in range(11):
         lhs = orthopoly.chi(orthopoly.ChiParams(1.1, q ** (-2 * m), q), ctx)
         rhs = 1.1 ** m * orthopoly.poly_P(m, 1.1, ctx)
-        worst = max(worst, relative_residual(lhs, rhs))
-    yield {"u": 1.1, "q": q, "m_max": 10}, worst
+        residuals.append(relative_residual(lhs, rhs))
+    yield {"u": 1.1, "q": q, "m_max": 10}, worst_residual(residuals)
 
 
 def _chi_ratio(run):
@@ -273,11 +276,11 @@ def _chi_equations(run):
     ctx = run.ctx
     for u, z in ((1.1, 0.3), (0.8j, 0.2)):
         yield orthopoly.chi_equation_checks(orthopoly.ChiParams(u, z, ctx.q), ctx)
-    worst = 0.0
-    for u in (0.7, 0.9, 1.2, 1.5, 0.6 + 0.3j):
-        for z in (0.1, 0.25, 0.4, 0.15 + 0.1j, 0.55):
-            r = orthopoly.chi_equation_checks(orthopoly.ChiParams(u, z, ctx.q), ctx)
-            worst = max(worst, r.params["res_wronskian"])
+    worst = worst_residual(
+        orthopoly.chi_equation_checks(orthopoly.ChiParams(u, z, ctx.q), ctx)
+        .params["res_wronskian"]
+        for u in (0.7, 0.9, 1.2, 1.5, 0.6 + 0.3j)
+        for z in (0.1, 0.25, 0.4, 0.15 + 0.1j, 0.55))
     yield {"q": ctx.q, "grid": "5x5"}, worst, "orthopoly.chi_wronskian.C_6"
 
 
@@ -305,18 +308,20 @@ def _completeness(run):
                                 - np.eye(a_max + 1))))
     # a-direction: sum_a chibar[m, a] chi[a, m'], the overlap sum at x = 1
     # times q^{(m(m+1) + m'(m'+1))/2}, for m' = m and m' = m - 1
-    res_a = 0.0
-    for m in range(5):
-        xi = ctx.q_pow_half(2 * m + 1)
-        target = (-1) ** m * vm.n_f / qseries.bracket(xi)
-        total = ctx.q_pow_half(2 * m * (m + 1)) * orthopoly.overlap_sum(xi, xi, 1, ctx)
-        res_a = max(res_a, relative_residual(total, target))
-        if m >= 1:
-            off = (ctx.q_pow_half(2 * m * m)
-                   * orthopoly.overlap_sum(xi, ctx.q_pow_half(2 * m - 1), 1, ctx))
-            res_a = max(res_a, abs(off) / abs(target))
+    def a_sums():
+        for m in range(5):
+            xi = ctx.q_pow_half(2 * m + 1)
+            target = (-1) ** m * vm.n_f / qseries.bracket(xi)
+            total = ctx.q_pow_half(2 * m * (m + 1)) * orthopoly.overlap_sum(xi, xi, 1, ctx)
+            yield relative_residual(total, target)
+            if m >= 1:
+                off = (ctx.q_pow_half(2 * m * m)
+                       * orthopoly.overlap_sum(xi, ctx.q_pow_half(2 * m - 1), 1, ctx))
+                yield abs(off) / abs(target)
+
+    res_a = worst_residual(a_sums())
     yield ({"a_max": a_max, "m_max": m_max, "q": ctx.q, "res_m_sum": res_m,
-            "res_dressed": res_d, "res_a_sum": res_a}, max(res_m, res_d, res_a))
+            "res_dressed": res_d, "res_a_sum": res_a}, worst_residual((res_m, res_d, res_a)))
 
 
 def _antisym(run):
@@ -352,17 +357,12 @@ def _brace_agreement(run):
     box = list(combinations_with_replacement(range(7), 3))
     for q in run.q if isinstance(run.q, tuple) else (run.q,):
         ctx = run.context(q, min(run.tol, 1e-9))
-        worst = 0.0
-        arg = None
-        for t, spin in zip(box, fock.brace_spin_sums(box, ctx)):
-            vals = [spin, fock.brace(*t, ctx, fock.BraceMethod.CLOSED_FORM),
-                    fock.brace(*t, ctx, fock.BraceMethod.RECURSION)]
-            scale = max(abs(vals[1]), 1e-300)
-            dev = max(abs(vals[0] - vals[1]), abs(vals[1] - vals[2]),
-                      abs(vals[0] - vals[2])) / scale
-            if dev > worst:
-                worst, arg = dev, t
-        yield {"q": q, "box": "[0,6]^3", "worst_at": arg}, worst
+        devs = [_route_spread([spin, fock.brace(*t, ctx, fock.BraceMethod.CLOSED_FORM),
+                               fock.brace(*t, ctx, fock.BraceMethod.RECURSION)])
+                for t, spin in zip(box, fock.brace_spin_sums(box, ctx))]
+        # np.argmax picks the first worst triple, or the first NaN
+        yield ({"q": q, "box": "[0,6]^3", "worst_at": box[int(np.argmax(devs))]},
+               worst_residual(devs))
 
 
 def _cg(run):
@@ -373,27 +373,25 @@ def _cg(run):
     omega = 1.05
     a_dim = 12
     c0 = fock.cg_table(a_dim, 0, p1, p2, omega, ctx)
-    worst_vac = 0.0
-    for a in range(a_dim - 1):
-        for b in range(a_dim - 1):
-            ann = (p1.lam * np.sqrt(1 - q ** (2 * a + 2)) * p2.lam
-                   * np.sqrt(1 - q ** (2 * b + 2)) * c0[a + 1, b + 1]
-                   - p1.omega / p2.omega * ctx.q_pow_half(2 * (a + b + 1)) * c0[a, b])
-            worst_vac = max(worst_vac, abs(ann))
-    yield {"q": q, "window": a_dim}, worst_vac, "fock.cg_vacuum.4_36_4_37"
-    worst_raise = 0.0
-    prev = c0
-    for c in range(6):
-        nxt = fock.cg_table(a_dim, c + 1, p1, p2, omega, ctx)
-        for a in range(1, a_dim - 1):
-            for b in range(1, a_dim - 1):
-                lhs = (np.sqrt(1 - q ** (2 * a)) * np.sqrt(1 - q ** (2 * b))
-                       / (p1.lam * p2.lam) * prev[a - 1, b - 1]
-                       - p2.omega / p1.omega * ctx.q_pow_half(2 * (a + b + 1)) * prev[a, b])
-                rhs = np.sqrt(1 - q ** (2 * c + 2)) * nxt[a, b]
-                worst_raise = max(worst_raise, abs(lhs - rhs))
-        prev = nxt
-    yield {"q": q, "c_max": 6}, worst_raise, "fock.cg_raising.4_38"
+    vacuum = (abs(p1.lam * np.sqrt(1 - q ** (2 * a + 2)) * p2.lam
+                  * np.sqrt(1 - q ** (2 * b + 2)) * c0[a + 1, b + 1]
+                  - p1.omega / p2.omega * ctx.q_pow_half(2 * (a + b + 1)) * c0[a, b])
+              for a in range(a_dim - 1) for b in range(a_dim - 1))
+    yield {"q": q, "window": a_dim}, worst_residual(vacuum), "fock.cg_vacuum.4_36_4_37"
+
+    def raising():
+        prev = c0
+        for c in range(6):
+            nxt = fock.cg_table(a_dim, c + 1, p1, p2, omega, ctx)
+            for a in range(1, a_dim - 1):
+                for b in range(1, a_dim - 1):
+                    lhs = (np.sqrt(1 - q ** (2 * a)) * np.sqrt(1 - q ** (2 * b))
+                           / (p1.lam * p2.lam) * prev[a - 1, b - 1]
+                           - p2.omega / p1.omega * ctx.q_pow_half(2 * (a + b + 1)) * prev[a, b])
+                    yield abs(lhs - np.sqrt(1 - q ** (2 * c + 2)) * nxt[a, b])
+            prev = nxt
+
+    yield {"q": q, "c_max": 6}, worst_residual(raising()), "fock.cg_raising.4_38"
 
 
 def _weight_closed_vs_sum(run):
@@ -410,10 +408,8 @@ def _weight_closed_vs_sum(run):
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.max(peaks / np.abs(sums))
         refuse_cancellation(ratio, run.tol, "the occupation sum")
-        worst = 0.0
-        for m in range(7):
-            for mp in range(7):
-                worst = max(worst, relative_residual(tab[m, mp], sums[m, mp]))
+        worst = worst_residual(relative_residual(tab[m, mp], sums[m, mp])
+                               for m in range(7) for mp in range(7))
         yield {"x": x, "q": ctx.q, "spins": "[0,6]^2"}, worst
 
 
@@ -423,22 +419,18 @@ def _weight_properties(run):
     for x in [0.7] + list(sample_annulus(run.rng, 2, 0.5, 0.9)):
         # spins -4..3: V(m, m') is tab[m + 4, m' + 4] and V(-1 - m, m') is tab[3 - m, m' + 4]
         tab = fock.weight_table(x, range(-4, 4), range(-4, 4), ctx)
-        worst = 0.0
-        for m in range(4):
-            for mp in range(4):
-                v = tab[m + 4, mp + 4]
-                worst = max(worst, relative_residual(v, tab[mp + 4, m + 4]))
-                worst = max(worst, relative_residual(v, tab[3 - m, mp + 4]))
+        worst = worst_residual(relative_residual(tab[m + 4, mp + 4], other)
+                               for m in range(4) for mp in range(4)
+                               for other in (tab[mp + 4, m + 4], tab[3 - m, mp + 4]))
         yield {"x": x, "q": q}, worst, "fock.weight_symmetry.4_44"
     tab = fock.weight_table(1.0, range(5), range(5), ctx)
-    worst = 0.0
-    for m in range(5):
-        for mp in range(5):
-            v = tab[m, mp]
-            expect = ((-1) ** m / qseries.bracket(ctx.q_pow_half(2 * m + 1))
-                      if m == mp else 0.0)
-            scale = abs(qseries.bracket(ctx.q_pow_half(2 * m + 1)))
-            worst = max(worst, abs(v - expect) * scale)
+
+    def norm_residual(m, mp):
+        br = qseries.bracket(ctx.q_pow_half(2 * m + 1))
+        expect = (-1) ** m / br if m == mp else 0.0
+        return abs(tab[m, mp] - expect) * abs(br)
+
+    worst = worst_residual(norm_residual(m, mp) for m in range(5) for mp in range(5))
     yield {"q": q}, worst, "fock.weight_norm.4_45"
     for x, y in [(0.8, 0.7)] + [_transitivity_pair(run.rng, q) for _ in range(2)]:
         yield _transitivity_autogrow(x, y, 0, 0, ctx), "fock.weight_transitivity.4_46"
@@ -448,9 +440,8 @@ def _weight_properties(run):
                / qseries.qpoch_inf_multi((-z / q, -q / z), q, ctx))
         tab = (fock.weight_table(z, range(4), range(4), ctx)
                * fock.weight_table(q * q / z, range(4), range(4), ctx))
-        worst = 0.0
-        for m, mp in ((0, 0), (1, 2), (3, 1)):
-            worst = max(worst, relative_residual(tab[m, mp], rhs))
+        worst = worst_residual(relative_residual(tab[m, mp], rhs)
+                               for m, mp in ((0, 0), (1, 2), (3, 1)))
         yield {"z": z, "q": q}, worst, "fock.weight_product.4_47"
 
 
@@ -524,7 +515,7 @@ def _partition_fock(run):
     lhs = (fock.weight_V_fock(x, 2, 1, ctx) * fock.weight_V_fock(q * q / x, 2, 1, ctx))
     res_cons = relative_residual(kk, lhs)
     yield ({"x": x, "q": q, "res_selfdual": res_fixed, "res_antisym": res_anti,
-            "res_product": res_cons}, max(res_fixed, res_anti, res_cons))
+            "res_product": res_cons}, worst_residual((res_fixed, res_anti, res_cons)))
 
 
 def _rll(run):
@@ -555,29 +546,28 @@ def _vg_completeness(run):
     dec = vgamma.vgamma_decomposition(gc, 1.1, a_max, ctx)
     br = np.array([qseries.bracket(gc.gamma * ctx.q ** int(m))
                    for m in dec.m_values])
-    res_a = 0.0
-    for e in range(2):
-        for ep in range(2):
-            g = np.einsum("am,m,mb->ab", dec.ket[e], br, dec.bra[ep])
-            tgt = np.eye(a_max + 1) if e == ep else 0.0
-            res_a = max(res_a, float(np.max(np.abs((g - tgt)[:30, :30]))))
+
+    def sector_residual(e, ep):
+        g = np.einsum("am,m,mb->ab", dec.ket[e], br, dec.bra[ep])
+        tgt = np.eye(a_max + 1) if e == ep else 0.0
+        return float(np.max(np.abs((g - tgt)[:30, :30])))
+
+    res_a = worst_residual(sector_residual(e, ep) for e in range(2) for ep in range(2))
     g = sum(np.einsum("ma,an->mn", dec.bra[e], dec.ket[e]) for e in range(2))
     tgt = np.diag(1.0 / br)
     res_m = float(np.max(np.abs((g - tgt)[ctr, ctr]))
                   / np.max(np.abs(tgt[ctr, ctr])))
     yield ({"gamma": gc.gamma, "q": ctx.q, "a_max": a_max, "res_sectors": res_a,
-            "res_lattice": res_m}, max(res_a, res_m))
+            "res_lattice": res_m}, worst_residual((res_a, res_m)))
 
 
 def _vg_weight_closed_vs_sum(run):
     ctx = run.ctx
     gc = run.gamma_ctx(40)
-    worst = 0.0
-    for (x, eps, m, mp) in ((0.7, 1, 0, 0), (0.8, -1, 2, -3),
-                            (0.6 + 0.1j, 1, -1, 4)):
-        a = vgamma.weight_Veps(x, eps, m, mp, gc, ctx)
-        b = vgamma.weight_Veps_from_overlaps(x, eps, m, mp, gc, ctx)
-        worst = max(worst, relative_residual(a, b))
+    worst = worst_residual(
+        relative_residual(vgamma.weight_Veps(*point, gc, ctx),
+                          vgamma.weight_Veps_from_overlaps(*point, gc, ctx))
+        for point in ((0.7, 1, 0, 0), (0.8, -1, 2, -3), (0.6 + 0.1j, 1, -1, 4)))
     yield {"gamma": gc.gamma, "q": ctx.q}, worst
 
 
@@ -593,12 +583,9 @@ def _vg_projectors(run):
     proj_p = br[:, None] * tab_p
     proj_m = br[:, None] * tab_m
     eye = np.eye(len(mv))
-    res = max(
-        float(np.max(np.abs((proj_p + proj_m - eye)[ctr, ctr]))),
-        float(np.max(np.abs((proj_p @ proj_m)[ctr, ctr]))),
-        float(np.max(np.abs((proj_p @ proj_p - proj_p)[ctr, ctr]))),
-        float(np.max(np.abs((proj_m @ proj_m - proj_m)[ctr, ctr]))),
-    )
+    res = [float(np.max(np.abs(d[ctr, ctr])))
+           for d in (proj_p + proj_m - eye, proj_p @ proj_m,
+                     proj_p @ proj_p - proj_p, proj_m @ proj_m - proj_m)]
     # orthogonality of the eps-sectors inside the summation formula; this
     # sum decays only like (q/xy)^2 per step, so it gets a wider window
     x, y = 0.7, 0.8
@@ -612,7 +599,7 @@ def _vg_projectors(run):
     res_cross = abs(vgamma.windowed_bilateral_sum(cross, wide, ctx))
     scale = abs(vgamma.weight_Veps(x * y, 1, 0, 1, gc, ctx))
     yield ({"gamma": gc.gamma, "q": ctx.q, "window": m_w,
-            "res_cross_sector": res_cross / scale}, max(res, res_cross / scale))
+            "res_cross_sector": res_cross / scale}, worst_residual(res + [res_cross / scale]))
 
 
 def _vg_parity(run):
@@ -621,11 +608,8 @@ def _vg_parity(run):
     ms, mps = (-3, -2, 0, 1, 2), (-2, 1, 3, 4)
     tab = (vgamma.weight_Veps_table(0.7, 1, ms, mps, gc, ctx)
            + vgamma.weight_Veps_table(0.7, -1, ms, mps, gc, ctx))
-    worst = 0.0
-    for i, m in enumerate(ms):
-        for j, mp in enumerate(mps):
-            if (m + mp) % 2:
-                worst = max(worst, abs(tab[i, j]))
+    worst = worst_residual(abs(tab[i, j]) for i, m in enumerate(ms)
+                           for j, mp in enumerate(mps) if (m + mp) % 2)
     yield {"gamma": gc.gamma, "q": ctx.q}, worst
 
 
@@ -633,10 +617,8 @@ def _vg_brace(run):
     ctx = run.ctx
     gammas = [0.6, 0.9 * cmath.exp(0.2j), run.gamma_ctx().gamma, ctx.q_pow_half(1)]
     yield vgamma.brace_gamma_check(2, 1, 1, gammas, ctx)
-    worst = 0.0
     box = list(combinations_with_replacement(range(5), 3))
-    for r, _ in vgamma.brace_gamma_residuals(box, gammas[:2], ctx):
-        worst = max(worst, r)
+    worst = worst_residual(r for r, _ in vgamma.brace_gamma_residuals(box, gammas[:2], ctx))
     yield ({"box": "[0,4]^3", "q": ctx.q, "gammas": [complex(g) for g in gammas[:2]]},
            worst)
 
@@ -645,16 +627,18 @@ def _vg_weight_symmetry(run):
     ctx = run.ctx
     gc = run.gamma_ctx(40)
     q = ctx.q
-    worst = 0.0
-    for a in range(-5, 6):
-        for b in range(-5, 6):
-            v = vgamma.km_V(0.7, a, b, gc, ctx)
-            worst = max(worst, abs(v - vgamma.km_V(0.7, b, a, gc, ctx)))
-            worst = max(worst, abs(v * vgamma.km_V(q * q / 0.7, a, b, gc, ctx) - 1))
-            worst = max(worst, abs(vgamma.km_V(q, a, b, gc, ctx) - 1))
-            expect = 1 / vgamma.km_S(a, gc, ctx) if a == b else 0.0
-            worst = max(worst, abs(vgamma.km_V(1.0, a, b, gc, ctx) - expect))
-    yield {"gamma": gc.gamma, "q": q, "box": "[-5,5]^2"}, worst
+
+    def residuals():
+        for a in range(-5, 6):
+            for b in range(-5, 6):
+                v = vgamma.km_V(0.7, a, b, gc, ctx)
+                yield abs(v - vgamma.km_V(0.7, b, a, gc, ctx))
+                yield abs(v * vgamma.km_V(q * q / 0.7, a, b, gc, ctx) - 1)
+                yield abs(vgamma.km_V(q, a, b, gc, ctx) - 1)
+                expect = 1 / vgamma.km_S(a, gc, ctx) if a == b else 0.0
+                yield abs(vgamma.km_V(1.0, a, b, gc, ctx) - expect)
+
+    yield {"gamma": gc.gamma, "q": q, "box": "[-5,5]^2"}, worst_residual(residuals())
 
 
 def _vg_summation(run):
@@ -698,45 +682,45 @@ def _vg_kappa_shift(run):
     q = ctx.q
     q2 = q * q
     gci, gch = run.selected(SELECTED_NU)
-    worst = 0.0
-    for x in (0.6, 0.85):
+    g2 = gci.gamma ** 2
+
+    def residual(x):
         lhs = vgamma.km_kappa(x, gch, ctx) / vgamma.km_kappa(x, gci, ctx)
-        g2 = gci.gamma ** 2
         rhs = (qseries.qpoch_inf_multi((q2 * g2 * x, q2 / (g2 * x)), q2, ctx)
                / qseries.qpoch_inf_multi((q * x / g2, q ** 3 * g2 / x), q2, ctx))
-        worst = max(worst, relative_residual(lhs, rhs))
-    yield {"q": q}, worst
+        return relative_residual(lhs, rhs)
+
+    yield {"q": q}, worst_residual(residual(x) for x in (0.6, 0.85))
 
 
 # --------------------------------------------------------------- modular
 
 def _dilog(run):
     mc = run.mc
-    worst = 0.0
-    for x in (0.2, -0.4, 0.7, 0.05, 1.1):
-        l1 = modular.faddeev_phi(x - 0.5j * mc.b, mc) / modular.faddeev_phi(x + 0.5j * mc.b, mc)
-        r1 = 1 + cmath.exp(2 * cmath.pi * x * mc.b)
-        l2 = modular.faddeev_phi(x - 0.5j / mc.b, mc) / modular.faddeev_phi(x + 0.5j / mc.b, mc)
-        r2 = 1 + cmath.exp(2 * cmath.pi * x / mc.b)
-        worst = max(worst, relative_residual(l1, r1), relative_residual(l2, r2))
-    yield {"theta": mc.theta, "grid": 5}, worst
+
+    def residuals():
+        for x in (0.2, -0.4, 0.7, 0.05, 1.1):
+            l1 = modular.faddeev_phi(x - 0.5j * mc.b, mc) / modular.faddeev_phi(x + 0.5j * mc.b, mc)
+            yield relative_residual(l1, 1 + cmath.exp(2 * cmath.pi * x * mc.b))
+            l2 = modular.faddeev_phi(x - 0.5j / mc.b, mc) / modular.faddeev_phi(x + 0.5j / mc.b, mc)
+            yield relative_residual(l2, 1 + cmath.exp(2 * cmath.pi * x / mc.b))
+
+    yield {"theta": mc.theta, "grid": 5}, worst_residual(residuals())
 
 
 def _psi_real(run):
     mc = run.mc
-    worst = 0.0
+    residuals = []
     for (s, x) in ((0.3, 0.4), (0.1, 0.9), (-0.5, 0.25), (0.7, -0.6)):
         p = modular.psi(s, x, mc)
-        worst = max(worst, abs(p.imag) / abs(p))
-    yield {"theta": mc.theta}, worst
+        residuals.append(abs(p.imag) / abs(p))
+    yield {"theta": mc.theta}, worst_residual(residuals)
 
 
 def _psi_symmetry(run):
     mc = run.mc
-    worst = 0.0
-    for (s, x) in ((0.3, 0.4), (0.15, 0.8)):
-        worst = max(worst, relative_residual(modular.psi(s, x, mc),
-                                             modular.psi(s, -x, mc)))
+    worst = worst_residual(relative_residual(modular.psi(s, x, mc), modular.psi(s, -x, mc))
+                           for s, x in ((0.3, 0.4), (0.15, 0.8)))
     yield {"theta": mc.theta}, worst
 
 
@@ -760,13 +744,13 @@ def _weight_symmetry(run):
     mc = run.mc
     mu = 0.15j + mc.eta / 3
     v = modular.weight_V_modular(mu, 0.3, 0.5, mc)
-    worst = max(
+    worst = worst_residual((
         relative_residual(v, modular.weight_V_modular(mu, 0.5, 0.3, mc)),
         relative_residual(v, modular.weight_V_modular(mu, -0.3, 0.5, mc)),
         relative_residual(v, modular.weight_V_modular(mu, 0.3, -0.5, mc)),
         relative_residual(modular.weight_Vbar_modular(mu, 0.3, 0.5, mc),
                           modular.weight_V_modular(mc.eta - mu, 0.3, 0.5, mc)),
-    )
+    ))
     yield {"mu": mu, "theta": mc.theta}, worst
 
 

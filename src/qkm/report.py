@@ -1,7 +1,13 @@
-"""Identity reports: one verified identity at one parameter point."""
+"""Identity reports: one verified identity at one parameter point.
+
+Also the two rules every check shares: the relative residual of one
+comparison, and the reduction of many components to the report's one
+residual (the worst, NaN if any component is NaN).
+"""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -20,13 +26,29 @@ def relative_residual(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), _FLOOR)
 
 
+def worst_residual(residuals) -> float:
+    """The largest of ``residuals``; NaN if any is NaN; 0.0 if there are none.
+
+    This is IEEE 754-2019 maximum (sec. 9.6), which propagates a NaN.
+    Python's ``max`` keeps a NaN only in first place, so a running maximum
+    started at 0.0 would drop a point that evaluated to NaN.  Every
+    component is consumed, and the result is one of them, bit for bit.
+    """
+    top = 0.0
+    for r in residuals:
+        if r > top or math.isnan(r):
+            top = r
+    return float(top)
+
+
 @dataclass
 class IdentityReport:
     """Outcome of checking one identity at one parameter point.
 
     ``params`` records the evaluated point (and, for multi-part checks,
     the individual component residuals); ``residual`` is the worst
-    component.  Verdicts: PASS iff residual <= tolerance, except for
+    component (:func:`worst_residual`), NaN when any component is NaN,
+    which fails the check.  Verdicts: PASS iff residual <= tolerance, except for
     identities registered as negative controls, which report
     EXPECTED_FAIL when the residual exceeds ten times the tolerance.
     SKIPPED marks a point the library refused (outside its domain) and

@@ -24,7 +24,7 @@ from .fock import brace, sqrt_qpoch2_table
 from .orthopoly import lattice_brace_sums, overlap_sum, scaled_poly_values
 from .qseries import (ThetaKind, bilateral_terms, bracket, log_qpoch_table,
                       qpoch_inf, qpoch_inf_multi, tail_sum, theta_product)
-from .report import make_report, relative_residual
+from .report import make_report, relative_residual, worst_residual
 
 __all__ = [
     "GammaContext", "gamma_norm_const", "GammaDecomposition",
@@ -195,7 +195,7 @@ def brace_gamma_residuals(triples, gamma_list, ctx: QContext):
         raise DomainError("cancellation limit of the lattice route: indices <= 8")
     q = ctx.q
     closed = [brace(a, b, c, ctx) for a, b, c in triples]
-    worst = [0.0] * len(triples)
+    parts = [[] for _ in triples]
     details = [{} for _ in triples]
     for i, gamma in enumerate(gamma_list):
         gamma = complex(gamma)
@@ -209,8 +209,8 @@ def brace_gamma_residuals(triples, gamma_list, ctx: QContext):
             res_brace = relative_residual(total / m_gamma_sum, closed[k])
             details[k][f"res_brace_{i}"] = res_brace
             details[k][f"res_norm_{i}"] = res_norm
-            worst[k] = max(worst[k], res_brace, res_norm)
-    return list(zip(worst, details))
+            parts[k] += (res_brace, res_norm)
+    return [(worst_residual(p), d) for p, d in zip(parts, details)]
 
 
 def brace_gamma_check(a: int, b: int, c: int, gamma_list, ctx: QContext):
@@ -286,18 +286,15 @@ def km_S(m: int, gc: GammaContext, ctx: QContext) -> complex:
     return bracket(gc.gamma * ctx.q ** (2 * m)) / bracket(gc.gamma)
 
 
-def km_Phi(x, gc: GammaContext, ctx: QContext, route: str = "product") -> complex:
+def km_Phi(x, gc: GammaContext, ctx: QContext) -> complex:
     """Scalar Phi(x) normalising the bold summation formula.
 
-    ``product`` evaluates the closed q-product; ``definition`` evaluates
-    1 / (2 [gamma] V_x^{(+-)}(0, 0)), which is the defining expression.
+    The closed q-product form of its definition 1 / (2 [gamma] V_x^{(+-)}(0, 0)).
     """
     x = complex(x)
     q = ctx.q
     q2 = q * q
     g2 = gc.gamma ** 2
-    if route == "definition":
-        return 1.0 / (2 * bracket(gc.gamma) * weight_Veps(x, 1, 0, 0, gc, ctx))
     num = qpoch_inf_multi((q2, q2 / (x * x), q2 * g2, q2 / g2), q2, ctx)
     den = qpoch_inf_multi((q2 / x, q2 / x, q2 * g2 / x, q2 / (g2 * x)), q2, ctx)
     return num / den
@@ -452,7 +449,7 @@ def km_partition_checks(x, gc: GammaContext, ctx: QContext):
     shift = (qpoch_inf_multi((q2 / (g2 * x), q2 * g2 * x), q2, ctx)
              / qpoch_inf_multi((x / g2, q ** 4 * g2 / x), q2, ctx))
     res_shift = abs(shift - 1.0)
-    res = max(res_inv, res_kappa, res_site, res_shift)
+    res = worst_residual((res_inv, res_kappa, res_site, res_shift))
     return make_report("vgamma.partition.5_29_5_30_5_31",
                        {"x": x, "gamma": gc.gamma, "nu": gc.nu,
                         "res_inversion": res_inv, "res_kappa": res_kappa,

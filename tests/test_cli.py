@@ -188,7 +188,7 @@ def test_weight_checks_build_one_table_per_point(monkeypatch):
 
 
 def test_coproduct_checks_do_matrix_work(monkeypatch):
-    calls = {"transitivity": 0, "kron": 0, "qpoch_finite": 0}
+    calls = {"transitivity": 0, "kron": 0}
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
@@ -199,7 +199,6 @@ def test_coproduct_checks_do_matrix_work(monkeypatch):
     monkeypatch.setattr(fock, "transitivity_check_fock",
                         counted("transitivity", fock.transitivity_check_fock))
     monkeypatch.setattr(np, "kron", counted("kron", np.kron))
-    monkeypatch.setattr(qseries, "qpoch_finite", counted("qpoch_finite", qseries.qpoch_finite))
     rc, _ = run_cli(["verify", "--format", "json"])
     assert rc == 0
     # one window per transitivity pair, read off the summands' decay rate
@@ -207,10 +206,9 @@ def test_coproduct_checks_do_matrix_work(monkeypatch):
     # the box check applies L1 (x) L2 as two one-index products
     assert calls["kron"] == 0
     # closed-form braces, the cg norms and the explicit sum read (q^2;q^2)_n
-    # from prefix tables: no library module calls the scalar q-product,
-    # against 20079 calls with one q-product per factor
-    assert not any(hasattr(module, "qpoch_finite") for module in (fock, orthopoly))
-    assert calls["qpoch_finite"] == 0
+    # from prefix tables: no library module has a scalar finite q-product
+    assert not any(hasattr(module, "qpoch_finite")
+                   for module in (qseries, fock, orthopoly, vgamma))
 
 
 def test_jobs_flag_rejected():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from qkm import modular
-from qkm.errors import DomainError, PoleHit, TruncationExhausted, WindowTooSmall
+from qkm.errors import (DomainError, OverflowGuard, PoleHit, TruncationExhausted,
+                        WindowTooSmall)
 from qkm.modular import (ModularContext, adaptive_midpoint,
                          faddeev_phi, psi,
                          psi_eigen_check, s_weight, summation_check_modular,
@@ -289,3 +290,12 @@ def test_spectral_integral_refuses_an_undecayed_window(theta):
     mc = ModularContext(theta=theta)
     with pytest.raises(WindowTooSmall):
         weight_V_modular_integral(0.25j + mc.eta / 3, 0.35, 0.15, mc)
+
+
+def test_spectral_integral_refuses_a_nan_window_edge():
+    # at theta = 0.2 Psi Psi and the sigma-space norm both overflow at
+    # sigma = -8, so the integrand there is inf / inf; the larger edge
+    # magnitude must not fall back on the finite one at +8
+    mc = ModularContext(theta=0.2)
+    with pytest.raises(OverflowGuard):
+        weight_V_modular_integral(0.15j + mc.eta / 3, 0.3, 0.5, mc)

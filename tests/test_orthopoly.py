@@ -323,6 +323,14 @@ def test_overlap_grid_equals_scalar_sums(q, x_over_q):
 def test_difference_equations():
     assert poly_P_difference_checks(3, 1.3, CTX).residual < 1e-9
     assert poly_P_difference_checks(0, 1.7, CTX).residual == 0.0
+
+
+def test_difference_check_keeps_a_nan_component():
+    # at q = 1e-8 the backward equation of P_8 evaluates to NaN; the report
+    # carries it as its residual and fails, whatever the other component
+    rep = poly_P_difference_checks(8, 1.7, QContext(q=1e-8))
+    assert np.isnan(rep.params["res_backward"])
+    assert np.isnan(rep.residual) and rep.verdict == "FAIL"
     r = poly_P_difference_checks(5, 0.7 + 0.2j, QContext(q=0.35))
     assert r.residual < 1e-9
 

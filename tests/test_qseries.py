@@ -15,27 +15,23 @@ from qkm.errors import DomainError, OverflowGuard, TailTooFat, TruncationExhaust
 from qkm.qseries import (ThetaKind, _log_qpoch_chain, bilateral_terms, bracket,
                          big_theta4_const, gauss_check, gauss_double_sum_check,
                          jacobi_transform_check, pentagonal_check,
-                         log_qpoch_inf_array, log_qpoch_table, qpoch_finite,
-                         qpoch_inf, tail_length, tail_terms, theta, theta_product,
+                         log_qpoch_inf_array, log_qpoch_table, qpoch_finite_table,
+                         qpoch_inf, tail_length, tail_terms, theta_product,
                          theta_sum)
 
 CTX = QContext(q=0.4)
 
 
 def test_qpoch_finite_empty_product():
-    assert qpoch_finite(0.7, 0.4, 0) == 1
+    assert qpoch_finite_table(0.7, 0.4, 0) == [1]
 
 
 def test_qpoch_finite_unrolled():
     x, q = 0.3 + 0.1j, 0.5
-    assert qpoch_finite(x, q, 2) == pytest.approx((1 - x) * (1 - x * q))
-    assert qpoch_finite(q, q, 1) == pytest.approx(1 - q)
-
-
-def test_qpoch_finite_negative_index_inverts():
-    x, q = 0.3, 0.45
-    for n in (1, 3, 7):
-        assert qpoch_finite(x, q, -n) * qpoch_finite(x * q ** -n, q, n) == pytest.approx(1.0)
+    table = qpoch_finite_table(x, q, 2)
+    assert table[1] == pytest.approx(1 - x)
+    assert table[2] == pytest.approx((1 - x) * (1 - x * q))
+    assert qpoch_finite_table(q, q, 1)[1] == pytest.approx(1 - q)
 
 
 def test_qpoch_inf_at_zero_argument():
@@ -274,7 +270,8 @@ def test_bracket_inversion_antisymmetry(z):
 
 
 def test_theta_h_vanishes_at_one():
-    assert abs(theta(ThetaKind.H, 1.0, CTX)) < 1e-12
+    assert abs(theta_sum(ThetaKind.H, 1.0, CTX)[0]) < 1e-12
+    assert abs(theta_product(ThetaKind.H, 1.0, CTX)) < 1e-12
 
 
 def test_theta_const_three_routes():
@@ -290,9 +287,10 @@ def test_theta_const_three_routes():
 @given(st.floats(0.5, 2.0), st.floats(0.0, 6.28))
 def test_theta4_u_inversion_symmetry(r, phi):
     u = r * cmath.exp(1j * phi)
-    a = theta(ThetaKind.THETA4, u, CTX)
-    b = theta(ThetaKind.THETA4, 1 / u, CTX)
-    assert abs(a - b) <= 1e-10 * max(abs(a), 1.0)
+    for theta in (lambda v: theta_sum(ThetaKind.THETA4, v, CTX)[0],
+                  lambda v: theta_product(ThetaKind.THETA4, v, CTX)):
+        a, b = theta(u), theta(1 / u)
+        assert abs(a - b) <= 1e-10 * max(abs(a), 1.0)
 
 
 def test_theta_sum_product_agreement_all_kinds():
@@ -383,19 +381,22 @@ def test_context_branch_consistency_negative_q():
 
 
 def test_theta_zero_argument_rejected():
-    with pytest.raises(DomainError):
-        theta(ThetaKind.H, 0.0, CTX)
+    for theta in (theta_sum, theta_product):
+        with pytest.raises(DomainError):
+            theta(ThetaKind.H, 0.0, CTX)
+
+
+def test_theta_representation_mismatch(monkeypatch):
+    # the catalogue's theta check compares the sum with the product form;
+    # a sum that disagrees fails every kind
+    from qkm.registry import RunConfig, run_suite
+    import qkm.qseries as qs
+    monkeypatch.setattr(qs, "theta_sum", lambda kind, u, ctx: (1.0 + 0j, 1.0))
+    reports = run_suite(RunConfig(filter="qseries.theta.A_4"))
+    assert [r.verdict for r in reports] == ["FAIL"] * 5
 
 
 def test_theta_h_refuses_a_square_out_of_double_range():
     for u in (1e-200, 1e200, 1e-170j):
         with pytest.raises(DomainError):
             theta_product(ThetaKind.H, u, CTX)
-
-
-def test_theta_representation_mismatch(monkeypatch):
-    import qkm.qseries as qs
-    monkeypatch.setattr(qs, "theta_sum", lambda kind, u, ctx: (1.0 + 0j, 1.0))
-    from qkm.errors import RepresentationMismatch
-    with pytest.raises(RepresentationMismatch):
-        qs.theta(ThetaKind.THETA4, 1.7, CTX)

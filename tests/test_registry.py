@@ -2,15 +2,16 @@
 
 import io
 import json
+import math
 import warnings
 from collections import Counter
 
 import pytest
 
-from qkm import registry
+from qkm import qseries, registry
 from qkm.cli import main
 from qkm.registry import REGISTRY, IdentityEntry, RunConfig, run_suite, select_entries
-from qkm.report import ERROR
+from qkm.report import ERROR, worst_residual
 
 # (identity_id, tolerance, verdict, sorted param keys, reports) of the
 # default run; residuals are left out because they depend on the platform
@@ -246,6 +247,46 @@ def test_a_nan_q_is_refused_like_one_outside_the_disc(q, capsys):
 
     assert verdicts(q) == verdicts("1.5")
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_worst_residual_propagates_a_nan_in_any_position(position):
+    residuals = [1e-12, 3e-9, 2e-10]
+    assert worst_residual(residuals) == 3e-9
+    residuals[position] = math.nan
+    assert math.isnan(worst_residual(residuals))
+    assert math.isnan(worst_residual(iter(residuals)))
+
+
+def test_worst_residual_of_no_components_is_zero():
+    assert worst_residual([]) == 0.0
+    assert worst_residual(r for r in ()) == 0.0
+
+
+def test_a_nan_point_fails_the_theta_check(monkeypatch):
+    # one of the 50 points of each kind evaluates to NaN: a running
+    # max(0.0, nan) would drop it and report every kind as a PASS (the
+    # theta3 forms call the theta4 ones, which only adds to counts past 50)
+    product = qseries.theta_product
+    calls = Counter()
+
+    def nan_at_point_7(kind, u, ctx):
+        calls[kind] += 1
+        return math.nan if calls[kind] == 7 else product(kind, u, ctx)
+
+    monkeypatch.setattr(qseries, "theta_product", nan_at_point_7)
+    reports = run_suite(RunConfig(filter="qseries.theta.A_4"))
+    assert len(reports) == 5
+    for rep in reports:
+        assert rep.verdict == "FAIL" and math.isnan(rep.residual)
+
+
+def test_theta_0_2_refuses_the_spectral_integral_as_an_overflow():
+    reports = run_suite(RunConfig(b_theta=0.2, filter="modular.*"))
+    [integral] = [r for r in reports if r.identity_id == "modular.weight_integral.6_22"]
+    assert integral.verdict == "SKIPPED"
+    assert integral.params["skip_reason"].startswith("OverflowGuard:")
+    assert all(r.verdict == "PASS" for r in reports if r is not integral)
 
 
 @pytest.mark.parametrize("window", [20, 15])
