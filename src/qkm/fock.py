@@ -649,50 +649,73 @@ def vbasis_operator_matrices(mu, m_cut: int, ctx: QContext) -> dict:
     return {"K0": k0, "Ep": ep, "Em": em}
 
 
-def _coproduct_apply(ops_a, ops_b, omegas, t, rows, n: int) -> list[np.ndarray]:
-    """sum_j La[i][j] (x) Lb[j][k] applied to the first two spin indices of t.
+def _l_bands(ops, omega, n: int) -> list[list[np.ndarray]]:
+    """The diagonals of L = [[Em, -omega K0], [K0 / omega, Ep]] on the rows < n.
 
-    L = [[Em, -omega K0], [K0 / omega, Ep]] from the generator dicts
-    ``ops_a`` and ``ops_b``, with ``omegas`` = (omega_a, omega_b).  La acts
-    on the index p of t[p, r, ...] and Lb on r, both over every spin (Van
-    Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math. 123,
-    2000): no Kronecker product is formed.  The result keeps the spins
-    ``rows`` of p and the spins < n of r; entry i is the array
-    [p, k, r, ...] of the blocks (i, 0) and (i, 1).  Em, K0 and Ep of La
-    are each applied to t once; La's omegas move onto the Lb blocks, and
-    each i is then one product of the stacked Lb blocks with two of those.
+    ``ops`` holds the generator matrices, each tridiagonal once m = -1 is
+    folded onto m = 0 (a band matrix: Golub & Van Loan, *Matrix
+    Computations*, 4th ed., sec. 1.2).  Block (i, j) is the (n, 3) array
+    of L[i][j][a, a + s] at row a and column s + 1; the entry left of
+    column 0 is zero.
     """
-    dim = t.shape[0]
-    omega_a, omega_b = omegas
-    t2d = t.reshape(dim, -1)
-    firsts = [ops_a[name][rows] for name in ("Em", "K0", "Ep")]
-    u = np.empty((len(firsts[0]), 3, t2d.shape[1]), dtype=complex)
-    for m, mat in enumerate(firsts):
-        np.matmul(mat, t2d, out=u[:, m])  # u[p, (Em, K0, Ep), (r, ...)]
-    em, k0, ep = (ops_b[name][:n] for name in ("Em", "K0", "Ep"))
-    lb = [[em, -omega_b * k0], [k0 / omega_b, ep]]
-    coef = [[1.0, -omega_a], [1.0 / omega_a, 1.0]]  # La[i][j] over (Em, K0 | K0, Ep)
-    out = []
-    for i in range(2):
-        stack = np.block([[coef[i][j] * lb[j][k] for j in range(2)] for k in range(2)])
-        prod = stack @ u[:, i:i + 2].reshape(len(u), 2 * dim, -1)
-        out.append(prod.reshape(len(u), 2, n, *t.shape[2:]))
-    return out
+    def bands(mat):
+        padded = np.pad(mat[:n], ((0, 0), (1, 0)))
+        return np.stack([np.diagonal(padded, k) for k in range(3)], axis=1)
+
+    em, k0, ep = (bands(ops[name]) for name in ("Em", "K0", "Ep"))
+    return [[em, -omega * k0], [k0 / omega, ep]]
+
+
+def _box_factors(m, p, q, outer, n: int) -> tuple:
+    """The factors of T[r, r2, o, o2] = M[r, r2] P[r, o] Q[r2, o2] N[o, o2], shifted.
+
+    For ``_box_side``: M[r + s, r2 + t] as [r, s + 1, t + 1, r2],
+    P[r + s, o] as [r, o, s + 1], Q[r2 + t, o2] as [t + 1, r2, o2] and N as
+    [o, o2], for s, t in (-1, 0, 1) and spins r, r2, o, o2 < n; the index
+    -1 reads 0.
+    """
+    shift = np.arange(n)[:, None] + np.arange(3)  # r + s + 1
+    spins = np.arange(1, n + 1)
+    m, p, q = (np.pad(f, ((1, 0), (1, 0))) for f in (m, p, q))
+    return (m[shift[:, :, None, None], shift.T[None, None]],
+            p[shift[:, None, :], spins[:, None]],
+            q[shift.T[:, :, None], spins],
+            outer[:n, :n])
+
+
+def _box_side(lx, ly, i: int, k: int, factors, out: np.ndarray) -> None:
+    """Block (i, k) of sum_j Lx[i][j] (x) Ly[j][k] applied to a factored box matrix.
+
+    ``factors`` comes from ``_box_factors`` for the matrix T; Lx acts on its
+    r and Ly on its r2.  With W[r, r2, s, t] = sum_j Lx[i][j][r, r + s]
+    Ly[j][k][r2, r2 + t] from the bands of ``_l_bands``, the block is
+    N[o, o2] sum_{s,t} W[r, r2, s, t] M[r + s, r2 + t] P[r + s, o] Q[r2 + t, o2]
+    on the spins < n, written to ``out`` as the array [r, o, r2, o2].  The
+    sum over t is a broadcast and the sum over s a batch of (n x 3) (3 x n^2)
+    products, one per r; at n = 20 each is far below the size from which
+    OpenBLAS runs a complex product on threads.
+    """
+    m, p, q, outer = factors
+    n = len(outer)
+    w = sum(lx[i][j][:, :, None, None] * ly[j][k].T[None, None] for j in range(2))
+    w *= m  # [r, s, t, r2]
+    part = sum(w[:, :, t, :, None] * q[t] for t in range(3))  # [r, s, r2, o2]
+    np.matmul(p, part.reshape(n, 3, n * n), out=out.reshape(n, n, n * n))
+    out *= outer[None, :, None, :]
 
 
 def box_intertwining_check(x, xp, y, yp, m_cut: int, ctx: QContext):
     """Residual of the intertwining relation for the box R-matrix.
 
-    Assembles both co-product sides from the eigenbasis generator matrices
-    at spin cutoff m_cut and compares against the box matrix built from
-    vectorised weight tables; the comparison is restricted to the block
-    truncation cannot touch (all spins <= m_cut - 1).  The box matrix is
-    held as the tensor S[a, b, c, d] of its rows (a, b) and columns (c, d).
-    The left side (L1 (x) L2) S acts on a and b; the right side
-    S (L2 (x) L1) is the transpose of (L2^T (x) L1^T) S^T, which acts on c
-    and d.  Both are built for five kept spins c at a time, the left side
-    on those columns and the right side on those rows, so every
-    intermediate stays a few MB.
+    Compares both co-product sides of (L1 (x) L2) S = S (L2 (x) L1) on the
+    block truncation cannot touch (all spins <= m_cut - 1), block (i, k) of
+    the auxiliary space at a time.  The box matrix
+    S[a, b, c, d] = MA[a, b] B[a, c] C[b, d] D[c, d], MA = (meas (x) meas) A,
+    is never assembled: each side is built from the weight tables and the
+    three diagonals of each generator (``_box_side``).  The right side is
+    (L2^T (x) L1^T) applied to S^T, the same form with (MA, B, C, D) read
+    as (D, B^T, C^T, MA).  Each block is compared and reduced before the
+    next is built.
     """
     started = time.perf_counter()
     x, xp, y, yp = (complex(v) for v in (x, xp, y, yp))
@@ -711,29 +734,27 @@ def box_intertwining_check(x, xp, y, yp, m_cut: int, ctx: QContext):
     # kernel -> coefficient matrix: the non-diagonal factors carry the
     # basis measure on their left index
     meas = np.array([s_measure(k, ctx) for k in range(dim)])
-    s_box = np.einsum("ac,bd->abcd", b_tab, c_tab)
-    s_box *= (np.multiply.outer(meas, meas) * a_tab)[:, :, None, None]
-    s_box *= d_tab[None, None, :, :]
+    ma_tab = np.multiply.outer(meas, meas) * a_tab
 
+    n = dim - 1
     ops1 = vbasis_operator_matrices(mu1, m_cut, ctx)
     ops2 = vbasis_operator_matrices(mu2, m_cut, ctx)
-    ops1_t, ops2_t = ({name: m.T for name, m in ops.items()} for ops in (ops1, ops2))
-    n = dim - 1
-    s_t = np.ascontiguousarray(s_box.transpose(2, 3, 0, 1)[:, :, :n, :n])
-    # per block (i, k): largest |left|, |right| and |left - right|
-    tops = np.zeros((3, 2, 2))
-    for start in range(0, n, 5):
-        cs = slice(start, min(start + 5, n))
-        lhs = _coproduct_apply(ops1, ops2, (omega1, omega2), s_box[:, :, cs, :n],
-                               slice(0, n), n)
-        rhs = _coproduct_apply(ops2_t, ops1_t, (omega2, omega1), s_t, cs, n)
-        for i in range(2):
-            # left is [a, k, b, c, d], right [c, k, d, a, b]
-            diff = lhs[i] - rhs[i].transpose(3, 1, 4, 0, 2)
-            for j, part in enumerate((lhs[i], rhs[i], diff)):
-                tops[j, i] = np.maximum(tops[j, i], np.abs(part).max(axis=(0, 2, 3, 4)))
-    worst = worst_residual(tops[2, i, k] / max(tops[0, i, k], tops[1, i, k], 1e-300)
-                           for i in range(2) for k in range(2))
+    l1, l2 = _l_bands(ops1, omega1, n), _l_bands(ops2, omega2, n)
+    l1_t, l2_t = (_l_bands({name: m.T for name, m in ops.items()}, omega, n)
+                  for ops, omega in ((ops1, omega1), (ops2, omega2)))
+
+    left = _box_factors(ma_tab, b_tab, c_tab, d_tab, n)
+    right = _box_factors(d_tab, b_tab.T, c_tab.T, ma_tab, n)
+    lhs, rhs = np.empty((2, n, n, n, n), dtype=complex)  # reused by every block
+
+    def block_residual(i, k):
+        _box_side(l1, l2, i, k, left, lhs)  # [a, c, b, d]
+        _box_side(l2_t, l1_t, i, k, right, rhs)  # [c, a, d, b]
+        scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-300)
+        np.subtract(lhs, rhs.transpose(1, 0, 3, 2), out=lhs)
+        return np.abs(lhs).max() / scale
+
+    worst = worst_residual(block_residual(i, k) for i, k in product(range(2), repeat=2))
     return make_report("fock.box_intertwine.4_54",
                        {"x": x, "xp": xp, "y": y, "yp": yp, "m_cut": m_cut},
                        worst, ctx.tol_identity, started)

@@ -582,10 +582,16 @@ def _vg_projectors(run):
     br = np.array([qseries.bracket(gc.gamma * ctx.q ** int(m)) for m in mv])
     proj_p = br[:, None] * tab_p
     proj_m = br[:, None] * tab_m
-    eye = np.eye(len(mv))
-    res = [float(np.max(np.abs(d[ctr, ctr])))
-           for d in (proj_p + proj_m - eye, proj_p @ proj_m,
-                     proj_p @ proj_p - proj_p, proj_m @ proj_m - proj_m)]
+
+    def centre(left, right):
+        # (left @ right)[ctr, ctr] without the rest; einsum makes no BLAS
+        # call, and OpenBLAS runs a complex product this size on threads
+        return np.einsum("ij,jk->ik", left[ctr], right[:, ctr])
+
+    p_ctr, m_ctr = proj_p[ctr, ctr], proj_m[ctr, ctr]
+    res = [float(np.max(np.abs(d)))
+           for d in (p_ctr + m_ctr - np.eye(len(p_ctr)), centre(proj_p, proj_m),
+                     centre(proj_p, proj_p) - p_ctr, centre(proj_m, proj_m) - m_ctr)]
     # orthogonality of the eps-sectors inside the summation formula; this
     # sum decays only like (q/xy)^2 per step, so it gets a wider window
     x, y = 0.7, 0.8

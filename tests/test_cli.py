@@ -203,7 +203,7 @@ def test_coproduct_checks_do_matrix_work(monkeypatch):
     assert rc == 0
     # one window per transitivity pair, read off the summands' decay rate
     assert calls["transitivity"] == 3
-    # the box check applies L1 (x) L2 as two one-index products
+    # the box check applies each generator through its three diagonals
     assert calls["kron"] == 0
     # closed-form braces, the cg norms and the explicit sum read (q^2;q^2)_n
     # from prefix tables: no library module has a scalar finite q-product

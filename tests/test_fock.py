@@ -527,6 +527,39 @@ def test_box_intertwining_matches_dense_kronecker_products(monkeypatch):
     assert box_intertwining_check(*point, ctx).residual > 1e-3
 
 
+@pytest.mark.parametrize("factor", ["A", "B", "C", "D"])
+def test_box_intertwining_sees_one_changed_weight(monkeypatch, factor):
+    # the box matrix is MA[a, b] B[a, c] C[b, d] D[c, d], its tables built in
+    # that order; a 1% change of one entry of any of them breaks the relation
+    ctx = QContext(q=0.35)
+    calls = []
+
+    def scaled(*args):
+        tab = weight_table(*args)
+        if len(calls) == "ABCD".index(factor):
+            tab[2, 3] *= 1.01
+        calls.append(factor)
+        return tab
+
+    monkeypatch.setattr(fock, "weight_table", scaled)
+    assert box_intertwining_check(1.1, 0.8, 0.9, 1.3, 8, ctx).residual > 1e-4
+    assert len(calls) == 4
+
+
+def test_box_intertwining_never_holds_the_box_matrix():
+    # the (21, 21, 21, 21) complex box matrix alone is 3.0 MiB; each side of
+    # one block is 2.4 MiB, and both sides live at once
+    ctx = QContext(q=0.35)
+    box_intertwining_check(1.1, 0.8, 0.9, 1.3, 20, ctx)  # first-use set-up
+    tracemalloc.start()
+    try:
+        box_intertwining_check(1.1, 0.8, 0.9, 1.3, 20, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
 @pytest.mark.parametrize("q", [0.4, -0.3, 0.35 * cmath.exp(0.2j)])
 def test_brace_closed_reads_one_prefix_table(q):
     ctx = QContext(q=q)
