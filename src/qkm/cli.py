@@ -44,10 +44,23 @@ def parse_complex(text: str) -> complex:
         raise UsageError(f"cannot parse complex number {text!r}") from exc
 
 
+def _parse(cast, text: str, what: str):
+    """``cast(text)``, with a ValueError reported as a usage error naming ``what``."""
+    try:
+        return cast(text)
+    except ValueError as exc:
+        raise UsageError(f"cannot parse {what} {text!r}") from exc
+
+
+def _int_pair(text: str) -> tuple[int, int]:
+    lo, hi = text.split(":")
+    return int(lo), int(hi)
+
+
 def _parse_gamma(text: str) -> tuple[complex | None, float | None]:
     """gamma argument: 'selected:NU' or 'generic:C' or a bare complex."""
     if text.startswith("selected:"):
-        return None, float(text.split(":", 1)[1])
+        return None, _parse(float, text.split(":", 1)[1], "--gamma selected:NU")
     if text.startswith("generic:"):
         return parse_complex(text.split(":", 1)[1]), None
     return parse_complex(text), None
@@ -70,9 +83,9 @@ def _build_run_config(args) -> RunConfig:
 
     def pick(name, flag_value, cast, default=None):
         if flag_value is not None:
-            return cast(flag_value)
+            return _parse(cast, flag_value, name)
         if name in file_vals:
-            return cast(file_vals[name])
+            return _parse(cast, file_vals[name], name)
         return default
 
     gamma, gamma_nu = None, None
@@ -142,8 +155,8 @@ def cmd_table(args, stream) -> int:
     fmt = args.format or "csv"
     if fmt not in ("human", "json", "csv"):
         raise UsageError(f"unknown format {fmt!r}")
-    m_lo, m_hi = (int(v) for v in args.m_range.split(":"))
-    mp_lo, mp_hi = (int(v) for v in args.mp_range.split(":"))
+    m_lo, m_hi = _parse(_int_pair, args.m_range, "--m-range lo:hi")
+    mp_lo, mp_hi = _parse(_int_pair, args.mp_range, "--mp-range lo:hi")
     rows = []
     if args.weight_id == "fock.V":
         ctx = QContext(q=parse_complex(args.q) if args.q else 0.4)
@@ -190,8 +203,8 @@ def cmd_table(args, stream) -> int:
 
 
 def cmd_spectrum(args, stream) -> int:
-    q = float(args.q) if args.q else 0.4
-    n_list = [int(v) for v in args.n_list.split(",")]
+    q = _parse(float, args.q, "real --q") if args.q else 0.4
+    n_list = _parse(lambda t: [int(v) for v in t.split(",")], args.n_list, "--N-list")
     try:
         reg = fock.Regularisation(args.reg)
     except ValueError:

@@ -14,7 +14,6 @@ them; nothing is kept between calls.
 from __future__ import annotations
 
 import cmath
-import time
 from dataclasses import dataclass
 from decimal import getcontext
 from enum import Enum
@@ -29,7 +28,7 @@ from .orthopoly import (_cmul, decimal_digits, decimal_sqrt, lattice_brace_sums,
                         overlap_grid, overlap_sum, scaled_poly_values, to_decimal)
 from .qseries import (_first_below, bracket, big_theta4_const, log_qpoch_table,
                       qpoch_finite_table, qpoch_inf, qpoch_inf_multi, tail_sum)
-from .report import make_report, relative_residual, worst_residual
+from .report import CheckResult, relative_residual, worst_residual
 
 __all__ = [
     "FockRepParams", "Regularisation", "TruncatedHamiltonian",
@@ -431,7 +430,6 @@ def kappa_fock(x, ctx: QContext) -> complex:
 
 def transitivity_check_fock(x, y, m: int, mpp: int, m_sum: int, ctx: QContext):
     """Residual of the transitivity sum: V_x * S * V_y summed equals V_{xy}."""
-    started = time.perf_counter()
     row_x = weight_table(x, [m], range(m_sum + 1), ctx)[0]
     row_y = weight_table(y, range(m_sum + 1), [mpp], ctx)[:, 0]
     meas = np.array([s_measure(k, ctx) for k in range(m_sum + 1)])
@@ -441,9 +439,7 @@ def transitivity_check_fock(x, y, m: int, mpp: int, m_sum: int, ctx: QContext):
     lhs = summands.sum()
     rhs = weight_V_fock(complex(x) * complex(y), m, mpp, ctx)
     res = relative_residual(lhs, rhs)
-    return make_report("fock.weight_transitivity.4_46",
-                       {"x": x, "y": y, "m": m, "mpp": mpp, "m_sum": m_sum},
-                       res, ctx.tol_identity, started)
+    return CheckResult({"x": x, "y": y, "m": m, "mpp": mpp, "m_sum": m_sum}, res)
 
 
 def _boundary_triangle_factor(m_a: int, m_b: int, ctx: QContext) -> complex:
@@ -474,10 +470,9 @@ def star_triangle_fock(x, y, spins, m_sum: int, ctx: QContext,
     sides are evaluated in their exact limit forms.  ``perturb_r`` scales
     R by (1 + perturb_r) as a negative-control probe.  Every weight is read
     from one table per argument over the spins 0..max spin, so the cost
-    of a box of triples is that of one triple plus the reads.  The report
+    of a box of triples is that of one triple plus the reads.  The result
     carries the worst residual and the triple it occurs at (``worst_at``).
     """
-    started = time.perf_counter()
     x = complex(x)
     y = complex(y)
     spins = [tuple(t) for t in spins]
@@ -522,10 +517,9 @@ def star_triangle_fock(x, y, spins, m_sum: int, ctx: QContext,
             rhs = r * tab_qy[m_a, m_c] * tab_xy[m_a, m_b] * tab_qx[m_b, m_c]
         residuals.append(relative_residual(lhs, rhs))
     worst = int(np.argmax(residuals))  # the first worst triple, or the first NaN
-    return make_report("fock.star_triangle.4_49",
-                       {"x": x, "y": y, "spins": spins, "q": q, "perturb_r": perturb_r,
+    return CheckResult({"x": x, "y": y, "spins": spins, "q": q, "perturb_r": perturb_r,
                         "boundary": boundary, "worst_at": spins[worst]},
-                       worst_residual(residuals), ctx.tol_identity, started)
+                       worst_residual(residuals))
 
 
 def partition_series_fock(x, ctx: QContext) -> complex:
@@ -572,7 +566,6 @@ def rll_check(lam, mu_spec, a_max: int, ctx: QContext,
     both L factors by the first Pauli matrix; ``scramble`` perturbs one
     R-matrix entry as a negative control.
     """
-    started = time.perf_counter()
     lam = complex(lam)
     mu = complex(mu_spec)
     q = ctx.q
@@ -610,10 +603,8 @@ def rll_check(lam, mu_spec, a_max: int, ctx: QContext,
         return diff / scale
 
     worst = worst_residual(residual(*aux) for aux in product(range(2), repeat=4))
-    return make_report("fock.rll.2_15",
-                       {"lam": lam, "mu": mu, "a_max": a_max,
-                        "sigma_x": sigma_x, "scramble": scramble},
-                       worst, ctx.tol_identity, started)
+    return CheckResult({"lam": lam, "mu": mu, "a_max": a_max,
+                        "sigma_x": sigma_x, "scramble": scramble}, worst)
 
 
 def vbasis_operator_matrices(mu, m_cut: int, ctx: QContext) -> dict:
@@ -717,7 +708,6 @@ def box_intertwining_check(x, xp, y, yp, m_cut: int, ctx: QContext):
     as (D, B^T, C^T, MA).  Each block is compared and reduced before the
     next is built.
     """
-    started = time.perf_counter()
     x, xp, y, yp = (complex(v) for v in (x, xp, y, yp))
     q = ctx.q
     omega1 = np.sqrt(x * xp + 0j)
@@ -755,6 +745,4 @@ def box_intertwining_check(x, xp, y, yp, m_cut: int, ctx: QContext):
         return np.abs(lhs).max() / scale
 
     worst = worst_residual(block_residual(i, k) for i, k in product(range(2), repeat=2))
-    return make_report("fock.box_intertwine.4_54",
-                       {"x": x, "xp": xp, "y": y, "yp": yp, "m_cut": m_cut},
-                       worst, ctx.tol_identity, started)
+    return CheckResult({"x": x, "xp": xp, "y": y, "yp": yp, "m_cut": m_cut}, worst)

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +47,7 @@ from .context import QContext
 from .errors import DomainError, OverflowGuard, PoleHit, TruncationExhausted, WindowTooSmall
 from .orthopoly import ChiParams, chi
 from .qseries import ThetaKind, qpoch_inf, theta_product
-from .report import make_report, relative_residual, worst_residual
+from .report import CheckResult, relative_residual, worst_residual
 
 __all__ = [
     "ModularContext", "faddeev_phi",
@@ -196,7 +195,6 @@ def psi_eigen_check(sigma, x, mc: ModularContext):
     and the barred partner with b -> 1/b, the conjugate nome, and the
     opposite shift orientation.
     """
-    started = time.perf_counter()
     sigma = complex(sigma)
     x = complex(x)
     b = mc.b
@@ -211,10 +209,9 @@ def psi_eigen_check(sigma, x, mc: ModularContext):
     rhs2 = -qbh * cmath.exp(cmath.pi * sigma / b) * p0
     res1 = relative_residual(lhs1, rhs1)
     res2 = relative_residual(lhs2, rhs2)
-    return make_report("modular.psi_eigen.6_14",
-                       {"sigma": sigma, "x": x, "theta": mc.theta,
+    return CheckResult({"sigma": sigma, "x": x, "theta": mc.theta,
                         "res_b": res1, "res_binv": res2},
-                       worst_residual((res1, res2)), 1e-7, started)
+                       worst_residual((res1, res2)))
 
 
 def phi_mu(mu, mc: ModularContext) -> complex:
@@ -340,7 +337,6 @@ def summation_check_modular(mu, mup, x, z, mc: ModularContext):
     two Phi normalisations do not depend on y, so they are computed once
     rather than at every grid point.
     """
-    started = time.perf_counter()
     mu = complex(mu)
     mup = complex(mup)
     inv_norm = 1 / (phi_mu(mu, mc) * phi_mu(mup, mc))
@@ -354,6 +350,4 @@ def summation_check_modular(mu, mup, x, z, mc: ModularContext):
                             mc.tol_quad / 10.0)
     rhs = weight_V_modular(mu + mup, x, z, mc)
     res = relative_residual(lhs, rhs)
-    return make_report("modular.summation.6_27",
-                       {"mu": mu, "mup": mup, "x": x, "z": z, "theta": mc.theta},
-                       res, mc.tol_quad, started)
+    return CheckResult({"mu": mu, "mup": mup, "x": x, "z": z, "theta": mc.theta}, res)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Context, Decimal, DivisionByZero, InvalidOperation, Overflow, localcontext
@@ -23,7 +22,7 @@ import numpy as np
 from .context import QContext
 from .errors import DegenerateArgument, DomainError, OverflowGuard, TruncationExhausted
 from .qseries import qpoch_finite_table, qpoch_inf, qpoch_inf_multi, tail_sum, big_theta4_const
-from .report import make_report, relative_residual, worst_residual
+from .report import CheckResult, relative_residual, worst_residual
 
 __all__ = [
     "PolyEvalMethod", "poly_P", "poly_rows", "scaled_poly_iter",
@@ -375,7 +374,6 @@ def poly_P_difference_checks(n: int, xi, ctx: QContext):
     Second (backward): (1 - q^{-2n}) P_{n-1}(xi) =
     q^{-n} (P_n(q xi) - P_n(xi/q)) / (xi - 1/xi).
     """
-    started = time.perf_counter()
     xi = complex(xi)
     if min(abs(xi - 1), abs(xi + 1)) < 1e-6:
         raise DegenerateArgument("difference quotient singular at xi = +-1; perturb xi")
@@ -391,10 +389,8 @@ def poly_P_difference_checks(n: int, xi, ctx: QContext):
         lhs = (1 - q ** (-2 * n)) * poly_P(n - 1, xi, ctx)
         res_back = relative_residual(lhs, q ** (-n) * (p_up - p_dn) / br)
     res = worst_residual((res_fwd, res_back))
-    return make_report("orthopoly.difference.B_4_B_5",
-                       {"n": n, "xi": xi, "q": q,
-                        "res_difference": res_fwd, "res_backward": res_back},
-                       res, ctx.tol_identity, started)
+    return CheckResult({"n": n, "xi": xi, "q": q,
+                        "res_difference": res_fwd, "res_backward": res_back}, res)
 
 
 def genfun_checks(z, u, v, ctx: QContext):
@@ -405,7 +401,6 @@ def genfun_checks(z, u, v, ctx: QContext):
     z^n P_n(u) P_n(v) / (q^2;q^2)_n equals
     (z u v, z/(u v), z u/v, z v/u; q^2)_inf / (z^2/q^2; q^2)_inf.
     """
-    started = time.perf_counter()
     q = ctx.q
     z = complex(z)
     u = complex(u)
@@ -438,10 +433,8 @@ def genfun_checks(z, u, v, ctx: QContext):
     res2 = relative_residual(lhs2, rhs2)
 
     res = worst_residual((res1, res2))
-    return make_report("orthopoly.genfun.B_6_B_7",
-                       {"z": z, "u": u, "v": v, "q": q,
-                        "res_single": res1, "res_double": res2},
-                       res, ctx.tol_identity, started)
+    return CheckResult({"z": z, "u": u, "v": v, "q": q,
+                        "res_single": res1, "res_double": res2}, res)
 
 
 def _overlap_factors(x: complex, q: complex):
@@ -536,7 +529,6 @@ def poly_norm_sum_check(m: int, mp: int, ctx: QContext):
     is delta_{m,mp} (-)^m q^{-m^2} Theta_4 / (1 - q^{2m+1}); as
     q^{n(n+1)} P_n P_n = q^n (q^{n^2/2} P_n)^2 it is the overlap sum at x = 1.
     """
-    started = time.perf_counter()
     q = ctx.q
     lhs = overlap_sum(ctx.q_pow_half(2 * m + 1), ctx.q_pow_half(2 * mp + 1), 1, ctx)
     if m == mp:
@@ -545,9 +537,7 @@ def poly_norm_sum_check(m: int, mp: int, ctx: QContext):
     else:
         scale = abs(big_theta4_const(ctx) / (1 - q))
         res = abs(lhs) / scale
-    return make_report("orthopoly.norm_sum.B_8",
-                       {"m": m, "mp": mp, "q": q},
-                       res, ctx.tol_identity, started)
+    return CheckResult({"m": m, "mp": mp, "q": q}, res)
 
 
 @dataclass(frozen=True)
@@ -593,7 +583,6 @@ def chi_equation_checks(params: ChiParams, ctx: QContext):
     Wronskian chi(u/q,z) chi(1/u,z) - z chi(u,z) chi(q/u,z) =
     (u^2, q^2/u^2, z; q^2)_inf.
     """
-    started = time.perf_counter()
     q = complex(params.nome)
     u = complex(params.u)
     z = complex(params.z)
@@ -618,9 +607,7 @@ def chi_equation_checks(params: ChiParams, ctx: QContext):
     res_w = relative_residual(lhs_w, rhs_w)
 
     res = worst_residual((res_shift_u, res_z_up, res_z_dn, res_laurent, res_w))
-    return make_report("orthopoly.chi_equations.C_3_C_4_C_5_C_6",
-                       {"u": u, "z": z, "q": q,
+    return CheckResult({"u": u, "z": z, "q": q,
                         "res_shift_u": res_shift_u, "res_z_up": res_z_up,
                         "res_z_dn": res_z_dn, "res_laurent": res_laurent,
-                        "res_wronskian": res_w},
-                       res, ctx.tol_identity, started)
+                        "res_wronskian": res_w}, res)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import time
 from enum import Enum
 from functools import reduce
 from itertools import count, islice
@@ -27,7 +26,7 @@ import numpy as np
 
 from .context import QContext
 from .errors import DomainError, OverflowGuard, TruncationExhausted
-from .report import make_report, relative_residual, worst_residual
+from .report import CheckResult, relative_residual, worst_residual
 
 __all__ = [
     "tail_terms", "tail_length", "bilateral_terms", "tail_sum",
@@ -282,7 +281,6 @@ def jacobi_transform_check(x: float, b, ctx: QContext, rhs_phase: float = 0.0):
     expression in the barred variables.  ``rhs_phase`` multiplies the right
     side by exp(i rhs_phase); nonzero values are negative-control probes.
     """
-    started = time.perf_counter()
     b = complex(b)
     q = cmath.exp(1j * cmath.pi * b * b)
     qb = cmath.exp(-1j * cmath.pi / (b * b))
@@ -300,14 +298,11 @@ def jacobi_transform_check(x: float, b, ctx: QContext, rhs_phase: float = 0.0):
            * qpoch_inf_multi((ub * ub, qb * qb / (ub * ub), qb * qb), qb * qb, ctx_qb) / ub)
     rhs *= cmath.exp(1j * rhs_phase)
     res = relative_residual(lhs, rhs)
-    return make_report("qseries.jacobi.A_5",
-                       {"x": x, "b": b, "rhs_phase": rhs_phase},
-                       res, ctx.tol_identity, started)
+    return CheckResult({"x": x, "b": b, "rhs_phase": rhs_phase}, res)
 
 
 def gauss_check(x, z, ctx: QContext):
     """Residual of the Gauss summation sum_n x^n (z;q)_n/(q;q)_n = (xz;q)_inf/(x;q)_inf."""
-    started = time.perf_counter()
     q = ctx.q
     x = complex(x)
     z = complex(z)
@@ -321,8 +316,7 @@ def gauss_check(x, z, ctx: QContext):
     lhs = tail_sum(terms(), ctx)
     rhs = qpoch_inf(x * z, q, ctx) / qpoch_inf(x, q, ctx)
     res = relative_residual(lhs, rhs)
-    return make_report("qseries.gauss.A_9", {"x": x, "z": z, "q": q},
-                       res, ctx.tol_identity, started)
+    return CheckResult({"x": x, "z": z, "q": q}, res)
 
 
 def gauss_double_sum_check(z1, z2, ctx: QContext):
@@ -334,7 +328,6 @@ def gauss_double_sum_check(z1, z2, ctx: QContext):
     q^{2 n^2} / (q^2;q^2)_n^2 equals 1/(q^2;q^2)_inf.  (The middle,
     distributional, identity of the family is out of numerical scope.)
     """
-    started = time.perf_counter()
     q = ctx.q
     q2 = q * q
     z1 = complex(z1)
@@ -374,18 +367,15 @@ def gauss_double_sum_check(z1, z2, ctx: QContext):
     rhs3 = 1.0 / qpoch_inf(q2, q2, ctx)
     res3 = relative_residual(lhs3, rhs3)
 
-    return make_report("qseries.gauss_double.A_8",
-                       {"z1": z1, "z2": z2, "q": q,
+    return CheckResult({"z1": z1, "z2": z2, "q": q,
                         "res_double": res1, "res_diagonal": res3},
-                       worst_residual((res1, res3)), ctx.tol_identity, started)
+                       worst_residual((res1, res3)))
 
 
 def pentagonal_check(ctx: QContext):
     """Pentagonal-number series sum_m (-)^m q^{m(3m+1)/2} against (q;q)_inf."""
-    started = time.perf_counter()
     q = ctx.q
     lhs = reduce(add, bilateral_terms(lambda m: (-1) ** m * q ** (m * (3 * m + 1) // 2), ctx))
     rhs = qpoch_inf(q, q, ctx)
     res = relative_residual(lhs, rhs)
-    return make_report("qseries.pentagonal.A_7", {"q": q}, res,
-                       ctx.tol_identity, started)
+    return CheckResult({"q": q}, res)

@@ -68,7 +68,7 @@ class IdentityEntry:
     """One catalogue entry.
 
     ``check(run)`` is a generator over a :class:`Run`.  Each step yields
-    ``(params, residual)`` or a library :class:`IdentityReport`, optionally
+    ``(params, residual)``, as a library :class:`CheckResult` is, optionally
     followed by the identity id and the tolerance it is reported under (by
     default the entry's).  ``q`` is the default q (a tuple where the check
     runs at several) that ``--q`` replaces, or None for a check that
@@ -433,7 +433,7 @@ def _weight_properties(run):
     worst = worst_residual(norm_residual(m, mp) for m in range(5) for mp in range(5))
     yield {"q": q}, worst, "fock.weight_norm.4_45"
     for x, y in [(0.8, 0.7)] + [_transitivity_pair(run.rng, q) for _ in range(2)]:
-        yield _transitivity_autogrow(x, y, 0, 0, ctx), "fock.weight_transitivity.4_46"
+        yield (*_transitivity_autogrow(x, y, 0, 0, ctx), "fock.weight_transitivity.4_46")
     for z in [0.6] + list(sample_annulus(run.rng, 2, 0.4, 0.9)):
         rhs = (fock.fock_norm_const(ctx) ** -2
                * qseries.qpoch_inf_multi((z, q * q / z), q, ctx)
@@ -497,10 +497,9 @@ def _star_triangle_fock(run):
         yield {"x": x, "y": y, "q": run.q, "spins": "[0,2]^3"}, r.residual
     # generic complex point confirming validity off the physical regime
     ctx_c = run.context(run.entry.fixed_q, min(run.tol, 1e-8))
-    r = fock.star_triangle_fock(0.6, 0.55 + 0.1j, [(1, 0, 2)], 60, ctx_c)
-    params = dict(r.params)
+    params, residual = fock.star_triangle_fock(0.6, 0.55 + 0.1j, [(1, 0, 2)], 60, ctx_c)
     params["spins"] = params.pop("worst_at")  # a single triple: report it as the spins
-    yield params, r.residual
+    yield params, residual
 
 
 def _partition_fock(run):
@@ -651,9 +650,9 @@ def _vg_summation(run):
     ctx = run.ctx
     [gc] = run.selected((0.0,))
     for a, c in ((0, 0), (2, -1)):
-        yield vgamma.km_summation_check(0.7, 0.8, a, c, gc, ctx), "vgamma.summation.5_25"
+        yield (*vgamma.km_summation_check(0.7, 0.8, a, c, gc, ctx), "vgamma.summation.5_25")
     for b in (1, 3):
-        yield vgamma.km_inversion_check(0.7, 1, b, gc, ctx), "vgamma.inversion.5_26"
+        yield (*vgamma.km_inversion_check(0.7, 1, b, gc, ctx), "vgamma.inversion.5_26")
 
 
 def _vg_star_triangle(run):
@@ -827,14 +826,10 @@ def select_entries(pattern: str) -> list[IdentityEntry]:
 def _report(step, run: Run, started: float) -> IdentityReport:
     """One yielded step as a report, timed from ``started``.
 
-    A step is ``(params, residual)`` or a library report, then optionally
-    the id and tolerance it is reported under; the entry's stand in for
-    those left out.
+    A step is ``(params, residual)``, then optionally the id and tolerance
+    it is reported under; the entry's stand in for those left out.  The
+    verdict is decided here, against that tolerance.
     """
-    if isinstance(step, IdentityReport):
-        step = (step,)
-    if isinstance(step[0], IdentityReport):
-        step = (step[0].params, step[0].residual, *step[1:])
     params, residual, *badge = step
     defaults = (run.entry.identity_id, run.tol)
     ident, tol = (*badge, *defaults[len(badge):])

@@ -1,8 +1,8 @@
 """Identity reports: one verified identity at one parameter point.
 
-Also the two rules every check shares: the relative residual of one
-comparison, and the reduction of many components to the report's one
-residual (the worst, NaN if any component is NaN).
+Also what every check shares: its :class:`CheckResult`, which only the
+registry judges; the relative residual of one comparison; and the worst
+of many component residuals, NaN if any component is NaN.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -39,6 +40,14 @@ def worst_residual(residuals) -> float:
         if r > top or math.isnan(r):
             top = r
     return float(top)
+
+
+class CheckResult(NamedTuple):
+    """A check at one point: ``params`` and ``residual`` as an
+    :class:`IdentityReport` carries them, with no id, tolerance or verdict."""
+
+    params: dict
+    residual: float
 
 
 @dataclass
@@ -91,16 +100,15 @@ def _plain(value):
     return value
 
 
-def make_report(identity_id, params, residual, tolerance, started=None,
+def make_report(identity_id, params, residual, tolerance, started,
                 negative_control=False) -> IdentityReport:
     residual = float(residual)
     if negative_control:
         verdict = EXPECTED_FAIL if residual > 10.0 * tolerance else FAIL
     else:
         verdict = PASS if residual <= tolerance else FAIL
-    wall = 0.0 if started is None else (time.perf_counter() - started) * 1e3
     return IdentityReport(identity_id, dict(params), residual, float(tolerance),
-                          verdict, wall)
+                          verdict, (time.perf_counter() - started) * 1e3)
 
 
 def skipped_report(identity_id, params, tolerance, reason,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import time
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -24,7 +23,7 @@ from .fock import brace, sqrt_qpoch2_table
 from .orthopoly import lattice_brace_sums, overlap_sum, scaled_poly_values
 from .qseries import (ThetaKind, bilateral_terms, bracket, log_qpoch_table,
                       qpoch_inf, qpoch_inf_multi, tail_sum, theta_product)
-from .report import make_report, relative_residual, worst_residual
+from .report import CheckResult, relative_residual, worst_residual
 
 __all__ = [
     "GammaContext", "gamma_norm_const", "GammaDecomposition",
@@ -220,12 +219,10 @@ def brace_gamma_check(a: int, b: int, c: int, gamma_list, ctx: QContext):
     normalisation M_gamma, must reproduce the closed form; M_gamma itself
     is also checked against its theta-product evaluation.
     """
-    started = time.perf_counter()
     [(worst, details)] = brace_gamma_residuals([(a, b, c)], gamma_list, ctx)
     params = {"a": a, "b": b, "c": c, "gammas": [complex(g) for g in gamma_list]}
     params.update(details)
-    return make_report("vgamma.brace_gamma.5_14_5_15", params, worst,
-                       ctx.tol_identity, started)
+    return CheckResult(params, worst)
 
 
 def km_V(x, m: int, mp: int, gc: GammaContext, ctx: QContext) -> complex:
@@ -322,7 +319,6 @@ def km_kappa(x, gc: GammaContext, ctx: QContext) -> complex:
 
 def km_summation_check(x, y, a: int, c: int, gc: GammaContext, ctx: QContext):
     """Residual of the bold summation formula over the full spin lattice."""
-    started = time.perf_counter()
     x = complex(x)
     y = complex(y)
 
@@ -333,14 +329,11 @@ def km_summation_check(x, y, a: int, c: int, gc: GammaContext, ctx: QContext):
     rhs = (km_Phi(x, gc, ctx) * km_Phi(y, gc, ctx) / km_Phi(x * y, gc, ctx)
            * km_V(x * y, a, c, gc, ctx))
     res = relative_residual(lhs, rhs)
-    return make_report("vgamma.summation.5_25",
-                       {"x": x, "y": y, "a": a, "c": c, "gamma": gc.gamma},
-                       res, ctx.tol_identity, started)
+    return CheckResult({"x": x, "y": y, "a": a, "c": c, "gamma": gc.gamma}, res)
 
 
 def km_inversion_check(x, a: int, c: int, gc: GammaContext, ctx: QContext):
     """Residual of the inversion relation (the x y = 1 case of the summation)."""
-    started = time.perf_counter()
     x = complex(x)
 
     def summand(b):
@@ -352,9 +345,7 @@ def km_inversion_check(x, a: int, c: int, gc: GammaContext, ctx: QContext):
         rhs = km_Phi(x, gc, ctx) * km_Phi(1 / x, gc, ctx) / km_S(a, gc, ctx)
     scale = abs(km_Phi(x, gc, ctx) * km_Phi(1 / x, gc, ctx) / km_S(a, gc, ctx))
     res = abs(lhs - rhs) / scale
-    return make_report("vgamma.inversion.5_26",
-                       {"x": x, "a": a, "c": c, "gamma": gc.gamma},
-                       res, ctx.tol_identity, started)
+    return CheckResult({"x": x, "a": a, "c": c, "gamma": gc.gamma}, res)
 
 
 def star_triangle_km(x, y, a: int, b: int, c: int, gc: GammaContext,
@@ -363,11 +354,10 @@ def star_triangle_km(x, y, a: int, b: int, c: int, gc: GammaContext,
 
     At selected gamma the triangle scalar is kappa(x) kappa(y) kappa(z) /
     kappa(1).  At generic gamma no kappa exists; the scalar is then
-    calibrated at spins (0, 0, 0), so the reported residual measures
+    calibrated at spins (0, 0, 0), so the residual measures
     whether any scalar can make the relation hold at the probed spins
     (the expected outcome is failure, per the negative control).
     """
-    started = time.perf_counter()
     x = complex(x)
     y = complex(y)
     q = ctx.q
@@ -393,10 +383,8 @@ def star_triangle_km(x, y, a: int, b: int, c: int, gc: GammaContext,
     lhs = lhs_at(a, b, c)
     rhs = scalar * triangle_at(a, b, c)
     res = relative_residual(lhs, rhs)
-    return make_report("vgamma.star_triangle.5_27",
-                       {"x": x, "y": y, "spins": (a, b, c), "gamma": gc.gamma,
-                        "selected": gc.selected, "calibrated_scalar": calibrated},
-                       res, ctx.tol_identity, started)
+    return CheckResult({"x": x, "y": y, "spins": (a, b, c), "gamma": gc.gamma,
+                        "selected": gc.selected, "calibrated_scalar": calibrated}, res)
 
 
 def km_log_z(x, gc: GammaContext, ctx: QContext) -> complex:
@@ -434,7 +422,6 @@ def km_partition_checks(x, gc: GammaContext, ctx: QContext):
     ratio that connects nu = -1/2 to nu = +1/2 (both signs share one z,
     so the shift product must be 1).
     """
-    started = time.perf_counter()
     x = complex(x)
     q = ctx.q
     q2 = q * q
@@ -450,8 +437,6 @@ def km_partition_checks(x, gc: GammaContext, ctx: QContext):
              / qpoch_inf_multi((x / g2, q ** 4 * g2 / x), q2, ctx))
     res_shift = abs(shift - 1.0)
     res = worst_residual((res_inv, res_kappa, res_site, res_shift))
-    return make_report("vgamma.partition.5_29_5_30_5_31",
-                       {"x": x, "gamma": gc.gamma, "nu": gc.nu,
+    return CheckResult({"x": x, "gamma": gc.gamma, "nu": gc.nu,
                         "res_inversion": res_inv, "res_kappa": res_kappa,
-                        "res_site": res_site, "res_gamma_shift": res_shift},
-                       res, ctx.tol_identity, started)
+                        "res_site": res_site, "res_gamma_shift": res_shift}, res)

@@ -131,6 +131,22 @@ def test_falsy_or_nonpositive_override_is_usage_error(flags, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--gamma", "selected:abc"], ["table", "vgamma.Vbold", "--gamma", "selected:x"],
+    ["table", "fock.V", "--m-range", "3"], ["table", "fock.V", "--m-range", "a:b"],
+    ["spectrum", "--N-list", "a,b"], ["spectrum", "--q", "0.3+0.1j"],
+    ["verify", "--config", "{ini}"],
+], ids=" ".join)
+def test_malformed_argument_is_usage_error(argv, tmp_path, capsys):
+    # a ValueError from parsing would escape as a traceback with exit 1, FAIL's code
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nseed = abc\n")
+    rc, out = run_cli([a.format(ini=ini) for a in argv])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and out == ""
+    assert len(err) == 1 and err[0].startswith("error: cannot parse ")
+
+
 def test_nonpositive_override_in_config_file_is_usage_error(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nfilter = qseries.gauss.A_9\nm-window = 0\n")

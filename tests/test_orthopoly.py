@@ -18,6 +18,7 @@ from qkm.orthopoly import (ChiParams, DecimalComplex, PolyEvalMethod, chi,
                            poly_norm_sum_check, poly_P, poly_P_difference_checks,
                            poly_rows, scaled_poly_iter, scaled_poly_values, to_decimal)
 from qkm.qseries import qpoch_inf, qpoch_inf_multi, tail_terms
+from qkm.registry import RunConfig, run_suite
 from qkm.vgamma import GammaContext
 
 CTX = QContext(q=0.4)
@@ -326,11 +327,15 @@ def test_difference_equations():
 
 
 def test_difference_check_keeps_a_nan_component():
-    # at q = 1e-8 the backward equation of P_8 evaluates to NaN; the report
-    # carries it as its residual and fails, whatever the other component
+    # at q = 1e-8 the backward equation of P_8 evaluates to NaN; the check
+    # carries it as its residual, and the registry fails that point,
+    # whatever the other component
     rep = poly_P_difference_checks(8, 1.7, QContext(q=1e-8))
     assert np.isnan(rep.params["res_backward"])
-    assert np.isnan(rep.residual) and rep.verdict == "FAIL"
+    assert np.isnan(rep.residual)
+    [reg] = [r for r in run_suite(RunConfig(q=1e-8, filter="orthopoly.difference*"))
+             if r.params["n"] == 8]
+    assert np.isnan(reg.residual) and reg.verdict == "FAIL"
     r = poly_P_difference_checks(5, 0.7 + 0.2j, QContext(q=0.35))
     assert r.residual < 1e-9
 

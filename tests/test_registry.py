@@ -1,10 +1,12 @@
 """Tests for the declarative registry: catalogue shape, overrides, error isolation."""
 
+import ast
 import io
 import json
 import math
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +96,19 @@ def test_default_catalogue_shape():
     assert shape == Counter({row[:4]: row[4] for row in DEFAULT_CATALOGUE})
     assert len(reports) == 97
     assert Counter(r["verdict"] for r in reports) == {"PASS": 95, "EXPECTED_FAIL": 2}
+
+
+def test_library_checks_make_no_reports():
+    # a library check returns only (params, residual); the identity id, the
+    # tolerance, the verdict and the timing are the registry's alone
+    def names(module):
+        tree = ast.parse((Path(registry.__file__).parent / f"{module}.py").read_text())
+        return {getattr(node, attr) for node in ast.walk(tree) for attr in ("id", "attr", "name")
+                if isinstance(getattr(node, attr, None), str)}
+
+    banned = {"make_report", "IdentityReport", "perf_counter"}
+    found = {m: names(m) & banned for m in ("qseries", "orthopoly", "fock", "vgamma", "modular")}
+    assert not any(found.values()), found
 
 
 def test_q_override_is_recorded_unless_the_entry_fixes_q():
