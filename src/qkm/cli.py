@@ -157,6 +157,8 @@ def cmd_table(args, stream) -> int:
         raise UsageError(f"unknown format {fmt!r}")
     m_lo, m_hi = _parse(_int_pair, args.m_range, "--m-range lo:hi")
     mp_lo, mp_hi = _parse(_int_pair, args.mp_range, "--mp-range lo:hi")
+    if m_hi < m_lo or mp_hi < mp_lo or args.points < 1:
+        raise UsageError("empty grid: each range needs lo <= hi, and --points >= 1")
     rows = []
     if args.weight_id == "fock.V":
         ctx = QContext(q=parse_complex(args.q) if args.q else 0.4)
@@ -220,7 +222,7 @@ def cmd_spectrum(args, stream) -> int:
     else:
         writer.writerow(["N", "parity", "branch", "abs_eigenvalue"])
         for n in rep.n_values:
-            for k in range(min(4, len(rep.eigenvalues[n]))):
+            for k in range(fock.SPECTRAL_BRANCHES):
                 writer.writerow([n, "odd" if n % 2 else "even", k,
                                  repr(float(abs(rep.eigenvalues[n][k])))])
         if rep.subsequence_gap is not None:

@@ -17,9 +17,9 @@ class QContext:
       tolerance fixes every truncation of a run.
     * ``max_terms`` is a hard cap on any single truncated sum or product.
 
-    Fractional powers of q are computed once at construction on the
-    principal branch and shared by every module, so quantities like
-    q**(m + 1/2) carry a single consistent branch throughout a run.
+    q**(1/2) is computed once at construction on the principal branch and
+    shared by every module, so quantities like q**(m + 1/2) carry a single
+    consistent branch throughout a run.
     """
 
     q: complex
@@ -27,7 +27,6 @@ class QContext:
     max_terms: int = 10_000
     tail_cut: float = field(init=False, compare=False)
     q_half: complex = field(init=False, repr=False, compare=False)
-    q_quarter: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = complex(self.q)
@@ -38,7 +37,6 @@ class QContext:
             raise DomainError("the tolerance must satisfy 0 < tol_identity < 1")
         object.__setattr__(self, "tail_cut", self.tol_identity / 100.0)
         object.__setattr__(self, "q_half", q ** 0.5)
-        object.__setattr__(self, "q_quarter", q ** 0.25)
 
     def q_pow_half(self, k: int) -> complex:
         """q**(k/2) for integer k, on the branch fixed at construction."""

@@ -122,18 +122,24 @@ class SpectralReport:
     subsequence_gap: float | None = None
 
 
-def spectral_experiment(q: float, n_values, regularisation: Regularisation,
-                        branches: int = 4) -> SpectralReport:
+SPECTRAL_BRANCHES = 4  # lowest branches the spectral experiment compares
+
+
+def spectral_experiment(q: float, n_values, regularisation: Regularisation) -> SpectralReport:
     """Diagonalise the truncated operator for each cutoff in ``n_values``.
 
     The gauge ratio lam/mu is removed by an exact diagonal similarity
     before solving, so the spectra are computed at ratio 1 with a dense
-    general eigensolver.
+    general eigensolver.  A cutoff N with fewer than SPECTRAL_BRANCHES
+    eigenvalues is refused.
     """
     if not 0 < q < 1:
         raise DomainError("the spectral experiment runs at real q in (0, 1)")
     ctx = QContext(q=q)
     n_values = sorted(int(n) for n in n_values)
+    if n_values and n_values[0] + 1 < SPECTRAL_BRANCHES:
+        raise DomainError(f"{SPECTRAL_BRANCHES} branches need N + 1 >= {SPECTRAL_BRANCHES} "
+                          f"eigenvalues, got N = {n_values[0]}")
     eigs = {}
     for n in n_values:
         h = build_truncated_H(TruncatedHamiltonian(n, regularisation), ctx)
@@ -148,21 +154,21 @@ def spectral_experiment(q: float, n_values, regularisation: Regularisation,
         eigs[n] = vals[np.argsort(np.abs(vals))]
     report = SpectralReport(q=q, regularisation=regularisation,
                             n_values=n_values, eigenvalues=eigs)
-    ms = np.arange(branches)
+    ms = np.arange(SPECTRAL_BRANCHES)
     if regularisation in (Regularisation.I, Regularisation.II):
         sign = 1.0 if regularisation is Regularisation.I else -1.0
         limits = sign * (q ** (ms + 0.5) + q ** (-(ms + 0.5)))
         report.branch_limits = limits
         report.branch_errors = {
-            n: np.abs(eigs[n][:branches] - limits) for n in n_values
+            n: np.abs(eigs[n][:SPECTRAL_BRANCHES] - limits) for n in n_values
         }
     else:
         odd = [n for n in n_values if n % 2 == 1]
         even = [n for n in n_values if n % 2 == 0]
         if odd:
-            report.odd_branches = np.abs(eigs[odd[-1]][:branches])
+            report.odd_branches = np.abs(eigs[odd[-1]][:SPECTRAL_BRANCHES])
         if even:
-            report.even_branches = np.abs(eigs[even[-1]][:branches])
+            report.even_branches = np.abs(eigs[even[-1]][:SPECTRAL_BRANCHES])
         if odd and even:
             report.subsequence_gap = float(
                 np.max(np.abs(report.odd_branches - report.even_branches)))

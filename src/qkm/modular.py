@@ -46,7 +46,7 @@ import numpy as np
 from .context import QContext
 from .errors import DomainError, OverflowGuard, PoleHit, TruncationExhausted, WindowTooSmall
 from .orthopoly import ChiParams, chi
-from .qseries import ThetaKind, qpoch_inf, theta_product
+from .qseries import ThetaKind, qpoch_inf, tail_length, theta_product
 from .report import CheckResult, relative_residual, worst_residual
 
 __all__ = [
@@ -129,17 +129,13 @@ def _checked_qpoch(w, nome, ctx) -> complex:
     """qpoch_inf that refuses a factor on the pole lattice of the denominator."""
     out = 1.0 + 0.0j
     f = complex(w)
-    below = 0
-    for k in range(ctx.max_terms):
+    for k in range(tail_length(abs(f), abs(nome), ctx.tail_cut, ctx.max_terms)):
         factor = 1.0 - f
         if abs(factor) < 1e-12:
             raise PoleHit(f"dilogarithm pole: factor 1 - w q^{{2k}} = {factor!r} at k = {k}")
         out *= factor
-        below = below + 1 if abs(f) < ctx.tail_cut else 0
-        if below >= 3:
-            return out
         f *= nome
-    raise TruncationExhausted("dilogarithm product has no tail")
+    return out
 
 
 def _z_pair(sigma: complex, mc: ModularContext):
@@ -256,8 +252,10 @@ def s_weight(y, mc: ModularContext) -> complex:
     return 2 * cmath.sinh(cmath.pi * mc.b * y) * cmath.sinh(cmath.pi * y / mc.b)
 
 
-def adaptive_midpoint(f, halfwidth: float, n0: int, tol: float,
-                      max_doublings: int = 6) -> complex:
+MAX_DOUBLINGS = 6  # refinements adaptive_midpoint tries before it gives up
+
+
+def adaptive_midpoint(f, halfwidth: float, n0: int, tol: float) -> complex:
     """Equal-weight rule on a shifted lattice of [-L, L], refined until certified.
 
     Level 0 sums f over the n = max(n0, 8) nodes -L + h/3 + h k, h = 2L/n.
@@ -270,7 +268,7 @@ def adaptive_midpoint(f, halfwidth: float, n0: int, tol: float,
     start = -halfwidth + h / 3
     total = sum(f(t) for t in start + h * np.arange(n))
     prev = h * total
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         total += sum(f(t) for t in start + h / 2 + h * np.arange(n))
         n *= 2
         h /= 2

@@ -7,10 +7,10 @@ three consecutive terms below ``ctx.tail_cut``, hard-capped at
 ``ctx.max_terms``.  ``tail_terms`` walks a term iterable; ``tail_length``
 is the same count in closed form for terms of geometric size, and
 ``log_qpoch_table`` applies it to every exponent of a grid from one
-anchored chain per factor.  The two hottest scalar products, ``qpoch_inf`` and ``modular._checked_qpoch``,
-keep the rule inline: a generator walk or an up-front count measured
-about twice as slow there.  Nomes are always explicit; nothing squares a
-nome implicitly, callers pass q*q where a base-q**2 symbol is wanted.
+anchored chain per factor.  The scalar q-products, ``qpoch_inf`` and
+``modular._checked_qpoch``, count their factors with ``tail_length``.
+Nomes are always explicit; nothing squares a nome implicitly, callers
+pass q*q where a base-q**2 symbol is wanted.
 """
 
 from __future__ import annotations
@@ -111,14 +111,10 @@ def qpoch_inf(x, q, ctx: QContext) -> complex:
     out = 1.0 + 0.0j
     f = complex(x)
     q = complex(q)
-    below = 0
-    for _ in range(ctx.max_terms):
+    for _ in range(tail_length(abs(f), abs(q), ctx.tail_cut, ctx.max_terms)):
         out *= 1.0 - f
-        below = below + 1 if abs(f) < ctx.tail_cut else 0
-        if below >= 3:
-            return out
         f *= q
-    raise TruncationExhausted("q-Pochhammer product has no tail within max_terms")
+    return out
 
 
 def qpoch_inf_multi(xs, q, ctx: QContext) -> complex:

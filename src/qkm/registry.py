@@ -853,13 +853,12 @@ def run_entry(entry: IdentityEntry, cfg: RunConfig) -> list[IdentityReport]:
             reports.append(_report(step, run, started))
             started = time.perf_counter()
     except QkmError as exc:
-        return [skipped_report(entry.identity_id, {}, run.tol,
-                               f"{type(exc).__name__}: {exc}")]
+        return [skipped_report(entry.identity_id, run.tol, f"{type(exc).__name__}: {exc}")]
     except Exception as exc:
         where = traceback.extract_tb(exc.__traceback__)[-1]
         reason = (f"{type(exc).__name__}: {exc} (at {os.path.basename(where.filename)}"
                   f" in {where.name})")
-        return [skipped_report(entry.identity_id, {}, run.tol, reason, verdict=ERROR)]
+        return [skipped_report(entry.identity_id, run.tol, reason, verdict=ERROR)]
     return reports
 
 

@@ -111,8 +111,6 @@ def make_report(identity_id, params, residual, tolerance, started,
                           verdict, (time.perf_counter() - started) * 1e3)
 
 
-def skipped_report(identity_id, params, tolerance, reason,
-                   verdict=SKIPPED) -> IdentityReport:
-    p = dict(params)
-    p["skip_reason"] = reason
-    return IdentityReport(identity_id, p, float("nan"), float(tolerance), verdict)
+def skipped_report(identity_id, tolerance, reason, verdict=SKIPPED) -> IdentityReport:
+    return IdentityReport(identity_id, {"skip_reason": reason}, float("nan"),
+                          float(tolerance), verdict)

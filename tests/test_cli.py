@@ -147,6 +147,20 @@ def test_malformed_argument_is_usage_error(argv, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: cannot parse ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "fock.V", "--m-range", "5:0"], ["table", "vgamma.Vbold", "--m-range", "5:0"],
+    ["table", "fock.V", "--mp-range", "2:1"], ["table", "modular.V", "--points", "0"],
+    ["table", "modular.V", "--points", "-1"], ["spectrum", "--N-list", "2,3"],
+], ids=" ".join)
+def test_empty_grid_or_short_spectrum_is_refused(argv, capsys):
+    # an empty table grid, or a cutoff with fewer eigenvalues than branches
+    rc, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_nonpositive_override_in_config_file_is_usage_error(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nfilter = qseries.gauss.A_9\nm-window = 0\n")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qkm import fock, vgamma
+from qkm import fock, modular, vgamma
 from qkm.context import QContext
 from qkm.errors import DomainError, OverflowGuard, TailTooFat, TruncationExhausted
 from qkm.qseries import (ThetaKind, _log_qpoch_chain, bilateral_terms, bracket,
@@ -202,6 +202,19 @@ def test_tail_length_refusals(top, rate, max_terms):
     # not finite, not shrinking, or 243 terms against a cap of 100
     with pytest.raises(TruncationExhausted):
         tail_length(top, rate, 1e-11, max_terms)
+
+
+def test_scalar_products_take_tail_length_factors():
+    # |q|^2 = 0.1 puts |q|^22 on the cut 1e-11, where a walk over the
+    # computed factors and the closed-form count may differ by one; both
+    # products take exactly the count, 25 here
+    q = 0.3 + 0.1j
+    ctx = QContext(q=q)
+    n = tail_length(abs(q), abs(q), ctx.tail_cut, ctx.max_terms)
+    table = qpoch_finite_table(q, q, n)
+    assert n == 25 and table[n] != table[n - 1]
+    assert qpoch_inf(q, q, ctx) == table[n]
+    assert modular._checked_qpoch(q, q, ctx) == table[n]
 
 
 def test_log_qpoch_array_refuses_a_count_above_max_terms():
