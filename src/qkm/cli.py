@@ -152,9 +152,6 @@ def cmd_verify(args, stream) -> int:
 
 
 def cmd_table(args, stream) -> int:
-    fmt = args.format or "csv"
-    if fmt not in ("human", "json", "csv"):
-        raise UsageError(f"unknown format {fmt!r}")
     m_lo, m_hi = _parse(_int_pair, args.m_range, "--m-range lo:hi")
     mp_lo, mp_hi = _parse(_int_pair, args.mp_range, "--mp-range lo:hi")
     if m_hi < m_lo or mp_hi < mp_lo or args.points < 1:
@@ -191,7 +188,7 @@ def cmd_table(args, stream) -> int:
     else:
         raise UsageError(f"unknown weight_id {args.weight_id!r} "
                          "(choose fock.V, vgamma.Vbold, modular.V)")
-    if fmt == "json":
+    if args.format == "json":
         stream.write(json.dumps(
             [{"m": m, "mp": mp, "re": v.real, "im": v.imag} for m, mp, v in rows],
             sort_keys=True, indent=2))
@@ -262,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--mp-range", dest="mp_range", default="0:5", help="lo:hi")
     tab.add_argument("--points", type=int, default=6,
                      help="grid points per axis (modular.V)")
-    tab.add_argument("--format", default=None, choices=("human", "json", "csv"))
+    tab.add_argument("--format", default="csv", choices=("csv", "json"))
 
     spec = sub.add_parser("spectrum", help="truncated-operator spectral run")
     spec.add_argument("--N-list", dest="n_list", default="8,16,24,32")

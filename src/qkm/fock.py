@@ -24,8 +24,8 @@ import numpy as np
 from .context import QContext
 from .errors import (DomainError, EigensolverFailure, OverflowGuard, TailTooFat,
                      TruncationExhausted)
-from .orthopoly import (_cmul, decimal_digits, decimal_sqrt, lattice_brace_sums,
-                        overlap_grid, overlap_sum, scaled_poly_values, to_decimal)
+from .orthopoly import (decimal_digits, decimal_sqrt, lattice_brace_sums,
+                        overlap_grid, scaled_poly_values, to_decimal)
 from .qseries import (_first_below, bracket, big_theta4_const, log_qpoch_table,
                       qpoch_finite_table, qpoch_inf, qpoch_inf_multi, tail_sum)
 from .report import CheckResult, relative_residual, worst_residual
@@ -373,12 +373,11 @@ def weight_V_fock(x, m: int, mp: int, ctx: QContext) -> complex:
 def weight_V_fock_from_overlaps(x, m: int, mp: int, ctx: QContext) -> complex:
     """The same weight from its defining occupation sum (cross-check route).
 
-    Sums (mu'/mu)^a <mu,m|lam,a><lam,a|mu',mp> over a with the tail rule;
-    converges for |x| > |q|.
+    Sums (mu'/mu)^a <mu,m|lam,a><lam,a|mu',mp> over a; converges for
+    |x| > |q|.  The 1x1 call of weight_table_from_overlaps.
     """
-    pref = ctx.q_pow_half(m * (m + 1) + mp * (mp + 1)) / fock_norm_const(ctx)
-    return pref * overlap_sum(ctx.q_pow_half(2 * m + 1), ctx.q_pow_half(2 * mp + 1),
-                              x, ctx)
+    weights, _ = weight_table_from_overlaps(x, [m], [mp], ctx)
+    return complex(weights[0, 0])
 
 
 def weight_table_from_overlaps(x, m_values, mp_values, ctx: QContext):
@@ -387,16 +386,19 @@ def weight_table_from_overlaps(x, m_values, mp_values, ctx: QContext):
     One ``overlap_grid`` call builds each spin's occupation row once and
     stops every entry at its own tail.  Returns the weights and the
     largest term of each entry's sum on the same scale, so that
-    peaks / |weights| is the cancellation of each entry.
+    peaks / |weights| is the cancellation of each entry.  The prefactors
+    multiply in Python complex arithmetic, which rounds the same whatever
+    the grid's size.
     """
     ms = [int(m) for m in m_values]
     mps = [int(mp) for mp in mp_values]
     sums, peaks = overlap_grid([ctx.q_pow_half(2 * m + 1) for m in ms],
                                [ctx.q_pow_half(2 * mp + 1) for mp in mps], x, ctx)
     n_f = fock_norm_const(ctx)
-    pref = np.array([[ctx.q_pow_half(m * (m + 1) + mp * (mp + 1)) / n_f for mp in mps]
-                     for m in ms])
-    return _cmul(pref, sums), np.abs(pref) * peaks
+    pref = [[ctx.q_pow_half(m * (m + 1) + mp * (mp + 1)) / n_f for mp in mps] for m in ms]
+    weights = [[p * s for p, s in zip(*rows)] for rows in zip(pref, sums.tolist())]
+    return (np.array(weights, dtype=complex).reshape(sums.shape),
+            np.abs(np.array(pref, dtype=complex).reshape(sums.shape)) * peaks)
 
 
 def weight_table(x, m_values, mp_values, ctx: QContext) -> np.ndarray:

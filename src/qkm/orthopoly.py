@@ -399,14 +399,18 @@ def genfun_checks(z, u, v, ctx: QContext):
     Single: sum_n (-)^n q^{n(n-1)/2} z^n P_n(u) / (q;q)_n equals
     (z u, z/u; q)_inf / (z^2/q; q^2)_inf.  Double: sum_n (-)^n q^{n(n-1)}
     z^n P_n(u) P_n(v) / (q^2;q^2)_n equals
-    (z u v, z/(u v), z u/v, z v/u; q^2)_inf / (z^2/q^2; q^2)_inf.
+    (z u v, z/(u v), z u/v, z v/u; q^2)_inf / (z^2/q^2; q^2)_inf.  The
+    double series is the overlap sum at x = q^2/z, which converges for
+    |z| < |q|; a z outside that disc (or |z| >= 0.9 |q|^{-1/2}, the
+    tighter bound above |q| = 0.93) is refused up front.
     """
     q = ctx.q
     z = complex(z)
     u = complex(u)
     v = complex(v)
-    if abs(z) >= 0.9 * abs(q) ** -0.5:
-        raise DomainError("generating-function series needs smaller |z|")
+    bound = min(abs(q), 0.9 * abs(q) ** -0.5)
+    if abs(z) >= bound:
+        raise DomainError(f"generating-function series need |z| < {bound:.6g}, got z = {z}")
 
     # Single generating function: q^{n(n-1)/2} P_n = q^{-n/2} * (q^{n^2/2} P_n).
     def single_terms():
@@ -420,14 +424,9 @@ def genfun_checks(z, u, v, ctx: QContext):
             / qpoch_inf(z * z / q, q * q, ctx))
     res1 = relative_residual(lhs1, rhs1)
 
-    def double_terms():
-        f = 1.0 + 0.0j  # (-z)^n q^{-n} / (q^2;q^2)_n
-        rows = zip(scaled_poly_iter(u, ctx), scaled_poly_iter(v, ctx))
-        for n, (row_u, row_v) in enumerate(rows):
-            yield f * row_u * row_v
-            f *= -z / q / (1 - (q * q) ** (n + 1))
-
-    lhs2 = tail_sum(double_terms(), ctx)
+    # Double: q^{n(n-1)} P_n P_n = q^{-n} rows, so the factors (-z/q)^n / (q^2;q^2)_n
+    # are the overlap sum's at x = q^2/z; at z = 0 only the n = 0 term is left.
+    lhs2 = overlap_sum(u, v, q * q / z, ctx) if z else 1.0 + 0.0j
     rhs2 = (qpoch_inf_multi((z * u * v, z / (u * v), z * u / v, z * v / u), q * q, ctx)
             / qpoch_inf(z * z / (q * q), q * q, ctx))
     res2 = relative_residual(lhs2, rhs2)
@@ -445,81 +444,67 @@ def _overlap_factors(x: complex, q: complex):
         f *= -q / (x * (1 - (q * q) ** (a + 1)))
 
 
-def _overlap_domain(x, ctx: QContext) -> complex:
-    x = complex(x)
-    if abs(x) <= abs(ctx.q):
-        raise DomainError("overlap sum converges for |x| > |q| only")
-    return x
-
-
 def overlap_sum(xi_m, xi_mp, x, ctx: QContext, scale_m=1, scale_mp=1) -> complex:
     """Tail-ruled sum over a of (-q/x)^a / (q^2;q^2)_a row_m(a) row_mp(a).
 
     row_m(a) = scale_m q^{a^2/2} P_a(xi_m), likewise row_mp; the sum
     converges for |x| > |q|.  This is the occupation overlap behind the
-    Fock and sector weights and the completeness relations.
+    Fock and sector weights and the completeness relations, and the 1x1
+    call of overlap_grid.
     """
-    x = _overlap_domain(x, ctx)
-    terms = (f * ra * rb for f, ra, rb in zip(
-        _overlap_factors(x, ctx.q), scaled_poly_iter(xi_m, ctx, scale=scale_m),
-        scaled_poly_iter(xi_mp, ctx, scale=scale_mp)))
-    return tail_sum(terms, ctx)
-
-
-def _cmul(a, b) -> np.ndarray:
-    """a * b elementwise, rounded as Python rounds a complex product.
-
-    Each real product and sum is rounded on its own; numpy's complex
-    multiply may fuse them into multiply-adds on CPUs that have them,
-    which moves last bits away from the scalar route.
-    """
-    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+    sums, _ = overlap_grid([xi_m], [xi_mp], x, ctx, [scale_m], [scale_mp])
+    return complex(sums[0, 0])
 
 
 def overlap_grid(xis_m, xis_mp, x, ctx: QContext, scales_m=None, scales_mp=None):
-    """overlap_sum for every pair of a row xi and a column xi, as one array.
+    """The occupation overlap sums of every row xi with every column xi.
 
-    Entry (i, j) is ``overlap_sum(xis_m[i], xis_mp[j], x, ctx,
-    scales_m[i], scales_mp[j])`` bit for bit: the same terms, summed in
-    the same order, stopped at its own tail (three consecutive terms below
-    ``tail_cut``).  Each polynomial row is built once per xi rather than
-    once per entry, and the terms of the grid are formed as arrays, deep
-    enough for the slowest entry; the depth doubles from 64 until every
-    entry has met its tail, up to ``max_terms``.  Returns the sums and the
-    largest term of each, whose ratio is the cancellation of the sum.
+    Entry (i, j) sums (-q/x)^a / (q^2;q^2)_a row_i(a) row_j(a) over
+    a = 0, 1, ..., with row_i(a) = scales_m[i] q^{a^2/2} P_a(xis_m[i]) and
+    row_j likewise from the columns.  Each row and the factors are built
+    once, as deep as the slowest entry needs.  Each entry is walked on its
+    own, in order, in complex doubles, and stops after three consecutive
+    terms with |t| <= ``tail_cut`` |running sum|: relative to the sum, so a
+    sum far below 1 keeps its digits, and an entry does not depend on the
+    grid it sits in.  Raises TruncationExhausted when an entry has no such
+    tail within ``max_terms``.  Returns the sums and the largest term of
+    each, whose ratio is the cancellation of the sum.
     """
-    x = _overlap_domain(x, ctx)
-    n_m = len(xis_m)
+    x = complex(x)
+    if abs(x) <= abs(ctx.q):
+        raise DomainError("overlap sum converges for |x| > |q| only")
+    n_m, n_mp = len(xis_m), len(xis_mp)
     scales = [*([1] * n_m if scales_m is None else scales_m),
-              *([1] * len(xis_mp) if scales_mp is None else scales_mp)]
+              *([1] * n_mp if scales_mp is None else scales_mp)]
     gens = [scaled_poly_iter(xi, ctx, scale=s)
             for xi, s in zip([*xis_m, *xis_mp], scales)]
     factors = _overlap_factors(x, ctx.q)
     rows = [[] for _ in gens]
     f = []
-    depth = 64
-    while True:
-        depth = min(depth, ctx.max_terms)
-        for g, row in zip(gens, rows):
-            row.extend(islice(g, depth - len(row)))
-        f.extend(islice(factors, depth - len(f)))
-        tab = np.array(rows).T  # (depth, rows then columns)
-        terms = _cmul(_cmul(np.array(f)[:, None], tab[:, :n_m])[:, :, None],
-                      tab[:, None, n_m:])
-        sizes = np.abs(terms)
-        below = sizes < ctx.tail_cut
-        run = below[2:] & below[1:-1] & below[:-2]
-        if run.any(axis=0).all():
-            stop = run.argmax(axis=0) + 2  # the third small term closes the sum
-            kept = np.arange(depth)[:, None, None] <= stop
-            sums = np.take_along_axis(np.cumsum(terms, axis=0), stop[None], 0)[0]
-            return sums, np.where(kept, sizes, 0.0).max(axis=0)
-        if depth == ctx.max_terms:
-            raise TruncationExhausted(f"no tail after {ctx.max_terms} terms")
-        depth *= 2
+    cut = ctx.tail_cut
+    sums, peaks = [], []
+    for row_m in rows[:n_m]:
+        for row_mp in rows[n_m:]:
+            total, peak, below = 0.0 + 0.0j, 0.0, 0
+            for a in range(ctx.max_terms):
+                if a == len(f):  # one term deeper than any entry so far
+                    f.append(next(factors))
+                    for g, row in zip(gens, rows):
+                        row.append(next(g))
+                t = f[a] * row_m[a] * row_mp[a]
+                total += t
+                size = abs(t)
+                if size > peak:
+                    peak = size
+                below = below + 1 if size <= cut * abs(total) else 0
+                if below == 3:
+                    break
+            else:
+                raise TruncationExhausted(f"no tail within {ctx.max_terms} terms")
+            sums.append(total)
+            peaks.append(peak)
+    return (np.array(sums, dtype=complex).reshape(n_m, n_mp),
+            np.array(peaks).reshape(n_m, n_mp))
 
 
 def poly_norm_sum_check(m: int, mp: int, ctx: QContext):

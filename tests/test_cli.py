@@ -380,6 +380,12 @@ def test_table_modular_symmetric():
         assert abs(v - vals[(y, x)]) < 1e-10 * max(abs(v), 1.0)
 
 
+def test_table_formats_are_csv_and_json(capsys):
+    rc, out = run_cli(["table", "fock.V", "--format", "human"])
+    assert rc == 2 and out == ""
+    assert "invalid choice: 'human'" in capsys.readouterr().err
+
+
 def test_table_unknown_weight():
     rc, _ = run_cli(["table", "bogus.V"])
     assert rc == 2

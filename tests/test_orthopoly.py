@@ -17,7 +17,7 @@ from qkm.orthopoly import (ChiParams, DecimalComplex, PolyEvalMethod, chi,
                            genfun_checks, lattice_brace_sums, overlap_grid, overlap_sum,
                            poly_norm_sum_check, poly_P, poly_P_difference_checks,
                            poly_rows, scaled_poly_iter, scaled_poly_values, to_decimal)
-from qkm.qseries import qpoch_inf, qpoch_inf_multi, tail_terms
+from qkm.qseries import qpoch_inf, qpoch_inf_multi
 from qkm.registry import RunConfig, run_suite
 from qkm.vgamma import GammaContext
 
@@ -302,22 +302,26 @@ def test_overlap_sum_domain():
                                          (0.35 * np.exp(0.2j), 2.2 * np.exp(0.7j))])
 def test_overlap_grid_equals_scalar_sums(q, x_over_q):
     ctx = QContext(q=q)
-    x = abs(q) * x_over_q
+    x = complex(abs(q) * x_over_q)
     xis = [ctx.q_pow_half(2 * m + 1) for m in range(7)]
     scales = [1.3 ** m for m in range(7)]
     sums, peaks = overlap_grid(xis, xis[::-1], x, ctx, scales, scales[::-1])
     for i, (xi, s) in enumerate(zip(xis, scales)):
         for j, (xj, t) in enumerate(zip(xis[::-1], scales[::-1])):
             assert sums[i, j] == overlap_sum(xi, xj, x, ctx, s, t)
-            # the same terms through the scalar tail rule, with their peak
-            def terms():
-                f = 1.0 + 0.0j
-                rows = zip(scaled_poly_iter(xi, ctx, s), scaled_poly_iter(xj, ctx, t))
-                for a, (ra, rb) in enumerate(rows):
-                    yield f * ra * rb
-                    f *= -ctx.q / (x * (1 - (ctx.q * ctx.q) ** (a + 1)))
-
-            peak = max(map(abs, tail_terms(terms(), ctx)))
+            # the same terms walked to three in a row at or below
+            # tail_cut * |running sum|, with their sum and peak
+            f, total, peak, below = 1.0 + 0.0j, 0.0 + 0.0j, 0.0, 0
+            rows = zip(scaled_poly_iter(xi, ctx, s), scaled_poly_iter(xj, ctx, t))
+            for a, (ra, rb) in enumerate(rows):
+                term = f * ra * rb
+                total += term
+                peak = max(peak, abs(term))
+                below = below + 1 if abs(term) <= ctx.tail_cut * abs(total) else 0
+                if below == 3:
+                    break
+                f *= -ctx.q / (x * (1 - (ctx.q * ctx.q) ** (a + 1)))
+            assert sums[i, j] == total
             assert abs(peaks[i, j] - peak) <= 1e-15 * peak
 
 
@@ -359,6 +363,14 @@ def test_generating_functions():
     assert genfun_checks(0.3, 1.2, 0.8, CTX).residual < 1e-9
 
 
+@pytest.mark.parametrize("q, z", [(0.4, 0.41), (0.4, 0.4j), (0.95, 0.93)])
+def test_generating_functions_refuse_z_outside_the_disc(q, z):
+    # the double series is the overlap sum at x = q^2/z, which has no tail
+    # for |z| >= |q|; above |q| = 0.93 the bound 0.9 |q|^{-1/2} is tighter
+    with pytest.raises(DomainError, match=r"got z = "):
+        genfun_checks(z, 1.2, 0.8, QContext(q=q))
+
+
 def test_genfun_double_oracle():
     # left side of the two-variable generating function summed with explicit
     # polynomial values (terms decay like (z/q)^n), right side from products
@@ -373,6 +385,13 @@ def test_genfun_double_oracle():
     rhs = (qpoch_inf_multi((z * u * v, z / (u * v), z * u / v, z * v / u), q * q, CTX)
            / qpoch_inf(z * z / (q * q), q * q, CTX))
     assert abs(lhs - rhs) < 1e-10 * abs(rhs)
+
+
+@pytest.mark.parametrize("q", [0.4, -0.8, 0.3 + 0.1j])
+def test_exactly_zero_overlap_sum_ends(q):
+    # off the diagonal the sum is exactly 0, so its running sum is rounding
+    # noise; the relative stop still ends it, in 73, 263 and 58 terms here
+    assert poly_norm_sum_check(0, 1, QContext(q=q, max_terms=400)).residual < 1e-13
 
 
 def test_norm_sum_diagonal_and_off():

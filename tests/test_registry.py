@@ -208,6 +208,17 @@ def test_occupation_sum_out_of_range_is_refused_without_a_warning():
         "DomainError: the occupation sum leaves double range")
 
 
+@pytest.mark.parametrize("q", ["1e-3", "1e-8"])
+def test_sector_weight_sums_pass_at_small_q(q):
+    # the weight at (0.6+0.1j, 1, -1, 4) is 4.6e-11 at q = 1e-3 and 1.5e-28 at
+    # 1e-8, so a cut of tail_cut not scaled by the sum would end its
+    # occupation sum at once (residual 1.0008 and 1.0000000077)
+    rc, out = run_cli(["verify", "--q", q, "--filter", "vgamma.weight_closed_vs_sum*",
+                       "--format", "json"])
+    [rep] = json.loads(out)
+    assert rc == 0 and rep["verdict"] == "PASS"
+
+
 def test_generic_gamma_of_brace_entry_is_refused_as_a_domain_error():
     [rep] = run_suite(RunConfig(filter="vgamma.brace_gamma.*", gamma=0))
     assert rep.verdict == "SKIPPED"

@@ -105,6 +105,17 @@ def test_sector_weight_closed_vs_sum():
         assert abs(a - b) < 1e-9 * max(abs(a), 1e-300)
 
 
+def test_sector_overlap_sum_keeps_the_digits_of_a_small_weight():
+    # the weight is 1.1e-5, so a cut of tail_cut not scaled by the sum would
+    # end its occupation sum after 40 terms, 6.0e-8 off the closed form
+    x = 0.5683793022722872 - 0.5881274615146143j
+    gc = GammaContext(gamma=0.7 * cmath.exp(0.4j))
+    with mp.workdps(50):
+        want = _mp_weight_Veps(x, -1, -3, 6, gc.gamma, mp.mpf(Q))
+    got = weight_Veps_from_overlaps(x, -1, -3, 6, gc, CTX)
+    assert abs(got - want) <= 1e-10 * abs(want)
+
+
 def test_sector_orthogonality():
     # opposite sectors convolve to zero under the lattice measure
     def cross(b):
