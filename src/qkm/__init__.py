@@ -12,7 +12,7 @@ and ``registry`` + ``cli`` the runnable verification suite.
 from .context import QContext
 from .errors import (DegenerateArgument, DomainError, EigensolverFailure,
                      OverflowGuard, PoleHit, QkmError, SingularMeasure,
-                     TailTooFat, TruncationExhausted, WindowTooSmall)
+                     TruncationExhausted, WindowTooSmall)
 from .report import IdentityReport
 from .registry import RunConfig, run_suite
 
@@ -20,6 +20,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QContext", "IdentityReport", "RunConfig", "run_suite", "QkmError",
-    "DomainError", "TruncationExhausted", "DegenerateArgument", "OverflowGuard", "EigensolverFailure", "TailTooFat",
+    "DomainError", "TruncationExhausted", "DegenerateArgument", "OverflowGuard", "EigensolverFailure",
     "SingularMeasure", "PoleHit", "WindowTooSmall", "__version__",
 ]

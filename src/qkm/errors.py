@@ -25,10 +25,6 @@ class EigensolverFailure(QkmError):
     """The dense eigensolver did not converge."""
 
 
-class TailTooFat(QkmError):
-    """The last retained term of a truncated sum is above the tail cut; widen the window."""
-
-
 class SingularMeasure(QkmError):
     """A summation measure vanishes inside the requested spin window."""
 

@@ -22,12 +22,12 @@ from itertools import count, product
 import numpy as np
 
 from .context import QContext
-from .errors import (DomainError, EigensolverFailure, OverflowGuard, TailTooFat,
-                     TruncationExhausted)
+from .errors import DomainError, EigensolverFailure, OverflowGuard, TruncationExhausted
 from .orthopoly import (decimal_digits, decimal_sqrt, lattice_brace_sums,
                         overlap_grid, scaled_poly_values, to_decimal)
 from .qseries import (_first_below, bracket, big_theta4_const, log_qpoch_table,
-                      qpoch_finite_table, qpoch_inf, qpoch_inf_multi, tail_sum)
+                      qpoch_finite_table, qpoch_inf, qpoch_inf_multi, refuse_cancellation,
+                      sites_in_blocks, tail_sum, tail_walk)
 from .report import CheckResult, relative_residual, worst_residual
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
     "sqrt_qpoch2_table", "BraceMethod", "brace", "brace_spin_sums",
     "cg_table", "weight_V_fock", "weight_V_fock_from_overlaps",
     "weight_table", "weight_table_from_overlaps",
-    "kappa_fock", "transitivity_check_fock", "star_triangle_fock",
+    "kappa_fock", "refuse_undecayed_sum", "transitivity_check_fock", "star_triangle_fock",
     "partition_series_fock", "rll_check", "vbasis_operator_matrices",
     "box_intertwining_check",
 ]
@@ -436,18 +436,32 @@ def kappa_fock(x, ctx: QContext) -> complex:
     return qpoch_inf(x, q, ctx) / qpoch_inf(-q / x, q, ctx)
 
 
-def transitivity_check_fock(x, y, m: int, mpp: int, m_sum: int, ctx: QContext):
-    """Residual of the transitivity sum: V_x * S * V_y summed equals V_{xy}."""
-    row_x = weight_table(x, [m], range(m_sum + 1), ctx)[0]
-    row_y = weight_table(y, range(m_sum + 1), [mpp], ctx)[:, 0]
-    meas = np.array([s_measure(k, ctx) for k in range(m_sum + 1)])
-    summands = row_x * meas * row_y
-    if abs(summands[-1]) > ctx.tail_cut:
-        raise TailTooFat(f"last summand {abs(summands[-1]):.3g} above tail cut; raise m_sum")
-    lhs = summands.sum()
+def refuse_undecayed_sum(x, y, ctx: QContext):
+    """Refuse a spin sum of V_x S V_y (Fock, sector or bold weights) at |xy| <= |q|:
+    its terms shrink like (|q| / |xy|)^k, k the Fock spin or 2|b| on Z."""
+    xy = abs(complex(x) * complex(y))
+    if not xy > abs(ctx.q):
+        raise DomainError(f"a spin sum of V_x S V_y decays only for |xy| > |q| = "
+                          f"{abs(ctx.q):.6g}, got |xy| = {xy:.6g}")
+
+
+def transitivity_check_fock(x, y, m: int, mpp: int, ctx: QContext):
+    """Residual of the transitivity sum: V_x * S * V_y summed equals V_{xy}.
+
+    A tail_walk over the middle spin on tables grown in blocks; ``m_sum``
+    is its last site.
+    """
+    refuse_undecayed_sum(x, y, ctx)
+
+    def block(ks):
+        row_x = weight_table(x, [m], ks, ctx)[0].tolist()
+        row_y = weight_table(y, ks, [mpp], ctx)[:, 0].tolist()
+        return [vx * s_measure(k, ctx) * vy for k, vx, vy in zip(ks, row_x, row_y)]
+
+    walk = tail_walk(map(sites_in_blocks(block), count()), ctx)
     rhs = weight_V_fock(complex(x) * complex(y), m, mpp, ctx)
-    res = relative_residual(lhs, rhs)
-    return CheckResult({"x": x, "y": y, "m": m, "mpp": mpp, "m_sum": m_sum}, res)
+    res = relative_residual(walk.value, rhs)
+    return CheckResult({"x": x, "y": y, "m": m, "mpp": mpp, "m_sum": walk.terms - 1}, res)
 
 
 def _boundary_triangle_factor(m_a: int, m_b: int, ctx: QContext) -> complex:
@@ -466,8 +480,7 @@ def _boundary_triangle_factor(m_a: int, m_b: int, ctx: QContext) -> complex:
             / (qpoch_inf(q * q, q * q, ctx) * fock_norm_const(ctx)))
 
 
-def star_triangle_fock(x, y, spins, m_sum: int, ctx: QContext,
-                       perturb_r: float = 0.0):
+def star_triangle_fock(x, y, spins, ctx: QContext, perturb_r: float = 0.0):
     """Worst residual of the star-triangle relation over the spin triples ``spins``.
 
     The summed (star) side runs over one internal spin with measure S_m;
@@ -476,10 +489,11 @@ def star_triangle_fock(x, y, spins, m_sum: int, ctx: QContext,
     internal weight collapses to the delta-normalised one while
     kappa V_{xy} becomes a 0 * inf limit; that case is detected and both
     sides are evaluated in their exact limit forms.  ``perturb_r`` scales
-    R by (1 + perturb_r) as a negative-control probe.  Every weight is read
-    from one table per argument over the spins 0..max spin, so the cost
-    of a box of triples is that of one triple plus the reads.  The result
-    carries the worst residual and the triple it occurs at (``worst_at``).
+    R by (1 + perturb_r) as a negative-control probe.  Each star sum is a
+    tail_walk over the internal spin on tables grown in blocks shared by
+    every triple, and is refused if it cancels more digits than
+    ``ctx.tol_identity`` allows (refuse_cancellation).  The result carries
+    the worst residual and the triple it occurs at (``worst_at``).
     """
     x = complex(x)
     y = complex(y)
@@ -501,14 +515,18 @@ def star_triangle_fock(x, y, spins, m_sum: int, ctx: QContext,
              * (1.0 + perturb_r))
         factor = {}
     else:
-        sites = range(m_sum + 1)
-        rows_x = weight_table(x, box, sites, ctx)
-        rows_y = weight_table(y, box, sites, ctx)
-        cols_z = weight_table(z, sites, box, ctx)
         tab_xy = weight_table(x * y, box, box, ctx)
-        meas = np.array([s_measure(k, ctx) for k in sites])
         r = fock_norm_const(ctx) * kappa_fock(x, ctx) * kappa_fock(y, ctx) * kappa_fock(z, ctx)
         r *= 1.0 + perturb_r
+
+        def block(ks):
+            # per site: V_x(., k), S_k, V_z(k, .) and V_y(., k) over the box
+            return zip(weight_table(x, box, ks, ctx).T.tolist(),
+                       [s_measure(k, ctx) for k in ks],
+                       weight_table(z, ks, box, ctx).tolist(),
+                       weight_table(y, box, ks, ctx).T.tolist())
+
+        sites = sites_in_blocks(block)
     residuals = []
     for m_a, m_b, m_c in spins:
         if boundary:
@@ -517,11 +535,10 @@ def star_triangle_fock(x, y, spins, m_sum: int, ctx: QContext,
             lhs = tab_x[m_a, m_c] * tab_y[m_b, m_c]
             rhs = r * factor[m_a, m_b] * tab_qy[m_a, m_c] * tab_qx[m_b, m_c]
         else:
-            summands = rows_x[m_a] * meas * cols_z[:, m_c] * rows_y[m_b]
-            if abs(summands[-1]) > ctx.tail_cut:
-                raise TailTooFat(f"last summand {abs(summands[-1]):.3g} above tail cut; "
-                                 "raise m_sum")
-            lhs = summands.sum()
+            walk = tail_walk((vx[m_a] * s * vz[m_c] * vy[m_b]
+                              for vx, s, vz, vy in map(sites, count())), ctx)
+            lhs = walk.value
+            refuse_cancellation(walk.peak, lhs, ctx.tol_identity, "the star sum")
             rhs = r * tab_qy[m_a, m_c] * tab_xy[m_a, m_b] * tab_qx[m_b, m_c]
         residuals.append(relative_residual(lhs, rhs))
     worst = int(np.argmax(residuals))  # the first worst triple, or the first NaN

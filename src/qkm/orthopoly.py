@@ -21,7 +21,8 @@ import numpy as np
 
 from .context import QContext
 from .errors import DegenerateArgument, DomainError, OverflowGuard, TruncationExhausted
-from .qseries import qpoch_finite_table, qpoch_inf, qpoch_inf_multi, tail_sum, big_theta4_const
+from .qseries import (big_theta4_const, qpoch_finite_table, qpoch_inf, qpoch_inf_multi,
+                      tail_sum, tail_walk)
 from .report import CheckResult, relative_residual, worst_residual
 
 __all__ = [
@@ -462,13 +463,10 @@ def overlap_grid(xis_m, xis_mp, x, ctx: QContext, scales_m=None, scales_mp=None)
     Entry (i, j) sums (-q/x)^a / (q^2;q^2)_a row_i(a) row_j(a) over
     a = 0, 1, ..., with row_i(a) = scales_m[i] q^{a^2/2} P_a(xis_m[i]) and
     row_j likewise from the columns.  Each row and the factors are built
-    once, as deep as the slowest entry needs.  Each entry is walked on its
-    own, in order, in complex doubles, and stops after three consecutive
-    terms with |t| <= ``tail_cut`` |running sum|: relative to the sum, so a
-    sum far below 1 keeps its digits, and an entry does not depend on the
-    grid it sits in.  Raises TruncationExhausted when an entry has no such
-    tail within ``max_terms``.  Returns the sums and the largest term of
-    each, whose ratio is the cancellation of the sum.
+    once, as deep as the slowest entry needs.  Each entry is its own
+    tail_walk, in complex doubles, so an entry does not depend on the grid
+    it sits in.  Returns the sums and the largest term of each, whose
+    ratio is the cancellation of the sum.
     """
     x = complex(x)
     if abs(x) <= abs(ctx.q):
@@ -481,30 +479,19 @@ def overlap_grid(xis_m, xis_mp, x, ctx: QContext, scales_m=None, scales_mp=None)
     factors = _overlap_factors(x, ctx.q)
     rows = [[] for _ in gens]
     f = []
-    cut = ctx.tail_cut
-    sums, peaks = [], []
-    for row_m in rows[:n_m]:
-        for row_mp in rows[n_m:]:
-            total, peak, below = 0.0 + 0.0j, 0.0, 0
-            for a in range(ctx.max_terms):
-                if a == len(f):  # one term deeper than any entry so far
-                    f.append(next(factors))
-                    for g, row in zip(gens, rows):
-                        row.append(next(g))
-                t = f[a] * row_m[a] * row_mp[a]
-                total += t
-                size = abs(t)
-                if size > peak:
-                    peak = size
-                below = below + 1 if size <= cut * abs(total) else 0
-                if below == 3:
-                    break
-            else:
-                raise TruncationExhausted(f"no tail within {ctx.max_terms} terms")
-            sums.append(total)
-            peaks.append(peak)
-    return (np.array(sums, dtype=complex).reshape(n_m, n_mp),
-            np.array(peaks).reshape(n_m, n_mp))
+
+    def entry_terms(row_m, row_mp):
+        for a in count():
+            if a == len(f):  # one term deeper than any entry so far
+                f.append(next(factors))
+                for g, row in zip(gens, rows):
+                    row.append(next(g))
+            yield f[a] * row_m[a] * row_mp[a]
+
+    walks = [tail_walk(entry_terms(row_m, row_mp), ctx)
+             for row_m in rows[:n_m] for row_mp in rows[n_m:]]
+    return (np.array([w.value for w in walks], dtype=complex).reshape(n_m, n_mp),
+            np.array([w.peak for w in walks]).reshape(n_m, n_mp))
 
 
 def poly_norm_sum_check(m: int, mp: int, ctx: QContext):

@@ -1,16 +1,13 @@
 """q-series kernel: Pochhammer symbols, brackets, theta functions.
 
 Everything downstream (orthogonal polynomials, lattice Boltzmann weights,
-the modular-double machinery) is built on the primitives here.  Infinite
-sums and products are truncated by one uniform tail rule: stop after
-three consecutive terms below ``ctx.tail_cut``, hard-capped at
-``ctx.max_terms``.  ``tail_terms`` walks a term iterable; ``tail_length``
-is the same count in closed form for terms of geometric size, and
-``log_qpoch_table`` applies it to every exponent of a grid from one
-anchored chain per factor.  The scalar q-products, ``qpoch_inf`` and
-``modular._checked_qpoch``, count their factors with ``tail_length``.
-Nomes are always explicit; nothing squares a nome implicitly, callers
-pass q*q where a base-q**2 symbol is wanted.
+the modular-double machinery) is built on the primitives here.  Every
+double-precision sum stops by one rule, written once in ``tail_walk``.
+Products count their factors in closed form instead (``tail_length``,
+and ``log_qpoch_table`` for every exponent of a grid): a factor 1 - a
+moves the running product by |a| relative, so that count is the same
+rule.  Nomes are always explicit; nothing squares a nome implicitly,
+callers pass q*q where a base-q**2 symbol is wanted.
 """
 
 from __future__ import annotations
@@ -20,7 +17,8 @@ import math
 from enum import Enum
 from functools import reduce
 from itertools import count, islice
-from operator import add
+from operator import add, mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +27,8 @@ from .errors import DomainError, OverflowGuard, TruncationExhausted
 from .report import CheckResult, relative_residual, worst_residual
 
 __all__ = [
-    "tail_terms", "tail_length", "bilateral_terms", "tail_sum",
+    "Walk", "tail_walk", "tail_length", "bilateral_terms", "tail_sum",
+    "sites_in_blocks", "refuse_cancellation",
     "qpoch_finite_table", "qpoch_inf",
     "qpoch_inf_multi", "log_qpoch_inf_array", "log_qpoch_table", "bracket",
     "ThetaKind", "theta_sum", "theta_product", "big_theta4_const",
@@ -38,21 +37,36 @@ __all__ = [
 ]
 
 
-def tail_terms(terms, ctx: QContext, limit: int | None = None):
-    """Yield terms until three consecutive ones fall below ``ctx.tail_cut``.
+class Walk(NamedTuple):
+    """What a tail walk summed: its value, its largest |term| and its length."""
+    value: complex
+    peak: float
+    terms: int
 
-    Raises TruncationExhausted after ``limit`` terms (default
-    ``ctx.max_terms``), never drawing the next one, or when ``terms`` ends.
+
+def tail_walk(terms, ctx: QContext) -> Walk:
+    """Sum a term iterable, in order, until three consecutive terms have
+    |t| <= ``ctx.tail_cut`` |running sum| (so a sum far below 1 keeps its
+    digits); peak / |value| is its cancellation.  Raises OverflowGuard at
+    once on a term or running sum that is not finite, TruncationExhausted
+    after ``ctx.max_terms`` terms (drawing no more) or when ``terms`` ends.
     """
-    limit = ctx.max_terms if limit is None else limit
-    cut = ctx.tail_cut
-    below = 0
-    for t in islice(terms, limit):
-        yield t
-        below = below + 1 if abs(t) < cut else 0
-        if below == 3:
-            return
-    raise TruncationExhausted(f"no tail within {limit} terms")
+    cut, inf = ctx.tail_cut, math.inf
+    total, peak, below = 0.0 + 0.0j, 0.0, 0
+    for n, t in enumerate(islice(terms, ctx.max_terms), 1):
+        total += t
+        size, scale = abs(t), abs(total)
+        if size > peak:
+            peak = size
+        if size <= cut * scale < inf:
+            below += 1
+            if below == 3:
+                return Walk(total, peak, n)
+        elif scale < inf:
+            below = 0
+        else:
+            raise OverflowGuard(f"term {n} of a sum is {t}; the sum leaves double range")
+    raise TruncationExhausted(f"no tail within {ctx.max_terms} terms")
 
 
 def _first_below(size: float, rate: float, cut: float) -> int:
@@ -63,13 +77,10 @@ def _first_below(size: float, rate: float, cut: float) -> int:
 
 
 def tail_length(top: float, rate: float, cut: float, max_terms: int) -> int:
-    """The tail_terms count for terms of size top * rate**k, 0 <= rate < 1.
-
-    max(ceil((ln cut - ln top) / ln rate), 0) + 3: the terms at or above
-    ``cut`` plus the three below it.  Raises TruncationExhausted where the
-    walk would: on sizes that are not finite or do not shrink, and on a
-    count above ``max_terms``.
-    """
+    """The factor count of a product of 1 - a_k, |a_k| = top * rate**k, 0 <= rate < 1:
+    the factors at or above ``cut`` plus three below it (see the module
+    docstring).  Raises TruncationExhausted on sizes that are not finite or
+    do not shrink, and on a count above ``max_terms``."""
     if not (math.isfinite(top) and 0.0 <= rate < 1.0):
         raise TruncationExhausted(f"terms of size {top:.3g} * {rate:.3g}**k have no tail")
     above = 0 if top < cut else _first_below(top, rate, cut)
@@ -78,17 +89,62 @@ def tail_length(top: float, rate: float, cut: float, max_terms: int) -> int:
     return above + 3
 
 
-def bilateral_terms(term, ctx: QContext, limit: int | None = None) -> list:
-    """[term(0), term(1), ..., term(-1), ...], each side walked to its own tail."""
-    out = [term(0)]
-    for step in (1, -1):
-        out.extend(tail_terms(map(term, count(step, step)), ctx, limit))
+def bilateral_terms(term, ctx: QContext) -> list:
+    """[term(0), term(-1), term(1), term(-2), ...] up to the tail: one
+    tail_walk over both sides, so sides that cancel keep the total's digits."""
+    out = []
+
+    def terms():
+        for m in count():
+            for site in (m, -m - 1):
+                out.append(term(site))
+                yield out[-1]
+
+    tail_walk(terms(), ctx)
     return out
 
 
 def tail_sum(terms, ctx: QContext) -> complex:
-    """Sum a term iterable, in order, up to its tail (see tail_terms)."""
-    return reduce(add, tail_terms(terms, ctx), 0.0 + 0.0j)
+    """The value of the tail_walk over a term iterable."""
+    return tail_walk(terms, ctx).value
+
+
+def sites_in_blocks(block):
+    """A site function for walks over m = 0, 1, ... and m = -1, -2, ...
+
+    ``block(ms)`` returns the values at the sites of the range ``ms``.  A
+    read past the known sites of a side (m >= 0 or m < 0), which must be
+    read in order, computes its next 16 sites, then 32, 64, ...
+    """
+    known, size = {}, {1: 16, -1: 16}
+
+    def site(m):
+        if m not in known:
+            step = 1 if m >= 0 else -1
+            ms = range(m, m + step * size[step], step)
+            size[step] *= 2
+            known.update(zip(ms, block(ms)))
+        return known[m]
+
+    return site
+
+
+def refuse_cancellation(peak, value, tol: float, what: str):
+    """Refuse a double-precision sum whose largest term ``peak`` dwarfs its ``value``.
+
+    Rounding the largest terms alone leaves an error of about
+    peak / |value| * eps; once ten times that exceeds the tolerance, the
+    sum cannot tell a true identity from a false one, and is refused with
+    the digits lost.  A ratio that is not finite (such as 0 / 0) is refused
+    as well.  On arrays of sums the worst entry decides.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = float(np.max(np.divide(peak, np.abs(value))))
+    if not math.isfinite(ratio):
+        raise DomainError(f"{what} leaves double range: its peak-to-value ratio is {ratio}")
+    if 10 * ratio * np.finfo(float).eps > tol:
+        raise DomainError(f"{what} loses {math.log10(ratio):.1f} of 16 digits to "
+                          f"cancellation, too many for the tolerance {tol:g}")
 
 
 def qpoch_finite_table(x, q, n: int) -> list[complex]:
@@ -119,10 +175,7 @@ def qpoch_inf(x, q, ctx: QContext) -> complex:
 
 def qpoch_inf_multi(xs, q, ctx: QContext) -> complex:
     """Product of infinite q-Pochhammers over several first arguments."""
-    out = 1.0 + 0.0j
-    for x in xs:
-        out *= qpoch_inf(x, q, ctx)
-    return out
+    return reduce(mul, (qpoch_inf(x, q, ctx) for x in xs), 1.0 + 0.0j)
 
 
 def log_qpoch_inf_array(xs, q, ctx: QContext) -> np.ndarray:
@@ -143,9 +196,9 @@ def log_qpoch_inf_array(xs, q, ctx: QContext) -> np.ndarray:
 def _log_qpoch_chain(coef, expo, q, ctx: QContext) -> np.ndarray:
     """log (coef q^e; q^2)_inf at each exponent e of the integer grid ``expo``.
 
-    Each entry is the tail_terms walk over log(1 - coef q^j), j = e, e + 2,
-    ...: it ends three terms past the anchor, the first j of e's parity
-    from which |coef q^j| < ctx.tail_cut.  The anchor depends on (coef, q,
+    Each entry takes the tail_length count of log(1 - coef q^j), j = e,
+    e + 2, ...: it ends three terms past the anchor, the first j of e's
+    parity from which |coef q^j| < ctx.tail_cut.  The anchor depends on (coef, q,
     tail_cut) alone, so one reverse cumulative sum per parity, over the
     integers from min(e) to the anchor, serves every entry at or below it,
     in the same order of additions whatever the grid; an entry above it

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import fock, modular, orthopoly, qseries, vgamma
 from .context import QContext
-from .errors import DomainError, QkmError, TailTooFat
+from .errors import DomainError, QkmError
+from .qseries import refuse_cancellation
 from .report import (ERROR, IdentityReport, make_report, relative_residual,
                      skipped_report, worst_residual)
 
@@ -47,7 +48,7 @@ class RunConfig:
 
     ``q`` / ``gamma`` / ``gamma_nu`` / ``b_theta`` override each identity's
     documented default point; ``tol`` overrides the per-identity tolerance;
-    ``m_window`` and ``a_max`` override truncation windows.  All identities
+    ``m_window`` and ``a_max`` override table windows.  All identities
     draw their randomised points from ``seed``.
     """
 
@@ -122,36 +123,18 @@ class Run:
     def mc(self) -> modular.ModularContext:
         return modular.ModularContext(theta=_default(self.cfg.b_theta, DEFAULT_THETA))
 
-    def gamma_ctx(self, m_window=None) -> vgamma.GammaContext:
-        """The generic gamma (``--gamma``, else the entry's) on ``m_window`` sites
-        each way (``--m-window``, else 40)."""
+    def gamma_ctx(self) -> vgamma.GammaContext:
+        """The generic gamma (``--gamma``, else the entry's) with its table
+        window (``--m-window``, else 40)."""
         gamma = complex(_default(self.cfg.gamma, self.entry.gamma))
-        window = _default(m_window, _default(self.cfg.m_window, 40))
-        return vgamma.GammaContext(gamma=gamma, m_window=window)
+        return vgamma.GammaContext(gamma=gamma, m_window=_default(self.cfg.m_window, 40))
 
     def selected(self, nus=None) -> list[vgamma.GammaContext]:
         """Selected-lattice contexts at ``nus``, by default at ``--gamma
         selected:NU``, else at SELECTED_NU."""
         if nus is None:
             nus = SELECTED_NU if self.cfg.gamma_nu is None else (self.cfg.gamma_nu,)
-        window = _default(self.cfg.m_window, 40)
-        return [vgamma.GammaContext.make_selected(nu, self.ctx, window) for nu in nus]
-
-
-def refuse_cancellation(ratio: float, tol: float, what: str):
-    """Refuse a double-precision sum whose terms peak ``ratio`` times its value.
-
-    Rounding the largest terms alone leaves an error of about ratio * eps;
-    once ten times that exceeds the tolerance, the sum cannot tell a true
-    identity from a false one, and the check is refused with the number of
-    digits lost.  A ratio that is not finite (a peak or a value that left
-    double range, such as 0 / 0) is refused as well.
-    """
-    if not math.isfinite(ratio):
-        raise DomainError(f"{what} leaves double range: its peak-to-value ratio is {ratio}")
-    if 10 * ratio * np.finfo(float).eps > tol:
-        raise DomainError(f"{what} loses {math.log10(ratio):.1f} of 16 digits to "
-                          f"cancellation, too many for the tolerance {tol:g}")
+        return [vgamma.GammaContext.make_selected(nu, self.ctx) for nu in nus]
 
 
 def sample_annulus(rng, n: int, r_min: float, r_max: float) -> np.ndarray:
@@ -296,7 +279,7 @@ def _completeness(run):
     # the largest term of the m-sums, against identity entries of size 1
     peak = np.max(np.abs(vm.chi)[:, :, None] * np.abs(meas)[:, None]
                   * np.abs(vm.chi_bar)[None]) / abs(vm.n_f)
-    refuse_cancellation(peak, run.tol, "the m-sum")
+    refuse_cancellation(peak, 1.0, run.tol, "the m-sum")
     ident = np.einsum("am,m,mb->ab", vm.chi, meas, vm.chi_bar) / vm.n_f
     res_m = float(np.max(np.abs(ident - np.eye(a_max + 1))))
     # dressed version exercising the gauge prefactors
@@ -405,9 +388,7 @@ def _weight_closed_vs_sum(run):
             x = x / abs(x) * (1 - (1 - abs(x)) * s)
         tab = fock.weight_table(x, range(7), range(7), ctx)
         sums, peaks = fock.weight_table_from_overlaps(x, range(7), range(7), ctx)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.max(peaks / np.abs(sums))
-        refuse_cancellation(ratio, run.tol, "the occupation sum")
+        refuse_cancellation(peaks, sums, run.tol, "the occupation sum")
         worst = worst_residual(relative_residual(tab[m, mp], sums[m, mp])
                                for m in range(7) for mp in range(7))
         yield {"x": x, "q": ctx.q, "spins": "[0,6]^2"}, worst
@@ -433,7 +414,7 @@ def _weight_properties(run):
     worst = worst_residual(norm_residual(m, mp) for m in range(5) for mp in range(5))
     yield {"q": q}, worst, "fock.weight_norm.4_45"
     for x, y in [(0.8, 0.7)] + [_transitivity_pair(run.rng, q) for _ in range(2)]:
-        yield (*_transitivity_autogrow(x, y, 0, 0, ctx), "fock.weight_transitivity.4_46")
+        yield (*fock.transitivity_check_fock(x, y, 0, 0, ctx), "fock.weight_transitivity.4_46")
     for z in [0.6] + list(sample_annulus(run.rng, 2, 0.4, 0.9)):
         rhs = (fock.fock_norm_const(ctx) ** -2
                * qseries.qpoch_inf_multi((z, q * q / z), q, ctx)
@@ -446,12 +427,9 @@ def _weight_properties(run):
 
 
 def _transitivity_pair(rng, q):
-    """x, y from the annulus [0.6, 0.95] with |xy| >= |q| / 0.95.
-
-    The middle-spin sum of the transitivity relation decays like
-    (|q| / |xy|)^k, so pairs with |xy| near |q| would not converge inside
-    the autogrow window; they are drawn again.
-    """
+    """x, y from the annulus [0.6, 0.95] with |xy| >= |q| / 0.95: the
+    transitivity sum decays like (|q| / |xy|)^k, so pairs with |xy| near
+    |q| would walk hundreds of sites; they are drawn again."""
     for _ in range(100):
         x, y = sample_annulus(rng, 2, 0.6, 0.95)
         if abs(q) <= 0.95 * abs(x * y):
@@ -459,45 +437,16 @@ def _transitivity_pair(rng, q):
     raise DomainError("no transitivity pair with |xy| >= |q|/0.95 in 100 draws")
 
 
-def _transitivity_autogrow(x, y, m, mpp, ctx):
-    """The transitivity check on the middle-spin window its decay predicts.
-
-    From about the tenth site on, the summands V_x(m, k) S_k V_y(k, mpp)
-    fall like (|q| / |xy|)^k, so their size at k = 10 fixes the site where
-    they cross the tail cut (measured: within 1.4 sites of the last one
-    above it, for q from 0.05 to 0.7); the window is the tail_length from
-    k = 10 plus one site, so it ends 4 sites past that.  A window still
-    too short doubles, up to 640 sites.  A pair with |xy| <= |q|, whose
-    sum does not decay, starts at 640.
-    """
-    k0 = 10
-    m_sum = 640
-    rate = abs(ctx.q) / abs(complex(x) * complex(y))
-    if rate < 1:
-        probe = abs(fock.weight_V_fock(x, m, k0, ctx) * fock.s_measure(k0, ctx)
-                    * fock.weight_V_fock(y, k0, mpp, ctx))
-        if 0 < probe < math.inf:
-            tail = qseries.tail_length(probe, rate, ctx.tail_cut, ctx.max_terms)
-            m_sum = min(m_sum, k0 + tail + 1)
-    while True:
-        try:
-            return fock.transitivity_check_fock(x, y, m, mpp, m_sum, ctx)
-        except TailTooFat:
-            m_sum *= 2
-            if m_sum > 640:
-                raise
-
-
 def _star_triangle_fock(run):
     ctx = run.context(run.q, min(run.tol, 1e-8))
     box = list(product(range(3), repeat=3))
     # the first point sits on the boundary xy = -q at any q (0.6 at the default)
     for x, y in ((0.5, -run.q / 0.5), (0.45, 0.7)):
-        r = fock.star_triangle_fock(x, y, box, 45, ctx)
+        r = fock.star_triangle_fock(x, y, box, ctx)
         yield {"x": x, "y": y, "q": run.q, "spins": "[0,2]^3"}, r.residual
     # generic complex point confirming validity off the physical regime
     ctx_c = run.context(run.entry.fixed_q, min(run.tol, 1e-8))
-    params, residual = fock.star_triangle_fock(0.6, 0.55 + 0.1j, [(1, 0, 2)], 60, ctx_c)
+    params, residual = fock.star_triangle_fock(0.6, 0.55 + 0.1j, [(1, 0, 2)], ctx_c)
     params["spins"] = params.pop("worst_at")  # a single triple: report it as the spins
     yield params, residual
 
@@ -562,7 +511,7 @@ def _vg_completeness(run):
 
 def _vg_weight_closed_vs_sum(run):
     ctx = run.ctx
-    gc = run.gamma_ctx(40)
+    gc = run.gamma_ctx()
     worst = worst_residual(
         relative_residual(vgamma.weight_Veps(*point, gc, ctx),
                           vgamma.weight_Veps_from_overlaps(*point, gc, ctx))
@@ -574,7 +523,9 @@ def _vg_projectors(run):
     ctx = run.ctx
     gc = run.gamma_ctx()
     m_w = gc.m_window
-    ctr = _centre_block(m_w, 20)
+    if m_w < 20:  # the centre block keeps 20 table sites on each side
+        raise DomainError(f"the projector identities need a window of at least 20 sites, got {m_w}")
+    ctr = _centre_block(m_w, min(20, m_w - 20))
     mv = np.arange(-m_w, m_w + 1)
     tab_p = vgamma.weight_Veps_table(1.0, 1, mv, mv, gc, ctx)
     tab_m = vgamma.weight_Veps_table(1.0, -1, mv, mv, gc, ctx)
@@ -591,17 +542,17 @@ def _vg_projectors(run):
     res = [float(np.max(np.abs(d)))
            for d in (p_ctr + m_ctr - np.eye(len(p_ctr)), centre(proj_p, proj_m),
                      centre(proj_p, proj_p) - p_ctr, centre(proj_m, proj_m) - m_ctr)]
-    # orthogonality of the eps-sectors inside the summation formula; this
-    # sum decays only like (q/xy)^2 per step, so it gets a wider window
+    # orthogonality of the eps-sectors inside the summation formula, summed
+    # over the whole lattice on tables grown as the walk needs them
     x, y = 0.7, 0.8
-    wide = m_w + 35
-    row = vgamma.weight_Veps_table(x, 1, [0], range(-wide, wide + 1), gc, ctx)[0]
-    col = vgamma.weight_Veps_table(y, -1, range(-wide, wide + 1), [1], gc, ctx)[:, 0]
+    fock.refuse_undecayed_sum(x, y, ctx)
 
-    def cross(b):
-        return row[b + wide] * qseries.bracket(gc.gamma * ctx.q ** b) * col[b + wide]
+    def cross(bs):
+        row = vgamma.weight_Veps_table(x, 1, [0], bs, gc, ctx)[0].tolist()
+        col = vgamma.weight_Veps_table(y, -1, bs, [1], gc, ctx)[:, 0].tolist()
+        return [r * qseries.bracket(gc.gamma * ctx.q ** b) * c for b, r, c in zip(bs, row, col)]
 
-    res_cross = abs(vgamma.windowed_bilateral_sum(cross, wide, ctx))
+    res_cross = abs(vgamma.windowed_bilateral_sum(qseries.sites_in_blocks(cross), ctx))
     scale = abs(vgamma.weight_Veps(x * y, 1, 0, 1, gc, ctx))
     yield ({"gamma": gc.gamma, "q": ctx.q, "window": m_w,
             "res_cross_sector": res_cross / scale}, worst_residual(res + [res_cross / scale]))
@@ -609,7 +560,7 @@ def _vg_projectors(run):
 
 def _vg_parity(run):
     ctx = run.ctx
-    gc = run.gamma_ctx(40)
+    gc = run.gamma_ctx()
     ms, mps = (-3, -2, 0, 1, 2), (-2, 1, 3, 4)
     tab = (vgamma.weight_Veps_table(0.7, 1, ms, mps, gc, ctx)
            + vgamma.weight_Veps_table(0.7, -1, ms, mps, gc, ctx))
@@ -630,7 +581,7 @@ def _vg_brace(run):
 
 def _vg_weight_symmetry(run):
     ctx = run.ctx
-    gc = run.gamma_ctx(40)
+    gc = run.gamma_ctx()
     q = ctx.q
 
     def residuals():

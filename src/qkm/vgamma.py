@@ -17,9 +17,8 @@ from itertools import count
 import numpy as np
 
 from .context import QContext
-from .errors import (DomainError, OverflowGuard, PoleHit, SingularMeasure,
-                     TailTooFat, TruncationExhausted)
-from .fock import brace, sqrt_qpoch2_table
+from .errors import DomainError, OverflowGuard, PoleHit, SingularMeasure
+from .fock import brace, refuse_undecayed_sum, sqrt_qpoch2_table
 from .orthopoly import lattice_brace_sums, overlap_sum, scaled_poly_values
 from .qseries import (ThetaKind, bilateral_terms, bracket, log_qpoch_table,
                       qpoch_inf, qpoch_inf_multi, tail_sum, theta_product)
@@ -41,7 +40,7 @@ _FOLD_LOW, _FOLD_HIGH = 2.0 ** -500, 2.0 ** 500
 
 @dataclass(frozen=True)
 class GammaContext:
-    """Spin-lattice parameter gamma with its window and selection label.
+    """Spin-lattice parameter gamma, its table window and selection label.
 
     ``nu`` is set only when gamma was constructed exactly as i q^nu with
     2 nu integer (the selected lattice); detection is never attempted by
@@ -63,23 +62,20 @@ class GammaContext:
         return self.nu is not None
 
     @classmethod
-    def make_selected(cls, nu: float, ctx: QContext, m_window: int = 40) -> "GammaContext":
+    def make_selected(cls, nu: float, ctx: QContext) -> "GammaContext":
         two_nu = round(2 * nu)
         gamma = 1j * ctx.q_pow_half(two_nu)
-        return cls(gamma=gamma, m_window=m_window, nu=two_nu / 2.0)
+        return cls(gamma=gamma, nu=two_nu / 2.0)
 
 
-def windowed_bilateral_sum(term, m_window: int, ctx: QContext) -> complex:
-    """Sum term(m) over [-M, M], tail rule applied at both ends independently.
+def windowed_bilateral_sum(term, ctx: QContext) -> complex:
+    """Sum term(m) over all integers m to its tail (bilateral_terms).
 
-    The collected terms are added with exactly-rounded float summation;
-    several of these lattice sums cancel by five or six orders of
-    magnitude, where naive accumulation visibly pollutes the result.
+    The terms are added with exactly-rounded float summation; several of
+    these lattice sums cancel by five or six orders of magnitude, where
+    naive accumulation visibly pollutes the result.
     """
-    try:
-        terms = bilateral_terms(term, ctx, limit=m_window)
-    except TruncationExhausted:
-        raise TailTooFat(f"no tail within the window {m_window}") from None
+    terms = bilateral_terms(term, ctx)
     return complex(math.fsum(t.real for t in terms),
                    math.fsum(t.imag for t in terms))
 
@@ -317,15 +313,18 @@ def km_kappa(x, gc: GammaContext, ctx: QContext) -> complex:
     raise DomainError("kappa closed form implemented for nu in {0, +-1/2}")
 
 
+def _bold_sum(x, y, a: int, c: int, gc: GammaContext, ctx: QContext) -> complex:
+    """The sum over all spins b of V_x(a, b) S_b V_y(b, c)."""
+    refuse_undecayed_sum(x, y, ctx)
+    return windowed_bilateral_sum(
+        lambda b: km_V(x, a, b, gc, ctx) * km_S(b, gc, ctx) * km_V(y, b, c, gc, ctx), ctx)
+
+
 def km_summation_check(x, y, a: int, c: int, gc: GammaContext, ctx: QContext):
     """Residual of the bold summation formula over the full spin lattice."""
     x = complex(x)
     y = complex(y)
-
-    def summand(b):
-        return km_V(x, a, b, gc, ctx) * km_S(b, gc, ctx) * km_V(y, b, c, gc, ctx)
-
-    lhs = windowed_bilateral_sum(summand, gc.m_window, ctx)
+    lhs = _bold_sum(x, y, a, c, gc, ctx)
     rhs = (km_Phi(x, gc, ctx) * km_Phi(y, gc, ctx) / km_Phi(x * y, gc, ctx)
            * km_V(x * y, a, c, gc, ctx))
     res = relative_residual(lhs, rhs)
@@ -335,11 +334,7 @@ def km_summation_check(x, y, a: int, c: int, gc: GammaContext, ctx: QContext):
 def km_inversion_check(x, a: int, c: int, gc: GammaContext, ctx: QContext):
     """Residual of the inversion relation (the x y = 1 case of the summation)."""
     x = complex(x)
-
-    def summand(b):
-        return km_V(x, a, b, gc, ctx) * km_S(b, gc, ctx) * km_V(1 / x, b, c, gc, ctx)
-
-    lhs = windowed_bilateral_sum(summand, gc.m_window, ctx)
+    lhs = _bold_sum(x, 1 / x, a, c, gc, ctx)
     rhs = 0.0 + 0.0j
     if a == c:
         rhs = km_Phi(x, gc, ctx) * km_Phi(1 / x, gc, ctx) / km_S(a, gc, ctx)
@@ -367,7 +362,7 @@ def star_triangle_km(x, y, a: int, b: int, c: int, gc: GammaContext,
         def summand(d):
             return (km_S(d, gc, ctx) * km_V(x, sa, d, gc, ctx)
                     * km_V(y, sb, d, gc, ctx) * km_V(z, sc, d, gc, ctx))
-        return windowed_bilateral_sum(summand, gc.m_window, ctx)
+        return windowed_bilateral_sum(summand, ctx)
 
     def triangle_at(sa, sb, sc):
         return (km_V(q / x, sb, sc, gc, ctx) * km_V(q / y, sa, sc, gc, ctx)

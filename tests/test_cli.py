@@ -210,8 +210,9 @@ def test_weight_checks_build_one_table_per_point(monkeypatch):
 
     monkeypatch.setattr(fock, "log_qpoch_table", counted)
     monkeypatch.setattr(vgamma, "log_qpoch_table", counted)
-    # the weight checks read spin grids from one table per parameter point,
-    # 66 tables a default run; one scalar call per spin pair would make 933
+    # the weight checks read spin grids from one table per parameter point
+    # or per block of a walked spin sum, 86 tables a default run; one
+    # scalar call per spin pair would make 933
     rc, _ = run_cli(["verify", "--format", "json"])
     assert rc == 0
     assert calls[0] <= 100

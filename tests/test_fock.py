@@ -15,7 +15,7 @@ import pytest
 import qkm
 from qkm import fock
 from qkm.context import QContext
-from qkm.errors import DomainError, OverflowGuard, TailTooFat
+from qkm.errors import DomainError, OverflowGuard, TruncationExhausted
 from qkm.fock import (BraceMethod, FockRepParams, Regularisation,
                       TruncatedHamiltonian, box_intertwining_check,
                       brace, brace_spin_sums,
@@ -26,7 +26,8 @@ from qkm.fock import (BraceMethod, FockRepParams, Regularisation,
                       vform_matrices, weight_table, weight_table_from_overlaps,
                       weight_V_fock, weight_V_fock_from_overlaps, _brace_closed)
 from qkm.orthopoly import PolyEvalMethod, decimal_digits, lattice_brace_sums, poly_P
-from qkm.qseries import bracket, qpoch_finite_table, qpoch_inf, qpoch_inf_multi
+from qkm.report import relative_residual
+from qkm.qseries import bracket, qpoch_finite_table, qpoch_inf, qpoch_inf_multi, tail_walk
 from qkm.vgamma import GammaContext, vgamma_decomposition
 
 CTX = QContext(q=0.4)
@@ -376,13 +377,30 @@ def test_wide_weight_table_corners_match_an_mpmath_oracle():
 
 
 def test_transitivity():
-    assert transitivity_check_fock(0.8, 0.7, 0, 0, 90, CTX).residual < 1e-10
-    assert transitivity_check_fock(0.8, 0.7, 2, 1, 90, CTX).residual < 1e-10
+    assert transitivity_check_fock(0.8, 0.7, 0, 0, CTX).residual < 1e-10
+    assert transitivity_check_fock(0.8, 0.7, 2, 1, CTX).residual < 1e-10
 
 
 def test_transitivity_delta_collapse():
     # y = 1 turns the sum into the delta measure
-    assert transitivity_check_fock(0.8, 1.0, 1, 1, 40, CTX).residual < 1e-10
+    assert transitivity_check_fock(0.8, 1.0, 1, 1, CTX).residual < 1e-10
+
+
+def test_transitivity_sum_grown_in_blocks_equals_one_table():
+    # the walk reads its summands from tables grown 16, 32, 64 sites at a
+    # time; read from one table over the sites it summed, the same walk
+    # gives the same sum bit for bit
+    for x, y in ((0.8, 0.7), (0.5 + 0.4j, 0.9 - 0.2j)):
+        r = transitivity_check_fock(x, y, 1, 2, CTX)
+        sites = range(r.params["m_sum"] + 1)
+        assert len(sites) > 48  # past the second block
+        row_x = weight_table(x, [1], sites, CTX)[0].tolist()
+        row_y = weight_table(y, sites, [2], CTX)[:, 0].tolist()
+        walk = tail_walk((vx * s_measure(k, CTX) * vy
+                          for k, vx, vy in zip(sites, row_x, row_y)), CTX)
+        assert walk.terms == len(sites)
+        rhs = weight_V_fock(complex(x) * complex(y), 1, 2, CTX)
+        assert relative_residual(walk.value, rhs) == r.residual
 
 
 def test_transitivity_inverse_pair():
@@ -396,29 +414,36 @@ def test_transitivity_inverse_pair():
     assert abs(lhs - expect) < 1e-9
 
 
-def test_tail_too_fat_raised():
-    with pytest.raises(TailTooFat):
-        transitivity_check_fock(0.8, 0.7, 0, 0, 12, CTX)
+def test_transitivity_gives_up_at_max_terms():
+    with pytest.raises(TruncationExhausted):
+        transitivity_check_fock(0.8, 0.7, 0, 0, QContext(q=Q, max_terms=40))
+
+
+def test_transitivity_refuses_a_sum_that_does_not_decay():
+    # the middle-spin sum shrinks like (|q| / |xy|)^k; |xy| = 0.4 = |q| is refused
+    with pytest.raises(DomainError, match=r"\|xy\| > \|q\| = 0\.4, got \|xy\| = 0\.4"):
+        transitivity_check_fock(0.8, 0.5, 0, 0, CTX)
+    assert transitivity_check_fock(0.8, 0.55, 0, 0, CTX).residual < 1e-10
 
 
 def test_star_triangle_physical_regime():
     ctx = QContext(q=-0.3)
     # x y = -q puts the first acceptance point on the delta boundary
-    r = star_triangle_fock(0.5, 0.6, [(0, 0, 0)], 45, ctx)
+    r = star_triangle_fock(0.5, 0.6, [(0, 0, 0)], ctx)
     assert r.params["boundary"] is True and r.residual < 1e-8
-    assert star_triangle_fock(0.5, 0.6, [(2, 1, 3)], 45, ctx).residual < 1e-8
-    r = star_triangle_fock(0.45, 0.7, [(2, 1, 3)], 45, ctx)
+    assert star_triangle_fock(0.5, 0.6, [(2, 1, 3)], ctx).residual < 1e-8
+    r = star_triangle_fock(0.45, 0.7, [(2, 1, 3)], ctx)
     assert r.params["boundary"] is False and r.residual < 1e-8
 
 
 def test_star_triangle_generic_complex_point():
     ctx = QContext(q=0.35 * cmath.exp(0.2j))
-    assert star_triangle_fock(0.6, 0.55 + 0.1j, [(1, 0, 2)], 60, ctx).residual < 1e-8
+    assert star_triangle_fock(0.6, 0.55 + 0.1j, [(1, 0, 2)], ctx).residual < 1e-8
 
 
 def test_star_triangle_negative_control():
     ctx = QContext(q=-0.3)
-    r = star_triangle_fock(0.45, 0.7, [(2, 1, 3)], 45, ctx, perturb_r=0.01)
+    r = star_triangle_fock(0.45, 0.7, [(2, 1, 3)], ctx, perturb_r=0.01)
     assert r.residual > 1e-3
 
 
@@ -426,22 +451,26 @@ def test_star_triangle_negative_control():
 def test_star_triangle_box_reports_its_worst_triple(x, y, boundary):
     ctx = QContext(q=-0.3)
     box = list(product(range(3), repeat=3))
-    r = star_triangle_fock(x, y, box, 45, ctx)
+    r = star_triangle_fock(x, y, box, ctx)
     assert r.params["boundary"] is boundary and r.residual < 1e-8
     assert r.params["worst_at"] in box
-    assert star_triangle_fock(x, y, box, 45, ctx, perturb_r=0.01).residual > 1e-3
+    assert star_triangle_fock(x, y, box, ctx, perturb_r=0.01).residual > 1e-3
 
 
 def test_star_triangle_refuses_negative_spins():
     # a negative spin would index its table from the end
     with pytest.raises(DomainError):
-        star_triangle_fock(0.45, 0.7, [(-2, 1, 1)], 45, QContext(q=-0.3))
+        star_triangle_fock(0.45, 0.7, [(-2, 1, 1)], QContext(q=-0.3))
 
 
 def test_star_triangle_box_checks_the_tail_of_each_triple():
-    ctx = QContext(q=-0.3)
-    with pytest.raises(TailTooFat):
-        star_triangle_fock(0.45, 0.7, list(product(range(3), repeat=3)), 5, ctx)
+    box = list(product(range(3), repeat=3))
+    with pytest.raises(TruncationExhausted):
+        star_triangle_fock(0.45, 0.7, box, QContext(q=-0.3, max_terms=15))
+    # at q = 0.9 the star sums rise to about 1e18 before they decay, and
+    # keep too few digits for the tolerance: refused, not a FAIL at 1.0
+    with pytest.raises(DomainError, match="star sum loses 1[0-9].[0-9] of 16 digits"):
+        star_triangle_fock(0.45, 0.7, box, QContext(q=0.9, tol_identity=1e-8))
 
 
 def test_partition_series():

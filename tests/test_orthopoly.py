@@ -400,6 +400,25 @@ def test_norm_sum_diagonal_and_off():
     assert poly_norm_sum_check(1, 3, CTX).residual < 1e-9
 
 
+def test_norm_sum_with_rows_out_of_double_range_is_an_overflow():
+    # at q = 1e-60 the row q^{a^2/2} P_a(q^{9/2}) is inf from a = 2 and NaN
+    # from a = 4; the walk stops at the first such term instead of walking
+    # max_terms NaN terms to TruncationExhausted
+    with pytest.raises(OverflowGuard):
+        poly_norm_sum_check(4, 1, QContext(q=1e-60))
+    [rep] = run_suite(RunConfig(filter="orthopoly.norm_sum*", q=1e-60))
+    assert rep.params["skip_reason"].startswith("OverflowGuard: ")
+
+
+def test_chi_with_terms_out_of_double_range_is_an_overflow():
+    # chi(1.1, q^-20) at q = 1e-8: (z; q^2)_n overflows by the fifth term
+    q = 1e-8
+    with pytest.raises(OverflowGuard):
+        chi(ChiParams(1.1, q ** -20, q), QContext(q=q))
+    [rep] = run_suite(RunConfig(filter="orthopoly.chi_special*", q=q))
+    assert rep.params["skip_reason"].startswith("OverflowGuard: ")
+
+
 def test_chi_trivial_points():
     assert chi(ChiParams(1.7, 1.0, 0.4), CTX) == 1.0
     u = 0.9 + 0.2j

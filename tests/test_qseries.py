@@ -3,7 +3,7 @@
 import cmath
 import math
 import warnings
-from itertools import count
+from itertools import count, islice
 
 import numpy as np
 import pytest
@@ -11,15 +11,28 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qkm import fock, modular, vgamma
 from qkm.context import QContext
-from qkm.errors import DomainError, OverflowGuard, TailTooFat, TruncationExhausted
+from qkm.errors import DomainError, OverflowGuard, TruncationExhausted
 from qkm.qseries import (ThetaKind, _log_qpoch_chain, bilateral_terms, bracket,
                          big_theta4_const, gauss_check, gauss_double_sum_check,
                          jacobi_transform_check, pentagonal_check,
                          log_qpoch_inf_array, log_qpoch_table, qpoch_finite_table,
-                         qpoch_inf, tail_length, tail_terms, theta_product,
-                         theta_sum)
+                         qpoch_inf, sites_in_blocks, tail_length, tail_walk,
+                         theta_product, theta_sum)
 
 CTX = QContext(q=0.4)
+
+
+def factor_walk(sizes, cut, max_terms=10 ** 6):
+    """The factors of a product of 1 - a_k up to the third in a row with
+    |a_k| < cut: a factor 1 - a moves the running product by |a| relative,
+    so this is the sum walk's rule on the factors."""
+    out, below = [], 0
+    for a in islice(sizes, max_terms):
+        out.append(a)
+        below = below + 1 if abs(a) < cut else 0
+        if below == 3:
+            return out
+    raise TruncationExhausted("no tail")
 
 
 def test_qpoch_finite_empty_product():
@@ -128,7 +141,7 @@ def test_log_qpoch_chain_is_the_tail_walk_of_each_exponent(q):
     expo = np.arange(-10, 45)
     got = _log_qpoch_chain(coef, expo, q, CTX)
     for e, value in zip(expo.tolist(), got):
-        args = tail_terms((coef * q ** (e + 2 * k) for k in count()), CTX)
+        args = factor_walk((coef * q ** (e + 2 * k) for k in count()), CTX.tail_cut)
         walk = sum(cmath.log(1 - a) for a in args)
         assert abs(value - walk) <= 1e-13 * abs(walk), e
 
@@ -182,9 +195,9 @@ def geometric(top, rate):
 @given(log_top=st.floats(-200.0, 200.0), rate=st.floats(1e-3, 0.999),
        tol=st.sampled_from([1e-9, 1e-10]))
 def test_tail_length_is_the_walk_count(log_top, rate, tol):
-    # the closed form against tail_terms on sizes built by repeated products
+    # the closed form against a walk over sizes built by repeated products
     ctx = QContext(q=0.4, tol_identity=tol, max_terms=10 ** 6)
-    terms = list(tail_terms(geometric(10.0 ** log_top, rate), ctx))
+    terms = factor_walk(geometric(10.0 ** log_top, rate), ctx.tail_cut, ctx.max_terms)
     assume(all(abs(t - ctx.tail_cut) > 1e-9 * ctx.tail_cut for t in terms))
     assert tail_length(10.0 ** log_top, rate, ctx.tail_cut, ctx.max_terms) == len(terms)
 
@@ -222,7 +235,7 @@ def test_log_qpoch_array_refuses_a_count_above_max_terms():
         log_qpoch_inf_array([0.5], 0.9999, QContext(q=0.9999, max_terms=50))
 
 
-def test_tail_terms_never_draws_past_its_limit():
+def test_tail_walk_never_draws_past_max_terms():
     drawn = []
 
     def terms():
@@ -231,30 +244,86 @@ def test_tail_terms_never_draws_past_its_limit():
             yield 1.0
 
     with pytest.raises(TruncationExhausted):
-        list(tail_terms(terms(), CTX, limit=5))
+        tail_walk(terms(), QContext(q=0.4, max_terms=5))
     assert drawn == [0, 1, 2, 3, 4]
     with pytest.raises(TruncationExhausted):
-        list(tail_terms(iter([1.0, 1e-20, 1e-20]), CTX))  # ends before the tail
+        tail_walk(iter([1.0, 1e-20, 1e-20]), CTX)  # ends before the tail
 
 
-def test_bilateral_terms_stay_on_a_table_of_the_window():
-    # a table of exactly 2 * 5 + 1 sites: sites past the window would raise
-    # IndexError on the right and read row[-1] on the left
-    row = [1.0] * 11
+def test_tail_walk_stops_relative_to_its_running_sum():
+    # every term is below the tail cut 1e-11, yet only the terms after the
+    # first are small beside the sum; the walk ends on the third of those
+    walk = tail_walk(iter([1e-20, 1e-32, -1e-32, 1e-32, 1.0]), CTX)
+    assert (walk.value, walk.peak, walk.terms) == (1e-20 + 1e-32, 1e-20, 4)
+    # a sum whose terms are exactly zero ends after three of them
+    assert tail_walk(iter([0.0] * 4), CTX) == (0.0, 0.0, 3)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.nan)])
+def test_tail_walk_refuses_a_term_that_is_not_finite(bad):
+    drawn = []
+
+    def terms():
+        for t in [1.0, bad, 0.0, 0.0, 0.0]:
+            drawn.append(t)
+            yield t
+
+    with pytest.raises(OverflowGuard):
+        tail_walk(terms(), CTX)
+    assert len(drawn) == 2
+
+
+def test_tail_walk_refuses_a_running_sum_that_overflows():
+    with pytest.raises(OverflowGuard):
+        tail_walk(iter([1e308, 1e308, 0.0, 0.0, 0.0]), CTX)
+
+
+def test_bilateral_terms_give_up_at_max_terms():
+    # one walk over 0, -1, 1, -2, 2, ... draws no site past max_terms
+    drawn = []
 
     def term(m):
-        assert -5 <= m <= 5
-        return row[m + 5]
+        drawn.append(m)
+        return 1.0
 
     with pytest.raises(TruncationExhausted):
-        bilateral_terms(term, CTX, limit=5)
-    with pytest.raises(TailTooFat):
-        vgamma.windowed_bilateral_sum(term, 5, CTX)
-    # a window whose edge term alone is below the cut has no tail either
-    with pytest.raises(TailTooFat):
-        vgamma.windowed_bilateral_sum(lambda m: 0.0 if abs(m) == 5 else 1.0, 5, CTX)
-    terms = bilateral_terms(lambda m: 0.0 if abs(m) >= 3 else 1.0 + m, CTX, limit=5)
-    assert terms == [1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0]
+        bilateral_terms(term, QContext(q=0.4, max_terms=5))
+    assert drawn == [0, -1, 1, -2, 2]
+    with pytest.raises(TruncationExhausted):
+        vgamma.windowed_bilateral_sum(lambda m: 1.0, QContext(q=0.4, max_terms=5))
+    # the first 0 counts as small beside the running sum 1, the -1 does not
+    terms = bilateral_terms(lambda m: 0.0 if abs(m) >= 3 else 1.0 + m, CTX)
+    assert terms == [1.0, 0.0, 2.0, -1.0, 3.0, 0.0, 0.0, 0.0]
+
+
+def test_bilateral_terms_keep_the_digits_of_sides_that_cancel():
+    # the sides sum to 1e6 and -1e6 and the total is exactly 1: a side
+    # stopped relative to its own sum would leave the total about 1e-5
+    # off; the one walk stops relative to the running total
+    def term(m):
+        if m > 0:
+            return 1e6 * 0.5 ** m
+        if m < 0:
+            return -1e6 / 3 * (2 / 3) ** (-m - 1)
+        return 1.0
+
+    terms = bilateral_terms(term, CTX)
+    assert abs(math.fsum(terms) - 1.0) < 1e-9
+    assert abs(vgamma.windowed_bilateral_sum(term, CTX) - 1.0) < 1e-9
+
+
+def test_sites_in_blocks_grows_each_side_in_doubling_blocks():
+    blocks = []
+
+    def block(ms):
+        blocks.append((ms.start, len(ms)))
+        return [m * m + 0.5 for m in ms]
+
+    site = sites_in_blocks(block)
+    assert [site(m) for m in range(60)] == [m * m + 0.5 for m in range(60)]
+    assert [site(m) for m in range(-1, -20, -1)] == [m * m + 0.5 for m in range(-1, -20, -1)]
+    assert blocks == [(0, 16), (16, 32), (48, 64), (-1, 16), (-17, 32)]
+    assert site(5) == 25.5 and len(blocks) == 5  # a known site is read, not recomputed
 
 
 def test_bracket_fixed_points():

@@ -186,15 +186,23 @@ def test_sums_that_cancel_past_the_tolerance_are_refused(entry):
 
 
 def test_refuse_cancellation_bound():
-    registry.refuse_cancellation(4.5e5, 1e-9, "a sum")
+    # the rule is the library's (qseries), read by the registry and the
+    # Fock star sums alike: a peak of 4.5e5 |value| passes at 1e-9, 5e5 not
+    assert registry.refuse_cancellation is qseries.refuse_cancellation
+    registry.refuse_cancellation(4.5e5, 1.0, 1e-9, "a sum")
+    registry.refuse_cancellation(9e5, -2.0, 1e-9, "a sum")
     with pytest.raises(registry.DomainError, match="a sum loses 5.7 of 16 digits"):
-        registry.refuse_cancellation(5e5, 1e-9, "a sum")
+        registry.refuse_cancellation(5e5, 1.0, 1e-9, "a sum")
+    with pytest.raises(registry.DomainError, match="a sum loses 5.7 of 16 digits"):
+        registry.refuse_cancellation([1.0, 5e5], [1.0, 1j], 1e-9, "a sum")  # worst entry
 
 
 @pytest.mark.parametrize("ratio", [float("nan"), float("inf")])
 def test_refuse_cancellation_refuses_a_ratio_out_of_range(ratio):
     with pytest.raises(registry.DomainError, match="a sum leaves double range"):
-        registry.refuse_cancellation(ratio, 1e-9, "a sum")
+        registry.refuse_cancellation(ratio, 1.0, 1e-9, "a sum")
+    with pytest.raises(registry.DomainError, match="a sum leaves double range"):
+        registry.refuse_cancellation(0.0, 0.0, 1e-9, "a sum")  # 0 / 0
 
 
 def test_occupation_sum_out_of_range_is_refused_without_a_warning():
@@ -317,15 +325,41 @@ def test_theta_0_2_refuses_the_spectral_integral_as_an_overflow():
 
 @pytest.mark.parametrize("window", [20, 15])
 def test_vgamma_centre_blocks_refuse_a_narrower_window(window):
-    # a 51- and a 41-site centre block on 2 window + 1 sites: a negative
-    # slice start would read the window's last sites as the centre
-    blocks = {"vgamma.completeness.5_8": 51, "vgamma.projectors.5_12_5_13": 41}
+    # completeness: a 51-site centre block on 2 window + 1 sites, where a
+    # negative slice start would read the window's last sites as the
+    # centre; projectors: a block that keeps 20 table sites on each side
+    refusals = {
+        "vgamma.completeness.5_8": (
+            2 * window + 1 < 51,
+            f"DomainError: the window {window} is narrower than the 51-site centre block"),
+        "vgamma.projectors.5_12_5_13": (
+            window < 20,
+            f"DomainError: the projector identities need a window of at least 20 sites, "
+            f"got {window}"),
+    }
     for entry in REGISTRY:
-        if entry.identity_id in blocks:
+        if entry.identity_id in refusals:
             [rep] = registry.run_entry(entry, RunConfig(m_window=window, a_max=8))
-            refusal = (f"DomainError: the window {window} is narrower than the "
-                       f"{blocks[entry.identity_id]}-site centre block")
-            if 2 * window + 1 < blocks[entry.identity_id]:
+            refused, refusal = refusals[entry.identity_id]
+            if refused:
                 assert (rep.verdict, rep.params["skip_reason"]) == ("SKIPPED", refusal)
             else:
                 assert rep.params.get("skip_reason") != refusal
+
+
+def test_spin_sums_that_do_not_decay_are_refused():
+    # V_x S V_y sums shrink like (|q| / |xy|)^{2|b|}; at q = 0.6 the
+    # pair (0.7, 0.8) of the bold summation and the cross-sector sum has
+    # |xy| = 0.56, and the fixed transitivity pair (0.8, 0.7) at q = -0.8
+    refusal = "DomainError: a spin sum of V_x S V_y decays only for |xy| > |q|"
+    for q, pattern in ((0.6, "vgamma.summation*"), (0.6, "vgamma.projectors*"),
+                       (-0.8, "fock.weight_properties*")):
+        [rep] = run_suite(RunConfig(filter=pattern, q=q))
+        assert rep.params["skip_reason"].startswith(refusal), (q, pattern)
+
+
+@pytest.mark.parametrize("window", [20, 25, 60])
+def test_projectors_pass_on_every_window_from_the_margin(window):
+    # the centre block shrinks with the window and keeps its 20-site margin
+    [rep] = run_suite(RunConfig(filter="vgamma.projectors*", m_window=window))
+    assert rep.verdict == "PASS", (rep.residual, rep.params)

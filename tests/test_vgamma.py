@@ -124,14 +124,14 @@ def test_sector_orthogonality():
                 * weight_Veps(0.8, -1, b, 1, GENERIC, CTX))
 
     from qkm.vgamma import windowed_bilateral_sum
-    total = windowed_bilateral_sum(cross, 75, CTX)
+    total = windowed_bilateral_sum(cross, CTX)
     scale = abs(weight_Veps(0.7 * 0.8, 1, 0, 1, GENERIC, CTX))
     assert abs(total) / scale < 1e-8
 
 
 def test_cross_sector_row_and_column_match_scalar_weights():
-    # the projectors entry reads its cross-sector summand from one row and
-    # one column over +-75 sites; every entry it can read must be finite
+    # the projectors entry reads its cross-sector summand from rows and
+    # columns grown in blocks; over +-75 sites every entry must be finite
     window = range(-75, 76)
     row = weight_Veps_table(0.7, 1, [0], window, GENERIC, CTX)[0]
     col = weight_Veps_table(0.8, -1, window, [1], GENERIC, CTX)[:, 0]
@@ -378,18 +378,36 @@ def test_km_phi_product_equals_definition():
 
 
 def test_km_summation_formula():
-    gc = GammaContext.make_selected(0.0, CTX, m_window=40)
+    gc = GammaContext.make_selected(0.0, CTX)
     assert km_summation_check(0.7, 0.8, 0, 0, gc, CTX).residual < 1e-8
     assert km_summation_check(0.7, 0.8, 2, -1, gc, CTX).residual < 1e-8
     assert km_inversion_check(0.7, 1, 1, gc, CTX).residual < 1e-8
     assert km_inversion_check(0.7, 1, 3, gc, CTX).residual < 1e-8
 
 
+def test_km_summation_refuses_a_sum_that_does_not_decay():
+    # the summands shrink like (|q| / |xy|)^{2|b|}: |xy| = 0.56 < |q| = 0.6
+    ctx = QContext(q=0.6)
+    gc = GammaContext.make_selected(0.0, ctx)
+    with pytest.raises(DomainError, match=r"\|xy\| > \|q\| = 0\.6, got \|xy\| = 0\.56"):
+        km_summation_check(0.7, 0.8, 0, 0, gc, ctx)
+
+
 def test_star_triangle_selected_gamma():
     for nu in (0.0, 0.5):
-        gc = GammaContext.make_selected(nu, CTX, m_window=40)
+        gc = GammaContext.make_selected(nu, CTX)
         assert star_triangle_km(0.7, 0.6, 0, 0, 0, gc, CTX).residual < 1e-7
         assert star_triangle_km(0.7, 0.6, 1, -1, 2, gc, CTX).residual < 1e-7
+
+
+def test_star_triangle_keeps_the_digits_of_sides_that_cancel():
+    # at q = -0.8, nu = 1/2 the sums over d > 0 and d < 0 are about -6.2e5
+    # and +6.2e5 and the total is -2.18; two walks each stopped relative to
+    # its own side left the total 3.8e-7 off (a mpmath sum agrees with the
+    # closed-form side to 1.6e-10)
+    ctx = QContext(q=-0.8)
+    gc = GammaContext.make_selected(0.5, ctx)
+    assert star_triangle_km(0.7, 0.6, 0, 0, 0, gc, ctx).residual < 1e-8
 
 
 def test_star_triangle_generic_gamma_fails():
