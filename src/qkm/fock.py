@@ -23,9 +23,9 @@ import numpy as np
 
 from .context import QContext
 from .errors import DomainError, EigensolverFailure, OverflowGuard, TruncationExhausted
-from .orthopoly import (decimal_digits, decimal_sqrt, lattice_brace_sums,
-                        overlap_grid, scaled_poly_values, to_decimal)
-from .qseries import (_first_below, bracket, big_theta4_const, log_qpoch_table,
+from .orthopoly import (decimal_sqrt, lattice_brace_sums, overlap_grid, scaled_poly_values,
+                        to_decimal)
+from .qseries import (_first_below, bracket, big_theta4_const, decimal_digits, log_qpoch_table,
                       qpoch_finite_table, qpoch_inf, qpoch_inf_multi, refuse_cancellation,
                       sites_in_blocks, tail_sum, tail_walk)
 from .report import CheckResult, relative_residual, worst_residual

@@ -11,23 +11,22 @@ from __future__ import annotations
 
 import cmath
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from decimal import Context, Decimal, DivisionByZero, InvalidOperation, Overflow, localcontext
+from decimal import Decimal
 from enum import Enum
 from itertools import count, islice
 
 import numpy as np
 
 from .context import QContext
-from .errors import DegenerateArgument, DomainError, OverflowGuard, TruncationExhausted
-from .qseries import (big_theta4_const, qpoch_finite_table, qpoch_inf, qpoch_inf_multi,
-                      tail_sum, tail_walk)
+from .errors import DegenerateArgument, DomainError, OverflowGuard
+from .qseries import (big_theta4_const, bilateral_terms, decimal_digits, qpoch_finite_table,
+                      qpoch_inf, qpoch_inf_multi, tail_sum, tail_walk)
 from .report import CheckResult, relative_residual, worst_residual
 
 __all__ = [
     "PolyEvalMethod", "poly_P", "poly_rows", "scaled_poly_iter",
-    "scaled_poly_values", "DecimalComplex", "decimal_digits", "to_decimal",
+    "scaled_poly_values", "DecimalComplex", "to_decimal",
     "decimal_sqrt", "lattice_brace_sums", "overlap_sum", "overlap_grid",
     "poly_P_difference_checks", "genfun_checks", "poly_norm_sum_check",
     "ChiParams", "chi", "chi_equation_checks",
@@ -35,9 +34,6 @@ __all__ = [
 
 # ln(1e300); exponents beyond this overflow double precision
 _LN_OVERFLOW = 690.0
-# digits the decimal lattice arithmetic carries beyond a sum's nominal dps
-_GUARD_DIGITS = 5
-_DECIMAL_TRAPS = (DivisionByZero, InvalidOperation, Overflow)
 
 
 class PolyEvalMethod(Enum):
@@ -120,59 +116,6 @@ def poly_rows(xi, q, qh, scale, coeffs=None, xi_inv=None):
     for up, down in coeffs:
         prev, cur = cur, up * s * cur + down * prev
         yield cur
-
-
-def _lattice_tail_sums(site_terms, n: int, directions, cut, max_terms: int):
-    """Sum n extended-precision lattice series, each part to its own tail.
-
-    ``site_terms(m, live)`` returns the terms at site m of the parts whose
-    indices are listed in ``live``, in that order.  Site 0 comes first; each
-    direction d of ``directions`` ((1,) or (1, -1)) then walks m = d, 2d, ...
-    from the site-0 peaks, and a part stops in that direction after three
-    consecutive terms below peak * cut.  A part's value therefore does not
-    depend on the other parts of its batch.
-
-    With cut = 10^(5 - dps) this stops at the floor of the arithmetic: the
-    running total already carries a rounding error of about peak * 10^(-dps)
-    from its largest terms, and the site weight decays like a Gaussian in m,
-    so beyond three terms under the cut the neglected tail lies below that
-    error and cannot change the total.  Sizes are compared squared
-    (|t|^2 against peak^2 cut^2), so no term takes a square root.  The
-    totals are running sums; no term list is kept.  Returns the totals,
-    the squared peaks over all sites and the number of sites walked;
-    raises TruncationExhausted when a direction reaches ``max_terms`` sites.
-    """
-    cut2 = cut * cut
-    totals = list(site_terms(0, range(n)))
-    peaks = [_size2(t) for t in totals]
-    sites = 1
-    for d in directions:
-        peak = peaks[:]
-        floor = [p * cut2 for p in peak]
-        below = [0] * n
-        live = range(n)
-        for k in range(1, max_terms):
-            for i, t in zip(live, site_terms(d * k, live)):
-                totals[i] += t
-                size = _size2(t)
-                if size > peak[i]:
-                    peak[i], floor[i] = size, size * cut2
-                below[i] = below[i] + 1 if size < floor[i] else 0
-            sites += 1
-            live = [i for i in live if below[i] < 3]
-            if not live:
-                break
-        else:
-            raise TruncationExhausted("lattice sum has no tail within max_terms")
-        peaks = [max(p, s) for p, s in zip(peaks, peak)]
-    return totals, peaks, sites
-
-
-def _size2(t):
-    """|t|^2 of a Decimal or a DecimalComplex, without a square root."""
-    if type(t) is DecimalComplex:
-        return t.real * t.real + t.imag * t.imag
-    return t * t
 
 
 class DecimalComplex:
@@ -264,20 +207,6 @@ class DecimalComplex:
         return f"DecimalComplex({self.real!r}, {self.imag!r})"
 
 
-@contextmanager
-def decimal_digits(dps: int):
-    """Decimal arithmetic in dps digits plus _GUARD_DIGITS, in this thread.
-
-    Division by zero, invalid operations and overflow are trapped and
-    raised as DomainError; the caller's decimal context is restored.
-    """
-    with localcontext(Context(prec=dps + _GUARD_DIGITS, traps=list(_DECIMAL_TRAPS))):
-        try:
-            yield
-        except _DECIMAL_TRAPS as exc:
-            raise DomainError(f"extended-precision arithmetic failed: {type(exc).__name__}") from exc
-
-
 def to_decimal(z):
     """The complex double z exactly: a Decimal when it is real, else a DecimalComplex."""
     z = complex(z)
@@ -301,11 +230,15 @@ def lattice_brace_sums(triples, gamma, directions, dps: int, ctx: QContext):
     Site m contributes (-1)^m (xi - 1/xi) row_a row_b row_c, the rows
     scaled by gamma^m q^{m^2/2}; gamma None is q^{1/2} at the working
     precision, where xi = q^{m+1/2} and the weight cubed is
-    q^{3m(m+1)/2}.  ``directions`` is (1,) for m >= 0 or (1, -1) for all
-    m.  One row stack per site serves every triple, and each stops at its
-    own tail (cut 10^(5 - dps)).  The summands are O(1) while a total can
-    be as small as q^{ab+ac+bc}; one that falls more than dps - 8 digits
-    below its peak keeps too few digits for a check and is refused.
+    q^{3m(m+1)/2}.  ``directions`` is (1,) for the sites m = 0, 1, ... or
+    (1, -1) for all m, walked 0, -1, 1, -2, ... as bilateral_terms does.
+    Each triple is its own tail_walk, whose decimal rule stops it at the
+    floor of the arithmetic (cut = floor = 10^(5 - dps)), so a total does
+    not depend on the other triples.  The walks share a cache of sites:
+    each site's rows and its f row_a row_b pairs are built once, and a
+    term only when a walk reaches it.  The summands are O(1) while a total
+    can be as small as q^{ab+ac+bc}; one that falls more than dps - 8
+    digits below its peak keeps too few digits for a check and is refused.
 
     The arithmetic is stdlib decimal at dps plus a few guard digits
     (decimal_digits), in Decimal on a real lattice and DecimalComplex
@@ -321,36 +254,43 @@ def lattice_brace_sums(triples, gamma, directions, dps: int, ctx: QContext):
         top = max((max(t) for t in triples), default=0)
         coeffs = [(qh ** (2 * a + 1), 1 - q ** (2 * a)) for a in range(top)]
         q_inv = 1 / q
-        steps = {1: (q, q_inv, gamma), -1: (q_inv, q, 1 / gamma)}
-        # m -> (xi, 1/xi, gamma^m q^{m^2/2}, q^{|m|+1/2}); the walks visit
-        # m = d, 2d, ... in turn, so each site is one step on from the site
-        # before it, and 1/xi is walked beside xi rather than inverted
-        walk = {0: (gamma, 1 / gamma, 1, qh)}
+        moves = {1: (q, q_inv, gamma), -1: (q_inv, q, 1 / gamma)}
+        # m -> (xi, 1/xi, gamma^m q^{m^2/2}, q^{|m|+1/2}); a walk reaches m
+        # only after m -+ 1, so each site is one step on from the site before
+        # it, and 1/xi is walked beside xi rather than inverted
+        steps = {0: (gamma, 1 / gamma, 1, qh)}
+        sites = {}  # m -> (rows, f, {(a, b): f row_a row_b})
 
-        def site_terms(m, live):
-            if m not in walk:
+        def site(m):
+            if m:
                 d = 1 if m > 0 else -1
-                xi, xi_inv, scale, odd = walk[m - d]
-                q_step, inv_step, gamma_step = steps[d]
-                walk[m] = (xi * q_step, xi_inv * inv_step, scale * gamma_step * odd, odd * q)
-            xi, xi_inv, scale, _ = walk[m]
+                xi, xi_inv, scale, odd = steps[m - d]
+                q_step, inv_step, gamma_step = moves[d]
+                steps[m] = (xi * q_step, xi_inv * inv_step, scale * gamma_step * odd, odd * q)
+            xi, xi_inv, scale, _ = steps[m]
             rows = list(poly_rows(xi, q, qh, scale, coeffs, xi_inv))
-            f = xi_inv - xi if m % 2 else xi - xi_inv
-            pairs = {}  # f row_a row_b, shared by every c
-            out = []
-            for a, b, c in (triples[i] for i in live):
-                fab = pairs.get((a, b))
-                if fab is None:
-                    fab = pairs[a, b] = f * rows[a] * rows[b]
-                out.append(fab * rows[c])
-            return out
+            sites[m] = rows, (xi_inv - xi if m % 2 else xi - xi_inv), {}
+            return sites[m]
 
-        totals, peaks, sites = _lattice_tail_sums(site_terms, len(triples), directions,
-                                                  Decimal(10) ** (5 - dps), ctx.max_terms)
-        digits2 = Decimal(10) ** (2 * (dps - 8))
-        if any(peak2 > _size2(total) * digits2 for total, peak2 in zip(totals, peaks)):
+        def walk(a, b, c):
+            ab = a, b
+
+            def term(m):
+                rows, f, pairs = sites[m] if m in sites else site(m)
+                fab = pairs.get(ab)
+                if fab is None:
+                    fab = pairs[ab] = f * rows[a] * rows[b]
+                return fab * rows[c]
+
+            if directions == (1,):
+                return tail_walk(map(term, count()), ctx)
+            return bilateral_terms(term, ctx)[1]
+
+        walks = [walk(*t) for t in triples]
+        digits = Decimal(10) ** (dps - 8)
+        if any(w.peak > abs(w.value) * digits for w in walks):
             raise DomainError(f"lattice sum cancels more than {dps - 8} of its {dps} digits")
-        return totals, sites
+        return [w.value for w in walks], len(sites)
 
 
 def scaled_poly_iter(xi, ctx: QContext, scale: complex = 1.0):

@@ -2,22 +2,28 @@
 
 Everything downstream (orthogonal polynomials, lattice Boltzmann weights,
 the modular-double machinery) is built on the primitives here.  Every
-double-precision sum stops by one rule, written once in ``tail_walk``.
-Products count their factors in closed form instead (``tail_length``,
-and ``log_qpoch_table`` for every exponent of a grid): a factor 1 - a
-moves the running product by |a| relative, so that count is the same
-rule.  Nomes are always explicit; nothing squares a nome implicitly,
-callers pass q*q where a base-q**2 symbol is wanted.
+sum, in complex doubles or in the decimal arithmetic of decimal_digits,
+stops by one rule, written once in ``tail_walk``, at the cut and the
+rounding floor of its arithmetic.  Products count their factors in
+closed form instead (``tail_length``, and ``log_qpoch_table`` for every
+exponent of a grid): a factor 1 - a moves the running product by |a|
+relative, so that count is the same rule.  Nomes are always explicit;
+nothing squares a nome implicitly, callers pass q*q where a base-q**2
+symbol is wanted.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
+from contextlib import contextmanager
+from decimal import (Context, Decimal, DivisionByZero, InvalidOperation, Overflow, getcontext,
+                     localcontext)
 from enum import Enum
 from functools import reduce
-from itertools import count, islice
-from operator import add, mul
+from itertools import chain, count, islice
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -27,14 +33,19 @@ from .errors import DomainError, OverflowGuard, TruncationExhausted
 from .report import CheckResult, relative_residual, worst_residual
 
 __all__ = [
-    "Walk", "tail_walk", "tail_length", "bilateral_terms", "tail_sum",
-    "sites_in_blocks", "refuse_cancellation",
+    "Walk", "tail_walk", "decimal_digits", "tail_length", "bilateral_terms",
+    "tail_sum", "sites_in_blocks", "refuse_cancellation",
     "qpoch_finite_table", "qpoch_inf",
     "qpoch_inf_multi", "log_qpoch_inf_array", "log_qpoch_table", "bracket",
     "ThetaKind", "theta_sum", "theta_product", "big_theta4_const",
     "jacobi_transform_check", "gauss_check", "gauss_double_sum_check",
     "pentagonal_check",
 ]
+
+
+# digits the decimal sums carry beyond their nominal dps (decimal_digits)
+_GUARD_DIGITS = 5
+_DECIMAL_TRAPS = (DivisionByZero, InvalidOperation, Overflow)
 
 
 class Walk(NamedTuple):
@@ -46,27 +57,63 @@ class Walk(NamedTuple):
 
 def tail_walk(terms, ctx: QContext) -> Walk:
     """Sum a term iterable, in order, until three consecutive terms have
-    |t| <= ``ctx.tail_cut`` |running sum| (so a sum far below 1 keeps its
-    digits); peak / |value| is its cancellation.  Raises OverflowGuard at
+    |t| <= max(cut |S|, floor peak), S the running sum and peak the largest
+    |t| so far.  The cut keeps the digits of a sum far below 1.  The floor
+    ends a sum at the rounding error its largest terms already left in it,
+    which no smaller term can change, so a sum that cancels to 0 ends too.
+    Both numbers belong to the arithmetic of the terms:
+
+    * complex doubles: cut ``ctx.tail_cut``, floor the machine epsilon;
+    * Decimal and DecimalComplex (terms with Decimal real parts), inside
+      decimal_digits(dps): cut = floor = 10^(5 - dps).  A walk whose first
+      term is a DecimalComplex compares squared sizes, |t|^2 against
+      cut^2 |S|^2, so that no term takes a square root.
+
+    peak / |value| is the cancellation of the sum.  Raises OverflowGuard at
     once on a term or running sum that is not finite, TruncationExhausted
     after ``ctx.max_terms`` terms (drawing no more) or when ``terms`` ends.
     """
-    cut, inf = ctx.tail_cut, math.inf
-    total, peak, below = 0.0 + 0.0j, 0.0, 0
-    for n, t in enumerate(islice(terms, ctx.max_terms), 1):
+    terms = islice(terms, ctx.max_terms)
+    first = next(terms, 0.0)  # an empty iterable sums a 0 and ends without a tail
+    size, squared = abs, False
+    if not isinstance(first.real, Decimal):
+        cut, floor, total = ctx.tail_cut, sys.float_info.epsilon, 0.0 + 0.0j
+    else:
+        dps = getcontext().prec - _GUARD_DIGITS  # inside decimal_digits(dps)
+        cut, total = Decimal(10) ** (5 - dps), Decimal(0)
+        if type(first) is not Decimal:
+            size, cut, squared = (lambda t: t.real * t.real + t.imag * t.imag), cut * cut, True
+        floor = cut
+    peak = noise = size(total)  # noise: floor * peak
+    below, inf = 0, math.inf
+    for n, t in enumerate(chain((first,), terms), 1):
         total += t
-        size, scale = abs(t), abs(total)
-        if size > peak:
-            peak = size
-        if size <= cut * scale < inf:
+        now, scale = size(t), size(total)
+        if now > peak:
+            peak, noise = now, floor * now
+        if (now <= cut * scale or now <= noise) and scale < inf:
             below += 1
             if below == 3:
-                return Walk(total, peak, n)
+                return Walk(total, peak.sqrt() if squared else peak, n)
         elif scale < inf:
             below = 0
         else:
             raise OverflowGuard(f"term {n} of a sum is {t}; the sum leaves double range")
     raise TruncationExhausted(f"no tail within {ctx.max_terms} terms")
+
+
+@contextmanager
+def decimal_digits(dps: int):
+    """Decimal arithmetic in dps digits plus _GUARD_DIGITS, in this thread.
+
+    Division by zero, invalid operations and overflow are trapped and
+    raised as DomainError; the caller's decimal context is restored.
+    """
+    with localcontext(Context(prec=dps + _GUARD_DIGITS, traps=list(_DECIMAL_TRAPS))):
+        try:
+            yield
+        except _DECIMAL_TRAPS as exc:
+            raise DomainError(f"extended-precision arithmetic failed: {type(exc).__name__}") from exc
 
 
 def _first_below(size: float, rate: float, cut: float) -> int:
@@ -89,9 +136,9 @@ def tail_length(top: float, rate: float, cut: float, max_terms: int) -> int:
     return above + 3
 
 
-def bilateral_terms(term, ctx: QContext) -> list:
-    """[term(0), term(-1), term(1), term(-2), ...] up to the tail: one
-    tail_walk over both sides, so sides that cancel keep the total's digits."""
+def bilateral_terms(term, ctx: QContext):
+    """([term(0), term(-1), term(1), term(-2), ...] up to the tail, its Walk):
+    one tail_walk over both sides, so sides that cancel keep the total's digits."""
     out = []
 
     def terms():
@@ -100,8 +147,8 @@ def bilateral_terms(term, ctx: QContext) -> list:
                 out.append(term(site))
                 yield out[-1]
 
-    tail_walk(terms(), ctx)
-    return out
+    walk = tail_walk(terms(), ctx)
+    return out, walk
 
 
 def tail_sum(terms, ctx: QContext) -> complex:
@@ -114,15 +161,14 @@ def sites_in_blocks(block):
 
     ``block(ms)`` returns the values at the sites of the range ``ms``.  A
     read past the known sites of a side (m >= 0 or m < 0), which must be
-    read in order, computes its next 16 sites, then 32, 64, ...
+    read in order, computes the next 32 sites of that side.
     """
-    known, size = {}, {1: 16, -1: 16}
+    known = {}
 
     def site(m):
         if m not in known:
             step = 1 if m >= 0 else -1
-            ms = range(m, m + step * size[step], step)
-            size[step] *= 2
+            ms = range(m, m + 32 * step, step)
             known.update(zip(ms, block(ms)))
         return known[m]
 
@@ -288,8 +334,8 @@ def theta_sum(kind: ThetaKind, u, ctx: QContext):
         term = lambda n: q ** (n * n) * (-u) ** n
     else:  # H
         term = lambda n: q ** (n * (n - 1)) * (-1) ** n * u ** (2 * n - 1)
-    terms = bilateral_terms(term, ctx)
-    return reduce(add, terms), max(map(abs, terms))
+    _, walk = bilateral_terms(term, ctx)
+    return walk.value, walk.peak
 
 
 def theta_product(kind: ThetaKind, u, ctx: QContext) -> complex:
@@ -424,7 +470,8 @@ def gauss_double_sum_check(z1, z2, ctx: QContext):
 def pentagonal_check(ctx: QContext):
     """Pentagonal-number series sum_m (-)^m q^{m(3m+1)/2} against (q;q)_inf."""
     q = ctx.q
-    lhs = reduce(add, bilateral_terms(lambda m: (-1) ** m * q ** (m * (3 * m + 1) // 2), ctx))
+    _, walk = bilateral_terms(lambda m: (-1) ** m * q ** (m * (3 * m + 1) // 2), ctx)
+    lhs = walk.value
     rhs = qpoch_inf(q, q, ctx)
     res = relative_residual(lhs, rhs)
     return CheckResult({"q": q}, res)

@@ -40,6 +40,10 @@ GAMMA_GENERIC = 0.7 * cmath.exp(0.4j)
 SELECTED_NU = (0.0, 0.5)
 # tolerance of a check's QContext (it sets the tail cut) when --tol is unset
 CONTEXT_TOL = 1e-9
+# |q| band where the generic-gamma star-triangle defect exceeds 10x its
+# tolerance; its first point reads 2.6e-6 at 1e-5 and 1.6e-6 at 0.9, but
+# 2.6e-7 at 1e-6 and 6.9e-8 at 0.92
+NEGATIVE_CONTROL_Q_BAND = (1e-5, 0.9)
 
 
 @dataclass(frozen=True)
@@ -621,6 +625,10 @@ def _vg_star_triangle(run):
 
 def _vg_star_triangle_generic(run):
     ctx = run.ctx
+    lo, hi = NEGATIVE_CONTROL_Q_BAND
+    if not lo <= abs(ctx.q) <= hi:
+        raise DomainError(f"the generic-gamma negative control discriminates only for "
+                          f"{lo:g} <= |q| <= {hi:g}, got |q| = {abs(ctx.q):.6g}")
     gc = run.gamma_ctx()
     for spins in ((1, -1, 2), (2, 1, -1)):
         yield vgamma.star_triangle_km(0.7, 0.6, *spins, gc, ctx)

@@ -75,7 +75,7 @@ def windowed_bilateral_sum(term, ctx: QContext) -> complex:
     these lattice sums cancel by five or six orders of magnitude, where
     naive accumulation visibly pollutes the result.
     """
-    terms = bilateral_terms(term, ctx)
+    terms, _ = bilateral_terms(term, ctx)
     return complex(math.fsum(t.real for t in terms),
                    math.fsum(t.imag for t in terms))
 

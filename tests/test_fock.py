@@ -25,9 +25,10 @@ from qkm.fock import (BraceMethod, FockRepParams, Regularisation,
                       transitivity_check_fock, vbasis_operator_matrices,
                       vform_matrices, weight_table, weight_table_from_overlaps,
                       weight_V_fock, weight_V_fock_from_overlaps, _brace_closed)
-from qkm.orthopoly import PolyEvalMethod, decimal_digits, lattice_brace_sums, poly_P
+from qkm.orthopoly import PolyEvalMethod, lattice_brace_sums, poly_P
 from qkm.report import relative_residual
-from qkm.qseries import bracket, qpoch_finite_table, qpoch_inf, qpoch_inf_multi, tail_walk
+from qkm.qseries import (bracket, decimal_digits, qpoch_finite_table, qpoch_inf,
+                         qpoch_inf_multi, tail_walk)
 from qkm.vgamma import GammaContext, vgamma_decomposition
 
 CTX = QContext(q=0.4)

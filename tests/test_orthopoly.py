@@ -13,11 +13,11 @@ from qkm.context import QContext
 from qkm.errors import DegenerateArgument, DomainError, OverflowGuard
 from qkm.fock import brace_spin_sums
 from qkm.orthopoly import (ChiParams, DecimalComplex, PolyEvalMethod, chi,
-                           chi_equation_checks, decimal_digits, decimal_sqrt,
-                           genfun_checks, lattice_brace_sums, overlap_grid, overlap_sum,
+                           chi_equation_checks, decimal_sqrt, genfun_checks,
+                           lattice_brace_sums, overlap_grid, overlap_sum,
                            poly_norm_sum_check, poly_P, poly_P_difference_checks,
                            poly_rows, scaled_poly_iter, scaled_poly_values, to_decimal)
-from qkm.qseries import qpoch_inf, qpoch_inf_multi
+from qkm.qseries import decimal_digits, qpoch_inf, qpoch_inf_multi
 from qkm.registry import RunConfig, run_suite
 from qkm.vgamma import GammaContext
 
@@ -239,25 +239,30 @@ def _mp_site_terms(triples, gamma, q, window):
 
 
 def _mp_stop_rule(terms, n, directions, dps):
-    """Totals, peaks and sites walked of the three-below-cut rule of
-    _lattice_tail_sums, read off the mpmath terms and magnitudes."""
+    """Totals, peaks and sites walked of the one tail rule, read off the
+    mpmath terms and exact magnitudes: each part stops after three
+    consecutive terms with |t| <= 10^(5 - dps) max(|S|, peak), walking the
+    sites 0, 1, ... or, on the bilateral lattice, 0, -1, 1, -2, ..."""
+    window = max(terms)
+    order = (range(window + 1) if directions == (1,)
+             else [m for k in range(window) for m in (k, -k - 1)])
     with mp.workdps(60):
         cut = mp.mpf(10) ** (5 - dps)
-        totals = list(terms[0])
-        peaks = [abs(t) for t in totals]
-        sites = 1
-        for d in directions:
-            peak, below, live, k = peaks[:], [0] * n, range(n), 0
-            while live:
-                k += 1
-                for i in live:
-                    t = terms[d * k][i]
-                    totals[i] += t
-                    peak[i] = max(peak[i], abs(t))
-                    below[i] = below[i] + 1 if abs(t) < peak[i] * cut else 0
-                live = [i for i in live if below[i] < 3]
-            sites += k
-            peaks = [max(p, s) for p, s in zip(peaks, peak)]
+        totals, peaks, sites = [], [], 0
+        for i in range(n):
+            total, peak, below = mp.mpc(0), mp.mpf(0), 0
+            for walked, m in enumerate(order, 1):
+                t = terms[m][i]
+                total += t
+                peak = max(peak, abs(t))
+                below = below + 1 if abs(t) <= cut * max(abs(total), peak) else 0
+                if below == 3:
+                    break
+            else:
+                raise AssertionError("the oracle's window holds no tail")
+            totals.append(total)
+            peaks.append(peak)
+            sites = max(sites, walked)
         return totals, peaks, sites
 
 
@@ -272,7 +277,7 @@ def _mp_stop_rule(terms, n, directions, dps):
 def test_lattice_sums_match_a_60_digit_oracle_at_complex_q(q, gamma):
     # the walked 1/xi and the squared stop test change no total beyond the
     # digits the kernel keeps, and the kernel walks exactly the sites of the
-    # stop rule evaluated on exact magnitudes
+    # one tail rule evaluated on exact magnitudes
     if gamma is None:
         triples, directions, dps = list(combinations_with_replacement(range(7), 3)), (1,), 40
     else:

@@ -3,6 +3,7 @@
 import cmath
 import math
 import warnings
+from decimal import Decimal
 from itertools import count, islice
 
 import numpy as np
@@ -12,8 +13,9 @@ from hypothesis import assume, given, settings, strategies as st
 from qkm import fock, modular, vgamma
 from qkm.context import QContext
 from qkm.errors import DomainError, OverflowGuard, TruncationExhausted
+from qkm.orthopoly import DecimalComplex
 from qkm.qseries import (ThetaKind, _log_qpoch_chain, bilateral_terms, bracket,
-                         big_theta4_const, gauss_check, gauss_double_sum_check,
+                         big_theta4_const, decimal_digits, gauss_check, gauss_double_sum_check,
                          jacobi_transform_check, pentagonal_check,
                          log_qpoch_inf_array, log_qpoch_table, qpoch_finite_table,
                          qpoch_inf, sites_in_blocks, tail_length, tail_walk,
@@ -259,6 +261,41 @@ def test_tail_walk_stops_relative_to_its_running_sum():
     assert tail_walk(iter([0.0] * 4), CTX) == (0.0, 0.0, 3)
 
 
+def test_tail_walk_stops_a_sum_that_cancels_at_its_rounding_floor():
+    # 1, -1, 1/2, -1/2, ...: the running sum is exactly 0 after every pair
+    # and equal to the last term in between, so no term is small beside it;
+    # the walk ends on the third term at or below eps * peak = 2^-52
+    def terms():
+        for k in count():
+            yield 0.5 ** k
+            yield -0.5 ** k
+
+    assert tail_walk(terms(), CTX) == (0.5 ** 53, 1.0, 2 * 52 + 3)
+
+
+def test_tail_walk_stops_decimal_terms_at_the_decimal_rule():
+    # in 30 digits a walk of Decimal or DecimalComplex terms stops on the
+    # third term with |t| <= 10^(5 - 30) max(|S|, peak)
+    with decimal_digits(30):
+        # 10^-k sums to 1.11...: 10^-24 is above the cut, 10^-25 below it
+        walk = tail_walk((Decimal(10) ** -k for k in count()), CTX)
+        assert walk == (sum(Decimal(10) ** -k for k in range(28)), 1, 28)
+        # i 10^-k sums to i 1.11...: |t| takes the imaginary part
+        i = DecimalComplex(Decimal(0), Decimal(1))
+        walk = tail_walk((i * Decimal(10) ** -k for k in count()), CTX)
+        assert walk == (i * sum(Decimal(10) ** -k for k in range(28)), 1, 28)
+
+        # i, -i, i/10, -i/10, ... cancels to 0 after every pair, and stops
+        # at floor * peak = 10^-25
+        def cancelling():
+            for k in count():
+                yield i * Decimal(10) ** -k
+                yield -i * Decimal(10) ** -k
+
+        walk = tail_walk(cancelling(), CTX)
+        assert walk == (i * Decimal(10) ** -26, 1, 2 * 25 + 3)
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.nan)])
 def test_tail_walk_refuses_a_term_that_is_not_finite(bad):
     drawn = []
@@ -292,8 +329,9 @@ def test_bilateral_terms_give_up_at_max_terms():
     with pytest.raises(TruncationExhausted):
         vgamma.windowed_bilateral_sum(lambda m: 1.0, QContext(q=0.4, max_terms=5))
     # the first 0 counts as small beside the running sum 1, the -1 does not
-    terms = bilateral_terms(lambda m: 0.0 if abs(m) >= 3 else 1.0 + m, CTX)
+    terms, walk = bilateral_terms(lambda m: 0.0 if abs(m) >= 3 else 1.0 + m, CTX)
     assert terms == [1.0, 0.0, 2.0, -1.0, 3.0, 0.0, 0.0, 0.0]
+    assert walk == (5.0, 3.0, 8)
 
 
 def test_bilateral_terms_keep_the_digits_of_sides_that_cancel():
@@ -307,12 +345,12 @@ def test_bilateral_terms_keep_the_digits_of_sides_that_cancel():
             return -1e6 / 3 * (2 / 3) ** (-m - 1)
         return 1.0
 
-    terms = bilateral_terms(term, CTX)
+    terms, _ = bilateral_terms(term, CTX)
     assert abs(math.fsum(terms) - 1.0) < 1e-9
     assert abs(vgamma.windowed_bilateral_sum(term, CTX) - 1.0) < 1e-9
 
 
-def test_sites_in_blocks_grows_each_side_in_doubling_blocks():
+def test_sites_in_blocks_grows_each_side_in_fixed_blocks():
     blocks = []
 
     def block(ms):
@@ -320,9 +358,9 @@ def test_sites_in_blocks_grows_each_side_in_doubling_blocks():
         return [m * m + 0.5 for m in ms]
 
     site = sites_in_blocks(block)
-    assert [site(m) for m in range(60)] == [m * m + 0.5 for m in range(60)]
-    assert [site(m) for m in range(-1, -20, -1)] == [m * m + 0.5 for m in range(-1, -20, -1)]
-    assert blocks == [(0, 16), (16, 32), (48, 64), (-1, 16), (-17, 32)]
+    assert [site(m) for m in range(70)] == [m * m + 0.5 for m in range(70)]
+    assert [site(m) for m in range(-1, -40, -1)] == [m * m + 0.5 for m in range(-1, -40, -1)]
+    assert blocks == [(0, 32), (32, 32), (64, 32), (-1, 32), (-33, 32)]
     assert site(5) == 25.5 and len(blocks) == 5  # a known site is read, not recomputed
 
 
@@ -439,7 +477,7 @@ def test_pentagonal_series():
 def test_bilateral_sum_gaussian():
     # sum of q^{n^2} over Z equals the theta-constant at u = -1
     q = 0.4
-    total = sum(bilateral_terms(lambda n: q ** (n * n), CTX))
+    total = sum(bilateral_terms(lambda n: q ** (n * n), CTX)[0])
     s, _ = theta_sum(ThetaKind.CAP_THETA3, 1.0, CTX)
     assert abs(total - s) < 1e-12
 

@@ -241,6 +241,25 @@ def test_tiny_generic_gamma_is_refused_by_the_theta_product():
         "DomainError: theta function H needs u^2 in double range")
 
 
+@pytest.mark.parametrize("q, inside", [(1e-8, False), (1e-6, False), (1e-5, True),
+                                       (-0.8, True), (0.9, True), (0.92, False),
+                                       (-0.95, False), (0.97, False)])
+def test_negative_control_is_refused_outside_its_q_band(q, inside):
+    # outside 1e-5 <= |q| <= 0.9 the generic-gamma defect falls below 10x
+    # its tolerance; a forced --gamma on the selected entry runs the same control
+    refusal = ("DomainError: the generic-gamma negative control discriminates only "
+               "for 1e-05 <= |q| <= 0.9")
+    for pattern, gamma in (("vgamma.star_triangle_generic*", None),
+                           ("vgamma.star_triangle.*", 0.8)):
+        reports = run_suite(RunConfig(q=q, gamma=gamma, filter=pattern))
+        if inside:
+            assert [r.verdict for r in reports] == ["EXPECTED_FAIL"] * 2
+        else:
+            [rep] = reports
+            assert rep.verdict == "SKIPPED"
+            assert rep.params["skip_reason"].startswith(refusal)
+
+
 def test_unexpected_exception_is_an_error_report_and_exit_three(monkeypatch, capsys):
     def broken(run):
         yield {"q": run.ctx.q}, 0.0
