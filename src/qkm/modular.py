@@ -13,14 +13,19 @@ summed is kept and level j holds n0 2^j nodes.  Two successive levels that
 agree within tol_quad/10 certify the answer.  The lattice never holds
 sigma = 0, where the sigma-space norm (z; q^2)_inf (zbar; qbar^2)_inf
 vanishes and the spectral integrand is a removable singularity that
-floating point cannot evaluate (a node there raises ZeroDivisionError).
+floating point cannot evaluate (a node there would be 0/0).
 Both integrands are analytic in a strip around the
 real axis and decay exponentially, so the rule converges geometrically in
 the node count (Trefethen and Weideman, "The exponentially convergent
 trapezoidal rule", SIAM Rev. 56, 2014, sec. 5); once two levels agree, the
-finer one is already far more accurate than their difference.  At the
-registry's points the spectral integral certifies at 128 nodes and the
-convolution at 128 or 256, out of a 64-node start.
+finer one is already far more accurate than their difference.  The rule
+needs nothing but the values at the nodes, so each level of nodes is one
+call of the integrand on a numpy array: the dilogarithm, chi, the
+q-products and the tail walks take their arithmetic from their argument,
+running the Python-complex code on a number and the same code over numpy
+lanes on an array.  At the registry's points the spectral integral
+certifies at 128 nodes (two calls) and the convolution at 128 or 256 (two
+or three calls), out of a 64-node start.
 
 A window is refused with WindowTooSmall when the integrand has not decayed
 at its edges.  The convolution is refused when |f(+-L)| times the window
@@ -46,7 +51,8 @@ import numpy as np
 from .context import QContext
 from .errors import DomainError, OverflowGuard, PoleHit, TruncationExhausted, WindowTooSmall
 from .orthopoly import ChiParams, chi
-from .qseries import ThetaKind, qpoch_inf, tail_length, theta_product
+from .qseries import (ThetaKind, as_complex, complex_math, qpoch_inf, tail_length,
+                      theta_product)
 from .report import CheckResult, relative_residual, worst_residual
 
 __all__ = [
@@ -114,34 +120,40 @@ def faddeev_phi(x, mc: ModularContext) -> complex:
 
     phi(x) = (e^{2 pi b (x + eta)}; q^2)_inf / (e^{2 pi (x - eta)/b}; qbar^2)_inf;
     the two functional equations phi(x - i b^{+-1}/2) / phi(x + i b^{+-1}/2)
-    = 1 + e^{2 pi x b^{+-1}} pin it down uniquely.
+    = 1 + e^{2 pi x b^{+-1}} pin it down uniquely.  An array x gives phi
+    in each lane (qseries.as_complex).
     """
-    x = complex(x)
+    x = as_complex(x)
     b = mc.b
-    w_num = cmath.exp(2 * cmath.pi * b * (x + mc.eta))
-    w_den = cmath.exp(2 * cmath.pi * (x - mc.eta) / b)
+    exp = complex_math(x).exp
+    w_num = exp(2 * cmath.pi * b * (x + mc.eta))
+    w_den = exp(2 * cmath.pi * (x - mc.eta) / b)
     num = qpoch_inf(w_num, mc.q2, mc.ctx_q)
     den = _checked_qpoch(w_den, mc.qbar2, mc.ctx_qbar)
     return num / den
 
 
 def _checked_qpoch(w, nome, ctx) -> complex:
-    """qpoch_inf that refuses a factor on the pole lattice of the denominator."""
+    """qpoch_inf that refuses a factor on the pole lattice of the denominator,
+    tested in every lane of an array w."""
     out = 1.0 + 0.0j
-    f = complex(w)
+    f = as_complex(w)
+    lanes = type(f) is np.ndarray
     for k in range(tail_length(abs(f), abs(nome), ctx.tail_cut, ctx.max_terms)):
         factor = 1.0 - f
-        if abs(factor) < 1e-12:
-            raise PoleHit(f"dilogarithm pole: factor 1 - w q^{{2k}} = {factor!r} at k = {k}")
+        near = abs(factor) < 1e-12
+        if near.any() if lanes else near:
+            bad = complex(factor[near][0] if lanes else factor)
+            raise PoleHit(f"dilogarithm pole: factor 1 - w q^{{2k}} = {bad!r} at k = {k}")
         out *= factor
-        f *= nome
+        f = f * nome
     return out
 
 
-def _z_pair(sigma: complex, mc: ModularContext):
-    """z = e^{-2 pi b sigma} and zbar = e^{-2 pi sigma / b}."""
-    return (cmath.exp(-2 * cmath.pi * mc.b * sigma),
-            cmath.exp(-2 * cmath.pi * sigma / mc.b))
+def _z_pair(sigma, mc: ModularContext):
+    """z = e^{-2 pi b sigma} and zbar = e^{-2 pi sigma / b}, per lane of an array sigma."""
+    exp = complex_math(sigma).exp
+    return exp(-2 * cmath.pi * mc.b * sigma), exp(-2 * cmath.pi * sigma / mc.b)
 
 
 def _psi_in_sigma(x, mc: ModularContext):
@@ -149,7 +161,8 @@ def _psi_in_sigma(x, mc: ModularContext):
 
     u = e^{pi b x}, ubar = e^{pi x / b}, their reciprocals, H(u) and G(x)
     depend on x alone; z and zbar come from the caller (see _z_pair), which
-    may share them with the sigma-space norm.
+    may share them with the sigma-space norm.  sigma, z and zbar may be
+    lanes (arrays), x is a number.
     """
     x = complex(x)
     q, qb = mc.q, mc.qbar
@@ -162,7 +175,7 @@ def _psi_in_sigma(x, mc: ModularContext):
          / (mc.b_half * mc.q_quarter * h_u))
 
     def at(sigma, z, zb):
-        phase = cmath.exp(1j * cmath.pi * sigma * x)
+        phase = complex_math(sigma).exp(1j * cmath.pi * sigma * x)
         brack = (phase * chi(ChiParams(iub, zb, qb), ctxqb) * chi(ChiParams(u, z, q), ctxq)
                  - chi(ChiParams(ub, zb, qb), ctxqb) * chi(ChiParams(iu, z, q), ctxq) / phase)
         return g * brack
@@ -178,9 +191,10 @@ def psi(sigma, x, mc: ModularContext) -> complex:
     G(x) = e^{-i pi/8 + i pi x^2/2} / (b^{1/2} q^{1/4} H(u)), with chi at
     z = e^{-2 pi b sigma} and chibar at zbar = e^{-2 pi sigma / b}; the
     zeros of the theta function H(u) cancel against the bracket, so the
-    whole expression is finite everywhere.
+    whole expression is finite everywhere.  An array sigma gives Psi in
+    each lane.
     """
-    sigma = complex(sigma)
+    sigma = as_complex(sigma)
     return _psi_in_sigma(x, mc)(sigma, *_z_pair(sigma, mc))
 
 
@@ -225,15 +239,15 @@ def phi_mu(mu, mc: ModularContext) -> complex:
 
 
 def _weight_ratio(mu, x, y, mc: ModularContext) -> complex:
-    """The closed-form weight before its division by Phi(mu)."""
-    x = complex(x)
-    y = complex(y)
+    """The closed-form weight before its division by Phi(mu); x and y may be lanes."""
+    x = as_complex(x)
+    y = as_complex(y)
     nu = complex(mu) - mc.eta
     w1 = (x - y) / 2
     w2 = (x + y) / 2
     ratio = (faddeev_phi(w1 - nu, mc) / faddeev_phi(w1 + nu, mc)
              * faddeev_phi(w2 - nu, mc) / faddeev_phi(w2 + nu, mc))
-    return cmath.exp(2j * cmath.pi * nu * x) * ratio
+    return complex_math(x).exp(2j * cmath.pi * nu * x) * ratio
 
 
 def weight_V_modular(mu, x, y, mc: ModularContext) -> complex:
@@ -247,9 +261,10 @@ def weight_Vbar_modular(mu, x, y, mc: ModularContext) -> complex:
 
 
 def s_weight(y, mc: ModularContext) -> complex:
-    """Site weight 2 sinh(pi b y) sinh(pi y / b)."""
-    y = complex(y)
-    return 2 * cmath.sinh(cmath.pi * mc.b * y) * cmath.sinh(cmath.pi * y / mc.b)
+    """Site weight 2 sinh(pi b y) sinh(pi y / b), per lane of an array y."""
+    y = as_complex(y)
+    sinh = complex_math(y).sinh
+    return 2 * sinh(cmath.pi * mc.b * y) * sinh(cmath.pi * y / mc.b)
 
 
 MAX_DOUBLINGS = 6  # refinements adaptive_midpoint tries before it gives up
@@ -261,15 +276,18 @@ def adaptive_midpoint(f, halfwidth: float, n0: int, tol: float) -> complex:
     Level 0 sums f over the n = max(n0, 8) nodes -L + h/3 + h k, h = 2L/n.
     Each refinement adds the n nodes shifted by h/2 to the running sum and
     halves h, so no node is evaluated twice and none lies at 0; the answer
-    is certified once two successive levels agree within ``tol``.
+    is certified once two successive levels agree within ``tol``.  f takes
+    a level's nodes as one array and returns its values there as one
+    array, which is added in node order.  f runs with numpy's floating-point
+    warnings off; a level whose sum is not finite raises OverflowGuard.
     """
     n = max(n0, 8)
     h = 2.0 * halfwidth / n
     start = -halfwidth + h / 3
-    total = sum(f(t) for t in start + h * np.arange(n))
+    total = _level_sum(f, start + h * np.arange(n))
     prev = h * total
     for _ in range(MAX_DOUBLINGS):
-        total += sum(f(t) for t in start + h / 2 + h * np.arange(n))
+        total += _level_sum(f, start + h / 2 + h * np.arange(n))
         n *= 2
         h /= 2
         val = h * total
@@ -277,6 +295,16 @@ def adaptive_midpoint(f, halfwidth: float, n0: int, tol: float) -> complex:
             return val
         prev = val
     raise TruncationExhausted("quadrature did not certify; raise quad_points or tol")
+
+
+def _level_sum(f, nodes):
+    """The sum of f over one level's nodes, in node order, from one call of f."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        total = sum(f(nodes))
+    if not cmath.isfinite(total):
+        raise OverflowGuard(f"integrand is not finite at a node of [{nodes.min():.3g}, "
+                            f"{nodes.max():.3g}]")
+    return total
 
 
 def _refuse_undecayed(f, mc: ModularContext, length: float, bound: float) -> None:
@@ -313,10 +341,10 @@ def weight_V_modular_integral(mu, x, y, mc: ModularContext) -> complex:
     psi_y = _psi_in_sigma(y, mc)
 
     def integrand(sigma):
-        sigma = complex(sigma)
+        sigma = as_complex(sigma)
         z, zb = _z_pair(sigma, mc)
         norm = qpoch_inf(z, q2, ctxq) * qpoch_inf(zb, qb2, ctxqb)
-        return (cmath.exp(2j * cmath.pi * mu * sigma)
+        return (complex_math(sigma).exp(2j * cmath.pi * mu * sigma)
                 * psi_x(sigma, z, zb) * psi_y(sigma, z, zb) / norm)
 
     # the integrand falls about e-fold per unit of sigma near the edges, so

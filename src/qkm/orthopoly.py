@@ -20,8 +20,8 @@ import numpy as np
 
 from .context import QContext
 from .errors import DegenerateArgument, DomainError, OverflowGuard
-from .qseries import (big_theta4_const, bilateral_terms, decimal_digits, qpoch_finite_table,
-                      qpoch_inf, qpoch_inf_multi, tail_sum, tail_walk)
+from .qseries import (as_complex, big_theta4_const, bilateral_terms, decimal_digits,
+                      qpoch_finite_table, qpoch_inf, qpoch_inf_multi, tail_sum, tail_walk)
 from .report import CheckResult, relative_residual, worst_residual
 
 __all__ = [
@@ -468,20 +468,24 @@ def chi(params: ChiParams, ctx: QContext) -> complex:
     """chi(u, z) = sum_n (-)^n q^{n(n+1)} (z;q^2)_n / (q^2;q^2)_n u^{2n}.
 
     Entire in u (terms carry q^{n(n+1)}); truncated by the tail rule.  The
-    walk carries q^{2n} as a running product.
+    walk carries q^{2n} as a running product.  Arrays u or z give chi in
+    each lane of their broadcast, one tail_walk over all lanes.
     """
     q = complex(params.nome)
     q2 = q * q
-    u2 = complex(params.u) ** 2
-    z = complex(params.z)
+    u2 = as_complex(params.u) ** 2
+    z = as_complex(params.z)
+    first = 1.0 + 0.0j
+    if type(u2) is np.ndarray or type(z) is np.ndarray:  # the walk's lanes
+        first = np.full(np.broadcast(u2, z).shape, first)
 
     def terms():
-        t = 1.0 + 0.0j
+        t = first
         p = 1.0 + 0.0j  # q^{2n}
         while True:
             yield t
             p_next = p * q2
-            t *= -p_next * (1 - z * p) * u2 / (1 - p_next)
+            t = t * (-p_next * (1 - z * p) * u2 / (1 - p_next))
             p = p_next
 
     return tail_sum(terms(), ctx)

@@ -2,14 +2,14 @@
 
 Everything downstream (orthogonal polynomials, lattice Boltzmann weights,
 the modular-double machinery) is built on the primitives here.  Every
-sum, in complex doubles or in the decimal arithmetic of decimal_digits,
-stops by one rule, written once in ``tail_walk``, at the cut and the
-rounding floor of its arithmetic.  Products count their factors in
-closed form instead (``tail_length``, and ``log_qpoch_table`` for every
-exponent of a grid): a factor 1 - a moves the running product by |a|
-relative, so that count is the same rule.  Nomes are always explicit;
-nothing squares a nome implicitly, callers pass q*q where a base-q**2
-symbol is wanted.
+sum, in complex doubles, in numpy lanes of them or in the decimal
+arithmetic of decimal_digits, stops by one rule, written once in
+``tail_walk``, at the cut and the rounding floor of its arithmetic.
+Products count their factors in closed form instead (``tail_length``, and
+``log_qpoch_table`` for every exponent of a grid): a factor 1 - a moves
+the running product by |a| relative, so that count is the same rule.
+Nomes are always explicit; nothing squares a nome implicitly, callers
+pass q*q where a base-q**2 symbol is wanted.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from .errors import DomainError, OverflowGuard, TruncationExhausted
 from .report import CheckResult, relative_residual, worst_residual
 
 __all__ = [
-    "Walk", "tail_walk", "decimal_digits", "tail_length", "bilateral_terms",
+    "Walk", "as_complex", "complex_math", "tail_walk", "decimal_digits", "tail_length",
+    "bilateral_terms",
     "tail_sum", "sites_in_blocks", "refuse_cancellation",
     "qpoch_finite_table", "qpoch_inf",
     "qpoch_inf_multi", "log_qpoch_inf_array", "log_qpoch_table", "bracket",
@@ -49,10 +50,31 @@ _DECIMAL_TRAPS = (DivisionByZero, InvalidOperation, Overflow)
 
 
 class Walk(NamedTuple):
-    """What a tail walk summed: its value, its largest |term| and its length."""
+    """What a tail walk summed: its value, its largest |term| and its length
+    (one of each per lane for a walk over lanes)."""
     value: complex
     peak: float
     terms: int
+
+
+def as_complex(x):
+    """x as one Python complex, or, when x is an array, as complex lanes.
+
+    A kernel that takes its arithmetic from its argument converts it with
+    this: a number keeps the Python-complex code and its bits, an array of
+    nodes runs the same code once over numpy lanes.
+    """
+    return complex(x) if type(x) is not np.ndarray else x.astype(complex, copy=False)
+
+
+def complex_math(x):
+    """The complex functions (exp, sinh, ...) of x's arithmetic: numpy for lanes, else cmath."""
+    return cmath if type(x) is not np.ndarray else np
+
+
+def _lane_size(t):
+    """|t| in each lane, bit for bit Python's abs of a complex (np.abs is not)."""
+    return np.hypot(t.real, t.imag)
 
 
 def tail_walk(terms, ctx: QContext) -> Walk:
@@ -64,20 +86,30 @@ def tail_walk(terms, ctx: QContext) -> Walk:
     Both numbers belong to the arithmetic of the terms:
 
     * complex doubles: cut ``ctx.tail_cut``, floor the machine epsilon;
+    * lanes (terms that are complex arrays, one sum per entry): each lane
+      follows the complex-double rule and, after its own three terms below
+      it, adds nothing more, so it takes exactly the terms, value and peak
+      of the walk over that lane alone; the walk ends once every lane has
+      stopped, and value, peak and terms are arrays;
     * Decimal and DecimalComplex (terms with Decimal real parts), inside
       decimal_digits(dps): cut = floor = 10^(5 - dps).  A walk whose first
       term is a DecimalComplex compares squared sizes, |t|^2 against
-      cut^2 |S|^2, so that no term takes a square root.
+      cut^2 |S|^2, so that no term takes a square root.  Since the cut is
+      the floor, the running sum is sized only for a term above the floor.
 
     peak / |value| is the cancellation of the sum.  Raises OverflowGuard at
-    once on a term or running sum that is not finite, TruncationExhausted
-    after ``ctx.max_terms`` terms (drawing no more) or when ``terms`` ends.
+    once on a term or running sum that is not finite (in a lane that has
+    not stopped), TruncationExhausted after ``ctx.max_terms`` terms
+    (drawing no more) or when ``terms`` ends.
     """
     terms = islice(terms, ctx.max_terms)
     first = next(terms, 0.0)  # an empty iterable sums a 0 and ends without a tail
-    size, squared = abs, False
-    if not isinstance(first.real, Decimal):
+    lanes = type(first) is np.ndarray
+    size, squared, decimal = abs, False, not lanes and isinstance(first.real, Decimal)
+    if not decimal:
         cut, floor, total = ctx.tail_cut, sys.float_info.epsilon, 0.0 + 0.0j
+        if lanes:
+            size = _lane_size
     else:
         dps = getcontext().prec - _GUARD_DIGITS  # inside decimal_digits(dps)
         cut, total = Decimal(10) ** (5 - dps), Decimal(0)
@@ -87,18 +119,33 @@ def tail_walk(terms, ctx: QContext) -> Walk:
     peak = noise = size(total)  # noise: floor * peak
     below, inf = 0, math.inf
     for n, t in enumerate(chain((first,), terms), 1):
+        if lanes:  # a stopped lane adds 0 from here on, so it stays below the rule
+            t = np.where(below < 3, t, 0)
         total += t
-        now, scale = size(t), size(total)
-        if now > peak:
+        now = size(t)
+        if lanes:
+            peak = np.maximum(peak, now)
+            noise = floor * peak
+        elif now > peak:
             peak, noise = now, floor * now
-        if (now <= cut * scale or now <= noise) and scale < inf:
+        if decimal:  # overflow is trapped, and as cut = floor |S| matters only above the floor
+            rel = cut * size(total) if now > noise else noise
+        else:
+            scale = size(total)
+            if not (scale.max() if lanes else scale) < inf:
+                bad = t[~(scale < inf)][0] if lanes else t
+                raise OverflowGuard(f"term {n} of a sum is {bad}; the sum leaves double range")
+            rel = cut * scale
+        if lanes:
+            below = (below + 1) * ((now <= rel) | (now <= noise))
+            if below.min() >= 3:  # a lane that stopped k terms ago has below = 3 + k
+                return Walk(total, peak, n + 3 - below)
+        elif now <= rel or now <= noise:
             below += 1
             if below == 3:
                 return Walk(total, peak.sqrt() if squared else peak, n)
-        elif scale < inf:
-            below = 0
         else:
-            raise OverflowGuard(f"term {n} of a sum is {t}; the sum leaves double range")
+            below = 0
     raise TruncationExhausted(f"no tail within {ctx.max_terms} terms")
 
 
@@ -123,11 +170,15 @@ def _first_below(size: float, rate: float, cut: float) -> int:
     return math.ceil((math.log(cut) - math.log(size)) / math.log(rate))
 
 
-def tail_length(top: float, rate: float, cut: float, max_terms: int) -> int:
+def tail_length(top, rate: float, cut: float, max_terms: int) -> int:
     """The factor count of a product of 1 - a_k, |a_k| = top * rate**k, 0 <= rate < 1:
     the factors at or above ``cut`` plus three below it (see the module
-    docstring).  Raises TruncationExhausted on sizes that are not finite or
-    do not shrink, and on a count above ``max_terms``."""
+    docstring).  For an array of lane sizes ``top`` the count is that of the
+    largest, so every lane runs at least its own count.  Raises
+    TruncationExhausted on sizes that are not finite or do not shrink, and
+    on a count above ``max_terms``."""
+    if type(top) is np.ndarray:
+        top = float(top.max(initial=0.0))
     if not (math.isfinite(top) and 0.0 <= rate < 1.0):
         raise TruncationExhausted(f"terms of size {top:.3g} * {rate:.3g}**k have no tail")
     above = 0 if top < cut else _first_below(top, rate, cut)
@@ -209,13 +260,17 @@ def qpoch_finite_table(x, q, n: int) -> list[complex]:
 
 
 def qpoch_inf(x, q, ctx: QContext) -> complex:
-    """Infinite product prod_{k>=0} (1 - x q^k), truncated by the tail rule."""
+    """Infinite product prod_{k>=0} (1 - x q^k), truncated by the tail rule.
+
+    An array x is a product per lane, all of them taking the factor count
+    of the largest |x| (tail_length).
+    """
     out = 1.0 + 0.0j
-    f = complex(x)
+    f = as_complex(x)
     q = complex(q)
     for _ in range(tail_length(abs(f), abs(q), ctx.tail_cut, ctx.max_terms)):
         out *= 1.0 - f
-        f *= q
+        f = f * q  # not in place: f may be the caller's array
     return out
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,43 @@ def test_dilog_pole_reported():
     x_pole = MC.eta
     with pytest.raises(PoleHit):
         faddeev_phi(x_pole, MC)
+    # one lane on the lattice refuses the whole array, naming its factor
+    with pytest.raises(PoleHit, match=r"factor 1 - w q\^\{2k\} = .* at k = 0"):
+        faddeev_phi(np.array([0.3, x_pole, -0.2]), MC)
+
+
+def _convolution_nodes():
+    """The nodes of the default convolution's first two levels."""
+    h = 16.0 / 64
+    return -8.0 + h / 3 + h / 2 * np.arange(128)
+
+
+def test_dilog_over_lanes_matches_each_scalar_call():
+    # every phi argument of the default convolution at the registry's first
+    # two points, as arrays; numpy's complex multiply and divide round some
+    # lanes differently from Python's, and the exponential turns the last
+    # bit of its argument 2 pi b (x + eta), about 30 in size here, into
+    # 30 eps relative, so a lane agrees with the scalar call within 1e-13
+    ys = _convolution_nodes()
+    for mu, x, z in ((0.2j, 0.3, 0.5), (0.25j, 0.5, 0.3)):
+        nu = mu - MC.eta
+        for arg in ((x - ys) / 2 - nu, (x - ys) / 2 + nu,
+                    (ys + z) / 2 - nu, (ys + z) / 2 + nu):
+            lanes = faddeev_phi(arg, MC)
+            for lane, a in zip(lanes, arg):
+                assert relative_residual(lane, faddeev_phi(complex(a), MC)) < 1e-13
+
+
+def test_scalar_calls_keep_their_bits():
+    # a number runs the Python-complex code, so these values are bit for
+    # bit those of the scalar code before the kernels took arrays
+    assert faddeev_phi(0.37 + 0.1j, MC) == 0.6667990888933735 + 0.42600110115159007j
+    assert faddeev_phi(-1.2, MC) == 0.9999999975198551 + 7.042932423572319e-05j
+    assert psi(0.3, 0.4, MC) == -0.5743042824526899 - 1.8274263857063397e-16j
+    assert psi(-2.5, 0.7, MC) == 223878.31686028713 + 1.9986305832663966e-10j
+    assert (weight_V_modular(0.15j + MC.eta / 3, 0.3, 0.5, MC)
+            == 0.02970458663444041 - 1.016542901309102e-17j)
+    assert weight_V_modular(0.2j, 1.1, -0.4, MC) == 0.0047001088625474394 - 4.738648324366638e-19j
 
 
 def test_phi_inversion_probe_informational():
@@ -163,7 +201,7 @@ def test_summation_integrand_even():
     f = lambda y: (weight_V_modular(mu, x, y, MC) * s_weight(y, MC)
                    * weight_V_modular(mup, y, z, MC))
     full = adaptive_midpoint(f, 8.0, 256, 1e-6)
-    doubled = adaptive_midpoint(lambda y: f(abs(y)), 8.0, 256, 1e-6)
+    doubled = adaptive_midpoint(lambda y: f(np.abs(y)), 8.0, 256, 1e-6)
     assert relative_residual(full, doubled) < 1e-10
 
 
@@ -186,16 +224,17 @@ def test_window_too_small_raised():
 
 
 def _record_quadratures(monkeypatch):
-    """Make every adaptive_midpoint call record its integrand, its
-    evaluation count and its value."""
+    """Make every adaptive_midpoint call record its integrand, its node
+    count, its number of integrand calls and its value."""
     calls = []
     inner = modular.adaptive_midpoint
 
     def recording(f, *args, **kwargs):
-        rec = {"f": f, "evals": 0}
+        rec = {"f": f, "evals": 0, "calls": 0}
 
         def counted(t):
-            rec["evals"] += 1
+            rec["evals"] += np.size(t)
+            rec["calls"] += 1
             return f(t)
 
         rec["value"] = inner(counted, *args, **kwargs)
@@ -218,8 +257,10 @@ def test_default_quadrature_certifies_from_64_points(monkeypatch):
     calls = _record_quadratures(monkeypatch)
     weight_V_modular_integral(0.15j + MC.eta / 3, 0.3, 0.5, MC)
     summation_check_modular(0.2j, 0.25j, 0.3, 0.5, MC)
-    # the nested lattice keeps its 64 nodes and adds 64 to certify
+    # the nested lattice keeps its 64 nodes and adds 64 to certify, each
+    # level in one integrand call
     assert [c["evals"] for c in calls] == [128, 128]
+    assert [c["calls"] for c in calls] == [2, 2]
 
 
 def test_default_start_agrees_with_a_512_point_reference(monkeypatch):
@@ -249,15 +290,17 @@ def test_hoisted_summation_integrand_is_the_weight_product(monkeypatch):
 
 @pytest.mark.parametrize("halfwidth, n0", [(8.0, 64), (1.5, 3)])
 def test_nested_lattice_keeps_every_node_and_avoids_zero(halfwidth, n0):
-    nodes = []
+    levels = []
 
     def recording(t):
-        nodes.append(float(t))
-        return math.exp(-t * t)
+        levels.append(t.copy())
+        return np.exp(-t * t)
 
-    # a zero tolerance never certifies, so all 7 levels run
+    # a zero tolerance never certifies, so all 7 levels run, one call each
     with pytest.raises(TruncationExhausted):
         adaptive_midpoint(recording, halfwidth, n0, 0.0)
+    assert len(levels) == 7
+    nodes = [float(t) for level in levels for t in level]
     n = max(n0, 8)
     h0 = 2 * halfwidth / n
     assert len(nodes) == n * 2 ** 6
@@ -268,6 +311,15 @@ def test_nested_lattice_keeps_every_node_and_avoids_zero(halfwidth, n0):
         lattice = -halfwidth + h0 / 3 + h * np.arange(n * 2 ** level)
         assert np.max(np.abs(seen - lattice)) < 1e-12
         assert np.min(np.abs(seen)) > 1e-12
+
+
+def test_a_level_that_is_not_finite_is_refused_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowGuard):
+            adaptive_midpoint(lambda t: np.exp(1000.0 * t), 8.0, 64, 1e-6)
+        with pytest.raises(OverflowGuard):
+            adaptive_midpoint(lambda t: np.sqrt(t) * np.log(t + 8.0), 8.0, 64, 1e-6)
 
 
 def test_spectral_integrand_is_psi_times_psi_over_the_norm(monkeypatch):

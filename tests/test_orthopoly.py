@@ -1,6 +1,7 @@
 """Tests for the Laurent polynomials and their q-hypergeometric extension."""
 
 import cmath
+import math
 import decimal
 from decimal import Decimal
 from itertools import combinations_with_replacement, islice
@@ -422,6 +423,27 @@ def test_chi_with_terms_out_of_double_range_is_an_overflow():
         chi(ChiParams(1.1, q ** -20, q), QContext(q=q))
     [rep] = run_suite(RunConfig(filter="orthopoly.chi_special*", q=q))
     assert rep.params["skip_reason"].startswith("OverflowGuard: ")
+
+
+def test_chi_over_lanes_matches_each_scalar_call():
+    # chi at the 128 nodes sigma of the default spectral quadrature, as one
+    # array z: each lane is the walk of the scalar call, but numpy's complex
+    # multiply may fuse a multiply-add and its division multiplies by a
+    # reciprocal, so a lane may differ from the Python-complex call in its
+    # last bits (at most 3.2 eps here)
+    from qkm.modular import ModularContext
+    mc = ModularContext(theta=math.pi / 5)
+    h = 16.0 / 64
+    sigma = -8.0 + h / 3 + h / 2 * np.arange(128)
+    z, zb = np.exp(-2 * np.pi * mc.b * sigma), np.exp(-2 * np.pi * sigma / mc.b)
+    for x in (0.3, 0.5):
+        u, ub = cmath.exp(cmath.pi * mc.b * x), cmath.exp(cmath.pi * x / mc.b)
+        for uu, zz, ctx in ((u, z, mc.ctx_q), (1 / u, z, mc.ctx_q),
+                            (ub, zb, mc.ctx_qbar), (1 / ub, zb, mc.ctx_qbar)):
+            lanes = chi(ChiParams(uu, zz, ctx.q), ctx)
+            for lane, zi in zip(lanes, zz):
+                scalar = chi(ChiParams(uu, complex(zi), ctx.q), ctx)
+                assert abs(lane - scalar) <= 8 * np.finfo(float).eps * abs(scalar)
 
 
 def test_chi_trivial_points():

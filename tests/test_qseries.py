@@ -315,6 +315,40 @@ def test_tail_walk_refuses_a_running_sum_that_overflows():
         tail_walk(iter([1e308, 1e308, 0.0, 0.0, 0.0]), CTX)
 
 
+def _lane_terms():
+    """Five term lists of different lengths: geometric, complex, alternating,
+    one that cancels to 0 at its rounding floor, and one that is 0 after its
+    third term and then not finite (a lane that has stopped adds nothing)."""
+    def cancelling():
+        for k in range(200):
+            yield 0.5 ** k
+            yield -0.5 ** k
+
+    return [[0.3 ** k for k in range(400)],
+            [(0.5 + 0.4j) ** k * (1 + 0.1j * k) for k in range(400)],
+            [(-0.9) ** k for k in range(400)],
+            list(cancelling()),
+            [1.0, 2.0, 3.0, 0.0, 0.0, 0.0] + [math.inf] * 394]
+
+
+def test_tail_walk_over_lanes_is_each_lane_walked_alone():
+    lanes = _lane_terms()
+    walk = tail_walk((np.array(col) for col in zip(*lanes)), CTX)
+    for i, terms in enumerate(lanes):
+        alone = tail_walk(iter(terms), CTX)
+        assert (walk.value[i], walk.peak[i], walk.terms[i]) == alone
+    assert len(set(walk.terms)) == len(lanes)
+    assert walk.terms[4] == 6
+
+
+def test_tail_walk_over_lanes_refuses_a_live_lane_that_is_not_finite():
+    # the third lane turns inf at its fifth term, while it is still walking
+    lanes = _lane_terms()[:3]
+    lanes[2][4] = math.inf
+    with pytest.raises(OverflowGuard, match=r"term 5 of a sum is \(inf"):
+        tail_walk((np.array(col) for col in zip(*lanes)), CTX)
+
+
 def test_bilateral_terms_give_up_at_max_terms():
     # one walk over 0, -1, 1, -2, 2, ... draws no site past max_terms
     drawn = []
