@@ -15,17 +15,15 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from decimal import getcontext
 from enum import Enum
 from itertools import count, product
 
 import numpy as np
 
 from .context import QContext
-from .errors import DomainError, EigensolverFailure, OverflowGuard, TruncationExhausted
-from .orthopoly import (decimal_sqrt, lattice_brace_sums, overlap_grid, scaled_poly_values,
-                        to_decimal)
-from .qseries import (_first_below, bracket, big_theta4_const, decimal_digits, log_qpoch_table,
+from .errors import DomainError, EigensolverFailure, OverflowGuard
+from .orthopoly import lattice_brace_sums, overlap_grid, scaled_poly_values
+from .qseries import (bracket, big_theta4_const, decimal_digits, log_qpoch_table,
                       qpoch_finite_table, qpoch_inf, qpoch_inf_multi, refuse_cancellation,
                       sites_in_blocks, tail_sum, tail_walk)
 from .report import CheckResult, relative_residual, worst_residual
@@ -289,40 +287,14 @@ def brace_spin_sums(triples, ctx: QContext) -> list[complex]:
 
     The one-sided lattice_brace_sums over xi = q^{m+1/2} in 40 digits (on
     the corners of the index box double precision would cancel away), each
-    divided by the normaliser -q^{-1/2} (q; q)_inf of (4.27-4.28), taken in
-    the same decimal arithmetic by _spin_sum_norm.
+    divided by the (0, 0, 0) sum of the same walk, the normaliser
+    -q^{-1/2} (q; q)_inf of (4.27-4.28).  A sum that cancels more digits
+    than the kernel keeps, or an index that is not a nonnegative integer,
+    is refused by the kernel with DomainError.
     """
-    for a, b, c in triples:
-        _brace_guard(a, b, c, ctx.q)
-    totals, _ = lattice_brace_sums(triples, None, (1,), _SPIN_SUM_DPS, ctx)
+    *totals, norm = lattice_brace_sums([*triples, (0, 0, 0)], None, _SPIN_SUM_DPS, ctx)[0]
     with decimal_digits(_SPIN_SUM_DPS):
-        norm = _spin_sum_norm(ctx)
         return [complex(total / norm) for total in totals]
-
-
-def _spin_sum_norm(ctx: QContext):
-    """-q^{-1/2} (q; q)_inf at the working decimal precision prec.
-
-    The product takes the factors 1 - q^k for k <= K, the first K with
-    |q^{K+1} / (1 - q)| < 10^-(prec/2 + 1), and closes with its tail
-    1 - q^{K+1} / (1 - q): the tail's next order is that bound squared, so
-    it is exact to working precision, and about half the factors of a
-    product run to 10^-prec are left out.  (Euler's pentagonal series
-    would be shorter still, but near |q| = 1 it cancels more digits than
-    the working precision carries.)
-    """
-    q = to_decimal(ctx.q)
-    rate = abs(ctx.q)
-    n_factors = max(_first_below(rate / abs(1 - ctx.q), rate,
-                                 10.0 ** -(getcontext().prec / 2 + 1)), 0)
-    if n_factors > ctx.max_terms:
-        raise TruncationExhausted(f"no tail within {ctx.max_terms} terms")
-    qpoch, power = 1, q
-    for _ in range(n_factors):
-        qpoch *= 1 - power
-        power *= q
-    qpoch *= 1 - power / (1 - q)
-    return -qpoch / decimal_sqrt(q)
 
 
 def _brace_recursion(a: int, b: int, c: int, ctx: QContext) -> complex:

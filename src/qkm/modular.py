@@ -58,7 +58,7 @@ from .report import CheckResult, relative_residual, worst_residual
 __all__ = [
     "ModularContext", "faddeev_phi",
     "psi", "psi_eigen_check", "phi_mu", "weight_V_modular",
-    "weight_V_modular_integral", "weight_Vbar_modular", "s_weight",
+    "weight_V_modular_integral", "s_weight",
     "summation_check_modular", "adaptive_midpoint",
 ]
 
@@ -253,11 +253,6 @@ def _weight_ratio(mu, x, y, mc: ModularContext) -> complex:
 def weight_V_modular(mu, x, y, mc: ModularContext) -> complex:
     """Hyperbolic edge weight in closed dilogarithm form."""
     return _weight_ratio(mu, x, y, mc) / phi_mu(mu, mc)
-
-
-def weight_Vbar_modular(mu, x, y, mc: ModularContext) -> complex:
-    """Companion weight: the closed-form weight at the reflected label eta - mu."""
-    return weight_V_modular(mc.eta - complex(mu), x, y, mc)
 
 
 def s_weight(y, mc: ModularContext) -> complex:

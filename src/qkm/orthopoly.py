@@ -20,7 +20,7 @@ import numpy as np
 
 from .context import QContext
 from .errors import DegenerateArgument, DomainError, OverflowGuard
-from .qseries import (as_complex, big_theta4_const, bilateral_terms, decimal_digits,
+from .qseries import (as_complex, big_theta4_const, bilateral_walk, decimal_digits,
                       qpoch_finite_table, qpoch_inf, qpoch_inf_multi, tail_sum, tail_walk)
 from .report import CheckResult, relative_residual, worst_residual
 
@@ -224,33 +224,39 @@ def decimal_sqrt(z):
     return DecimalComplex(Decimal(0), (-z).sqrt())
 
 
-def lattice_brace_sums(triples, gamma, directions, dps: int, ctx: QContext):
+def lattice_brace_sums(triples, gamma, dps: int, ctx: QContext):
     """Lattice sums of the triples {a, b, c} over xi = gamma q^m, in dps digits.
 
     Site m contributes (-1)^m (xi - 1/xi) row_a row_b row_c, the rows
-    scaled by gamma^m q^{m^2/2}; gamma None is q^{1/2} at the working
-    precision, where xi = q^{m+1/2} and the weight cubed is
-    q^{3m(m+1)/2}.  ``directions`` is (1,) for the sites m = 0, 1, ... or
-    (1, -1) for all m, walked 0, -1, 1, -2, ... as bilateral_terms does.
+    scaled by gamma^m q^{m^2/2}.  A given gamma is summed over all m,
+    walked 0, -1, 1, -2, ... as bilateral_walk does.  gamma None is
+    q^{1/2} at the working precision, where xi = q^{m+1/2}, the weight
+    cubed is q^{3m(m+1)/2} and the sites m and -1 - m carry equal terms,
+    so it is summed over m = 0, 1, ... only; its (0, 0, 0) sum is then
+    -q^{-1/2} (q; q)_inf (Euler's pentagonal theorem).
     Each triple is its own tail_walk, whose decimal rule stops it at the
     floor of the arithmetic (cut = floor = 10^(5 - dps)), so a total does
     not depend on the other triples.  The walks share a cache of sites:
     each site's rows and its f row_a row_b pairs are built once, and a
     term only when a walk reaches it.  The summands are O(1) while a total
     can be as small as q^{ab+ac+bc}; one that falls more than dps - 8
-    digits below its peak keeps too few digits for a check and is refused.
+    digits below its peak keeps too few digits for a check and is refused,
+    and so is an index that is not a nonnegative integer.
 
     The arithmetic is stdlib decimal at dps plus a few guard digits
     (decimal_digits), in Decimal on a real lattice and DecimalComplex
     otherwise.  Returns those totals and the number of sites walked.
     """
+    if not all(isinstance(i, (int, np.integer)) and i >= 0 for t in triples for i in t):
+        raise DomainError(f"brace indices must be nonnegative integers, got {triples}")
     for name, z in (("q", ctx.q), ("gamma", gamma)):
         if z is not None and (z == 0 or not cmath.isfinite(z)):
             raise DomainError(f"lattice sums need a finite nonzero {name}, got {z}")
+    one_sided = gamma is None
     with decimal_digits(dps):
         q = to_decimal(ctx.q)
         qh = decimal_sqrt(q)  # principal branch, same as QContext.q_half
-        gamma = qh if gamma is None else to_decimal(gamma)
+        gamma = qh if one_sided else to_decimal(gamma)
         top = max((max(t) for t in triples), default=0)
         coeffs = [(qh ** (2 * a + 1), 1 - q ** (2 * a)) for a in range(top)]
         q_inv = 1 / q
@@ -282,9 +288,9 @@ def lattice_brace_sums(triples, gamma, directions, dps: int, ctx: QContext):
                     fab = pairs[ab] = f * rows[a] * rows[b]
                 return fab * rows[c]
 
-            if directions == (1,):
+            if one_sided:
                 return tail_walk(map(term, count()), ctx)
-            return bilateral_terms(term, ctx)[1]
+            return bilateral_walk(term, ctx)
 
         walks = [walk(*t) for t in triples]
         digits = Decimal(10) ** (dps - 8)

@@ -34,7 +34,7 @@ from .report import CheckResult, relative_residual, worst_residual
 
 __all__ = [
     "Walk", "as_complex", "complex_math", "tail_walk", "decimal_digits", "tail_length",
-    "bilateral_terms",
+    "bilateral_walk",
     "tail_sum", "sites_in_blocks", "refuse_cancellation",
     "qpoch_finite_table", "qpoch_inf",
     "qpoch_inf_multi", "log_qpoch_inf_array", "log_qpoch_table", "bracket",
@@ -187,19 +187,10 @@ def tail_length(top, rate: float, cut: float, max_terms: int) -> int:
     return above + 3
 
 
-def bilateral_terms(term, ctx: QContext):
-    """([term(0), term(-1), term(1), term(-2), ...] up to the tail, its Walk):
-    one tail_walk over both sides, so sides that cancel keep the total's digits."""
-    out = []
-
-    def terms():
-        for m in count():
-            for site in (m, -m - 1):
-                out.append(term(site))
-                yield out[-1]
-
-    walk = tail_walk(terms(), ctx)
-    return out, walk
+def bilateral_walk(term, ctx: QContext) -> Walk:
+    """The tail_walk of term(m) over all integers m, drawn 0, -1, 1, -2, ...:
+    one walk over both sides, so sides that cancel keep the total's digits."""
+    return tail_walk((term(site) for m in count() for site in (m, -m - 1)), ctx)
 
 
 def tail_sum(terms, ctx: QContext) -> complex:
@@ -389,7 +380,7 @@ def theta_sum(kind: ThetaKind, u, ctx: QContext):
         term = lambda n: q ** (n * n) * (-u) ** n
     else:  # H
         term = lambda n: q ** (n * (n - 1)) * (-1) ** n * u ** (2 * n - 1)
-    _, walk = bilateral_terms(term, ctx)
+    walk = bilateral_walk(term, ctx)
     return walk.value, walk.peak
 
 
@@ -525,8 +516,7 @@ def gauss_double_sum_check(z1, z2, ctx: QContext):
 def pentagonal_check(ctx: QContext):
     """Pentagonal-number series sum_m (-)^m q^{m(3m+1)/2} against (q;q)_inf."""
     q = ctx.q
-    _, walk = bilateral_terms(lambda m: (-1) ** m * q ** (m * (3 * m + 1) // 2), ctx)
-    lhs = walk.value
+    lhs = bilateral_walk(lambda m: (-1) ** m * q ** (m * (3 * m + 1) // 2), ctx).value
     rhs = qpoch_inf(q, q, ctx)
     res = relative_residual(lhs, rhs)
     return CheckResult({"q": q}, res)

@@ -712,8 +712,6 @@ def _weight_symmetry(run):
         relative_residual(v, modular.weight_V_modular(mu, 0.5, 0.3, mc)),
         relative_residual(v, modular.weight_V_modular(mu, -0.3, 0.5, mc)),
         relative_residual(v, modular.weight_V_modular(mu, 0.3, -0.5, mc)),
-        relative_residual(modular.weight_Vbar_modular(mu, 0.3, 0.5, mc),
-                          modular.weight_V_modular(mc.eta - mu, 0.3, 0.5, mc)),
     ))
     yield {"mu": mu, "theta": mc.theta}, worst
 

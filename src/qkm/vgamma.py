@@ -10,7 +10,6 @@ generic gamma), and the partition-function functional equations live here.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -20,7 +19,7 @@ from .context import QContext
 from .errors import DomainError, OverflowGuard, PoleHit, SingularMeasure
 from .fock import brace, refuse_undecayed_sum, sqrt_qpoch2_table
 from .orthopoly import lattice_brace_sums, overlap_sum, scaled_poly_values
-from .qseries import (ThetaKind, bilateral_terms, bracket, log_qpoch_table,
+from .qseries import (ThetaKind, bilateral_walk, bracket, log_qpoch_table,
                       qpoch_inf, qpoch_inf_multi, tail_sum, theta_product)
 from .report import CheckResult, relative_residual, worst_residual
 
@@ -69,15 +68,12 @@ class GammaContext:
 
 
 def windowed_bilateral_sum(term, ctx: QContext) -> complex:
-    """Sum term(m) over all integers m to its tail (bilateral_terms).
+    """The value of the bilateral_walk of term(m) over all integers m.
 
-    The terms are added with exactly-rounded float summation; several of
-    these lattice sums cancel by five or six orders of magnitude, where
-    naive accumulation visibly pollutes the result.
+    No window is fixed: the walk stops at its own tail.  (The name stays
+    because the benchmark's traced names list it.)
     """
-    terms, _ = bilateral_terms(term, ctx)
-    return complex(math.fsum(t.real for t in terms),
-                   math.fsum(t.imag for t in terms))
+    return bilateral_walk(term, ctx).value
 
 
 def gamma_norm_const(gc: GammaContext, ctx: QContext) -> complex:
@@ -186,15 +182,13 @@ def brace_gamma_residuals(triples, gamma_list, ctx: QContext):
     Returns one ``(worst, details)`` pair per triple; every gamma sums
     the whole batch and its a=b=c=0 norm M_gamma on one bilateral lattice.
     """
-    if max(max(t) for t in triples) > 8:
-        raise DomainError("cancellation limit of the lattice route: indices <= 8")
     q = ctx.q
     closed = [brace(a, b, c, ctx) for a, b, c in triples]
     parts = [[] for _ in triples]
     details = [{} for _ in triples]
     for i, gamma in enumerate(gamma_list):
         gamma = complex(gamma)
-        totals, _ = lattice_brace_sums([*triples, (0, 0, 0)], gamma, (1, -1), _LATTICE_DPS, ctx)
+        totals, _ = lattice_brace_sums([*triples, (0, 0, 0)], gamma, _LATTICE_DPS, ctx)
         *totals, m_gamma_sum = map(complex, totals)  # the last part is the norm
         m_gamma_theta = -(theta_product(ThetaKind.H, gamma, ctx)
                           * theta_product(ThetaKind.THETA3, gamma, ctx)

@@ -13,8 +13,7 @@ from qkm.errors import (DomainError, OverflowGuard, PoleHit, TruncationExhausted
 from qkm.modular import (ModularContext, adaptive_midpoint,
                          faddeev_phi, psi,
                          psi_eigen_check, s_weight, summation_check_modular,
-                         weight_V_modular, weight_V_modular_integral,
-                         weight_Vbar_modular)
+                         weight_V_modular, weight_V_modular_integral)
 from qkm.orthopoly import ChiParams, chi
 from qkm.qseries import ThetaKind, qpoch_inf, theta_product
 from qkm.report import relative_residual
@@ -175,12 +174,6 @@ def test_weight_symmetries():
     assert relative_residual(v, weight_V_modular(mu, 0.5, 0.3, MC)) < 1e-12
     assert relative_residual(v, weight_V_modular(mu, -0.3, 0.5, MC)) < 1e-12
     assert relative_residual(v, weight_V_modular(mu, 0.3, -0.5, MC)) < 1e-12
-
-
-def test_weight_companion_reflection():
-    mu = 0.15j + MC.eta / 3
-    assert weight_Vbar_modular(mu, 0.3, 0.5, MC) == weight_V_modular(
-        MC.eta - mu, 0.3, 0.5, MC)
 
 
 def test_weight_integral_reproduces_closed_form():

@@ -131,9 +131,9 @@ def test_lattice_sums_refuse_zero_or_nonfinite_arguments():
     box = [(1, 1, 1), (0, 0, 0)]
     for gamma in (0, 0j, float("nan"), complex("inf")):
         with pytest.raises(DomainError, match="finite nonzero gamma"):
-            lattice_brace_sums(box, gamma, (1, -1), 30, CTX)
+            lattice_brace_sums(box, gamma, 30, CTX)
     with pytest.raises(DomainError, match="finite nonzero q"):
-        lattice_brace_sums(box, 0.6, (1, -1), 30, QContext(q=0.0))
+        lattice_brace_sums(box, 0.6, 30, QContext(q=0.0))
     # a trapped decimal signal is a DomainError too, and the caller's decimal
     # context comes back unchanged
     before = decimal.getcontext().copy()
@@ -146,23 +146,32 @@ def test_lattice_sums_refuse_zero_or_nonfinite_arguments():
     assert (after.prec, after.traps, after.flags) == (before.prec, before.traps, before.flags)
 
 
+def test_lattice_sums_refuse_indices_that_are_not_nonnegative_integers():
+    # a row index -1 would read the last row of the site
+    for bad in ((-1, 0, 0), (0, np.int64(-2), 0), (1.0, 0, 0)):
+        for gamma in (None, 0.6):
+            with pytest.raises(DomainError, match="nonnegative integers"):
+                lattice_brace_sums([bad, (0, 0, 0)], gamma, 30, CTX)
+
+
 def _to_mp(x):
     if isinstance(x, DecimalComplex):
         return mp.mpc(mp.mpf(str(x.real)), mp.mpf(str(x.imag)))
     return mp.mpf(str(x))
 
 
-def _mp_lattice_sums(triples, gamma, directions, dps, q, window=60):
+def _mp_lattice_sums(triples, gamma, dps, q, window=60):
     """The lattice sums and their peak terms in mpmath at dps + 20 digits, on
-    the sites 0..window (one-sided) or |m| <= window (bilateral)."""
+    the sites 0..window (gamma None, one-sided) or |m| <= window (bilateral)."""
     with mp.workdps(dps + 20):
         q = mp.mpc(q)
         qh = mp.sqrt(q)
-        gamma = qh if gamma is None else mp.mpc(gamma)
+        one_sided = gamma is None
+        gamma = qh if one_sided else mp.mpc(gamma)
         top = max(max(t) for t in triples)
         totals = [mp.mpc(0)] * len(triples)
         peaks = [mp.mpf(0)] * len(triples)
-        for m in range(0 if directions == (1,) else -window, window + 1):
+        for m in range(0 if one_sided else -window, window + 1):
             xi = gamma * q ** m
             rows = list(islice(poly_rows(xi, q, qh, gamma ** m * qh ** (m * m)), top + 1))
             f = (-1) ** (m % 2) * (xi - 1 / xi)
@@ -178,11 +187,10 @@ def test_lattice_sums_match_an_mpmath_oracle(q):
     ctx = QContext(q=q)
     fock_box = list(combinations_with_replacement(range(7), 3))
     gamma_box = [*combinations_with_replacement(range(5), 3), (0, 0, 0)]
-    cases = [(fock_box, None, (1,), 40),
-             (gamma_box, 0.6, (1, -1), 30), (gamma_box, 0.9 * cmath.exp(0.2j), (1, -1), 30)]
-    for triples, gamma, directions, dps in cases:
-        totals, _ = lattice_brace_sums(triples, gamma, directions, dps, ctx)
-        ref, peaks = _mp_lattice_sums(triples, gamma, directions, dps, q)
+    cases = [(fock_box, None, 40), (gamma_box, 0.6, 30), (gamma_box, 0.9 * cmath.exp(0.2j), 30)]
+    for triples, gamma, dps in cases:
+        totals, _ = lattice_brace_sums(triples, gamma, dps, ctx)
+        ref, peaks = _mp_lattice_sums(triples, gamma, dps, q)
         with mp.workdps(dps + 20):
             for total, want, peak in zip(totals, ref, peaks):
                 assert abs(_to_mp(total) - want) <= peak * mp.mpf(10) ** (8 - dps)
@@ -206,7 +214,7 @@ def test_lattice_sums_round_to_the_oracle_at_the_default_points():
     for q in (0.3, 0.5):
         ctx = QContext(q=q)
         fock_box = list(combinations_with_replacement(range(7), 3))
-        ref, _ = _mp_lattice_sums(fock_box, None, (1,), 40, q)
+        ref, _ = _mp_lattice_sums(fock_box, None, 40, q)
         with mp.workdps(60):
             mq = mp.mpc(q)
             norm = -mp.qp(mq, mq) / mp.sqrt(mq)
@@ -217,8 +225,8 @@ def test_lattice_sums_round_to_the_oracle_at_the_default_points():
     generic = 0.7 * cmath.exp(0.4j)
     for gamma in (0.6, 0.9 * cmath.exp(0.2j), generic, *selected, ctx.q_half):
         triples = gamma_box if gamma in (0.6, 0.9 * cmath.exp(0.2j)) else [(2, 1, 1), (0, 0, 0)]
-        totals, _ = lattice_brace_sums(triples, gamma, (1, -1), 30, ctx)
-        ref, _ = _mp_lattice_sums(triples, gamma, (1, -1), 30, 0.4)
+        totals, _ = lattice_brace_sums(triples, gamma, 30, ctx)
+        ref, _ = _mp_lattice_sums(triples, gamma, 30, 0.4)
         assert _doubles(totals, 30) == _doubles(ref, 30)
 
 
@@ -239,13 +247,13 @@ def _mp_site_terms(triples, gamma, q, window):
         return terms
 
 
-def _mp_stop_rule(terms, n, directions, dps):
+def _mp_stop_rule(terms, n, gamma, dps):
     """Totals, peaks and sites walked of the one tail rule, read off the
     mpmath terms and exact magnitudes: each part stops after three
     consecutive terms with |t| <= 10^(5 - dps) max(|S|, peak), walking the
-    sites 0, 1, ... or, on the bilateral lattice, 0, -1, 1, -2, ..."""
+    sites 0, 1, ... (gamma None) or, on the bilateral lattice, 0, -1, 1, -2, ..."""
     window = max(terms)
-    order = (range(window + 1) if directions == (1,)
+    order = (range(window + 1) if gamma is None
              else [m for k in range(window) for m in (k, -k - 1)])
     with mp.workdps(60):
         cut = mp.mpf(10) ** (5 - dps)
@@ -280,12 +288,12 @@ def test_lattice_sums_match_a_60_digit_oracle_at_complex_q(q, gamma):
     # digits the kernel keeps, and the kernel walks exactly the sites of the
     # one tail rule evaluated on exact magnitudes
     if gamma is None:
-        triples, directions, dps = list(combinations_with_replacement(range(7), 3)), (1,), 40
+        triples, dps = list(combinations_with_replacement(range(7), 3)), 40
     else:
-        triples, directions, dps = list(combinations_with_replacement(range(5), 3)), (1, -1), 30
-    totals, sites = lattice_brace_sums(triples, gamma, directions, dps, QContext(q=q))
+        triples, dps = list(combinations_with_replacement(range(5), 3)), 30
+    totals, sites = lattice_brace_sums(triples, gamma, dps, QContext(q=q))
     ref, peaks, want_sites = _mp_stop_rule(_mp_site_terms(triples, gamma, q, 40),
-                                           len(triples), directions, dps)
+                                           len(triples), gamma, dps)
     assert sites == want_sites
     with mp.workdps(60):
         for total, want, peak in zip(totals, ref, peaks):

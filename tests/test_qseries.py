@@ -14,7 +14,7 @@ from qkm import fock, modular, vgamma
 from qkm.context import QContext
 from qkm.errors import DomainError, OverflowGuard, TruncationExhausted
 from qkm.orthopoly import DecimalComplex
-from qkm.qseries import (ThetaKind, _log_qpoch_chain, bilateral_terms, bracket,
+from qkm.qseries import (ThetaKind, _log_qpoch_chain, bilateral_walk, bracket,
                          big_theta4_const, decimal_digits, gauss_check, gauss_double_sum_check,
                          jacobi_transform_check, pentagonal_check,
                          log_qpoch_inf_array, log_qpoch_table, qpoch_finite_table,
@@ -349,7 +349,7 @@ def test_tail_walk_over_lanes_refuses_a_live_lane_that_is_not_finite():
         tail_walk((np.array(col) for col in zip(*lanes)), CTX)
 
 
-def test_bilateral_terms_give_up_at_max_terms():
+def test_bilateral_walk_gives_up_at_max_terms():
     # one walk over 0, -1, 1, -2, 2, ... draws no site past max_terms
     drawn = []
 
@@ -358,17 +358,22 @@ def test_bilateral_terms_give_up_at_max_terms():
         return 1.0
 
     with pytest.raises(TruncationExhausted):
-        bilateral_terms(term, QContext(q=0.4, max_terms=5))
+        bilateral_walk(term, QContext(q=0.4, max_terms=5))
     assert drawn == [0, -1, 1, -2, 2]
     with pytest.raises(TruncationExhausted):
         vgamma.windowed_bilateral_sum(lambda m: 1.0, QContext(q=0.4, max_terms=5))
     # the first 0 counts as small beside the running sum 1, the -1 does not
-    terms, walk = bilateral_terms(lambda m: 0.0 if abs(m) >= 3 else 1.0 + m, CTX)
-    assert terms == [1.0, 0.0, 2.0, -1.0, 3.0, 0.0, 0.0, 0.0]
-    assert walk == (5.0, 3.0, 8)
+    drawn.clear()
+
+    def finite(m):
+        drawn.append(m)
+        return 0.0 if abs(m) >= 3 else 1.0 + m
+
+    assert bilateral_walk(finite, CTX) == (5.0, 3.0, 8)
+    assert drawn == [0, -1, 1, -2, 2, -3, 3, -4]
 
 
-def test_bilateral_terms_keep_the_digits_of_sides_that_cancel():
+def test_bilateral_walk_keeps_the_digits_of_sides_that_cancel():
     # the sides sum to 1e6 and -1e6 and the total is exactly 1: a side
     # stopped relative to its own sum would leave the total about 1e-5
     # off; the one walk stops relative to the running total
@@ -379,8 +384,7 @@ def test_bilateral_terms_keep_the_digits_of_sides_that_cancel():
             return -1e6 / 3 * (2 / 3) ** (-m - 1)
         return 1.0
 
-    terms, _ = bilateral_terms(term, CTX)
-    assert abs(math.fsum(terms) - 1.0) < 1e-9
+    assert abs(bilateral_walk(term, CTX).value - 1.0) < 1e-9
     assert abs(vgamma.windowed_bilateral_sum(term, CTX) - 1.0) < 1e-9
 
 
@@ -511,7 +515,7 @@ def test_pentagonal_series():
 def test_bilateral_sum_gaussian():
     # sum of q^{n^2} over Z equals the theta-constant at u = -1
     q = 0.4
-    total = sum(bilateral_terms(lambda n: q ** (n * n), CTX)[0])
+    total = bilateral_walk(lambda n: q ** (n * n), CTX).value
     s, _ = theta_sum(ThetaKind.CAP_THETA3, 1.0, CTX)
     assert abs(total - s) < 1e-12
 

@@ -213,13 +213,26 @@ def test_brace_gamma_independence():
     assert abs(brace(3, 2, 4, CTX)) > 0
 
 
+def test_brace_gamma_gives_verdicts_past_nine_indices():
+    # the kernel's cancellation refusal is the only index limit: large
+    # triples that keep their digits at q = 0.4 are checked
+    for t in ((9, 9, 9), (30, 30, 30)):
+        rep = brace_gamma_check(*t, [0.6], CTX)
+        assert rep.params["res_brace_0"] < 1e-14
+        assert rep.residual < 1e-8  # the registry's tolerance
+
+
+def test_brace_gamma_residuals_of_an_empty_batch():
+    assert brace_gamma_residuals([], [0.6], CTX) == []
+
+
 def test_brace_gamma_batch_is_exact():
     gammas = [0.6, 0.9 * cmath.exp(0.2j), CTX.q_pow_half(1)]
     batch = [(0, 0, 0), (4, 4, 4), (2, 1, 1), (0, 3, 1), (4, 0, 2)]
     for gamma in gammas:
-        *totals, norm = lattice_brace_sums([*batch, (0, 0, 0)], gamma, (1, -1), 30, CTX)[0]
+        *totals, norm = lattice_brace_sums([*batch, (0, 0, 0)], gamma, 30, CTX)[0]
         for t, total in zip(batch, totals):
-            assert lattice_brace_sums([t, (0, 0, 0)], gamma, (1, -1), 30, CTX)[0] == [total, norm]
+            assert lattice_brace_sums([t, (0, 0, 0)], gamma, 30, CTX)[0] == [total, norm]
     for t, (worst, details) in zip(batch, brace_gamma_residuals(batch, gammas, CTX)):
         rep = brace_gamma_check(*t, gammas, CTX)
         assert rep.residual == worst
@@ -250,7 +263,7 @@ def test_lattice_sums_stop_at_their_tail(q):
     box = list(combinations_with_replacement(range(5), 3))
     ctx = QContext(q=q)
     for gamma in (0.6, 0.9 * cmath.exp(0.2j)):
-        parts, sites = lattice_brace_sums([*box, (0, 0, 0)], gamma, (1, -1), 30, ctx)
+        parts, sites = lattice_brace_sums([*box, (0, 0, 0)], gamma, 30, ctx)
         *totals, norm = map(complex, parts)
         ref_totals, ref_norm = _windowed_lattice_sums(box, gamma, q)
         for total, ref in zip(totals + [norm], ref_totals + [ref_norm]):
