@@ -208,22 +208,27 @@ def cmd_spectrum(args, stream) -> int:
         reg = fock.Regularisation(args.reg)
     except ValueError:
         raise UsageError(f"unknown regularisation {args.reg!r}") from None
-    rep = fock.spectral_experiment(q, n_list, reg)
+    n_list = sorted(n_list)
+    eigs = {n: fock.spectral_experiment(q, n, reg) for n in n_list}
     writer = csv.writer(stream)
-    if rep.branch_errors is not None:
+    if reg is not fock.Regularisation.III:
+        limits = fock.branch_limits(q, reg)
         writer.writerow(["N", "branch", "eigenvalue", "limit", "abs_error"])
-        for n in rep.n_values:
-            for k, err in enumerate(rep.branch_errors[n]):
-                writer.writerow([n, k, repr(complex(rep.eigenvalues[n][k])),
-                                 repr(complex(rep.branch_limits[k])), repr(float(err))])
+        for n in n_list:
+            errs = np.abs(eigs[n][:fock.SPECTRAL_BRANCHES] - limits)
+            for k, err in enumerate(errs):
+                writer.writerow([n, k, repr(complex(eigs[n][k])),
+                                 repr(complex(limits[k])), repr(float(err))])
     else:
         writer.writerow(["N", "parity", "branch", "abs_eigenvalue"])
-        for n in rep.n_values:
+        for n in n_list:
             for k in range(fock.SPECTRAL_BRANCHES):
                 writer.writerow([n, "odd" if n % 2 else "even", k,
-                                 repr(float(abs(rep.eigenvalues[n][k])))])
-        if rep.subsequence_gap is not None:
-            writer.writerow(["gap", "", "", repr(rep.subsequence_gap)])
+                                 repr(float(abs(eigs[n][k])))])
+        odd, even = ([n for n in n_list if n % 2 == p] for p in (1, 0))
+        if odd and even:  # the lowest branches of the largest odd and even N
+            lo_odd, lo_even = (np.abs(eigs[ns[-1]][:fock.SPECTRAL_BRANCHES]) for ns in (odd, even))
+            writer.writerow(["gap", "", "", repr(float(np.max(np.abs(lo_odd - lo_even))))])
     return 0
 
 

@@ -29,8 +29,8 @@ from .qseries import (bracket, big_theta4_const, decimal_digits, log_qpoch_table
 from .report import CheckResult, relative_residual, worst_residual
 
 __all__ = [
-    "FockRepParams", "Regularisation", "TruncatedHamiltonian",
-    "build_truncated_H", "SpectralReport", "spectral_experiment",
+    "FockRepParams", "Regularisation", "build_truncated_H",
+    "spectral_experiment", "branch_limits",
     "VFormMatrices", "vform_matrices", "s_measure", "fock_norm_const",
     "sqrt_qpoch2_table", "BraceMethod", "brace", "brace_spin_sums",
     "cg_table", "weight_V_fock", "weight_V_fock_from_overlaps",
@@ -63,27 +63,17 @@ class Regularisation(Enum):
     III = "III"
 
 
-@dataclass(frozen=True)
-class TruncatedHamiltonian:
-    """Finite section of the tridiagonal operator, with its boundary rule."""
-    n: int
-    regularisation: Regularisation
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("need dimension N + 1 >= 2")
-
-
-def build_truncated_H(params: TruncatedHamiltonian, ctx: QContext) -> np.ndarray:
-    """(N+1) x (N+1) matrix of the tridiagonal eigenproblem.
+def build_truncated_H(n: int, regularisation: Regularisation, ctx: QContext) -> np.ndarray:
+    """(N+1) x (N+1) matrix of the tridiagonal eigenproblem at cutoff N = ``n``.
 
     Interior rows are the exact difference equation; the last row closes
-    the out-of-range term psi_{N+1} by the selected boundary rule:
+    the out-of-range term psi_{N+1} by the boundary rule ``regularisation``:
     I: psi_{N+1} = (mu/lam) psi_N, II: the same with a minus sign,
     III: psi_{N+1} = 0.  The gauge ratio lam/mu is 1: a diagonal similarity
     removes it exactly, so the spectrum does not depend on it.
     """
-    n = params.n
+    if n < 1:
+        raise DomainError("need dimension N + 1 >= 2")
     q = ctx.q
     h = np.zeros((n + 1, n + 1), dtype=complex)
     for a in range(n + 1):
@@ -93,84 +83,51 @@ def build_truncated_H(params: TruncatedHamiltonian, ctx: QContext) -> np.ndarray
         if a - 1 >= 0:
             h[a, a - 1] = -pref * np.sqrt(1 - q ** (2 * a))
     edge = ctx.q_pow_half(-2 * n - 1) * np.sqrt(1 - q ** (2 * n + 2))
-    if params.regularisation is Regularisation.I:
+    if regularisation is Regularisation.I:
         h[n, n] += edge
-    elif params.regularisation is Regularisation.II:
+    elif regularisation is Regularisation.II:
         h[n, n] -= edge
     return h
-
-
-@dataclass
-class SpectralReport:
-    """Spectra of the truncated operator over a list of cutoffs.
-
-    For boundary rules I/II, ``branch_errors[N]`` holds the distance of the
-    four lowest computed branches from their closed-form limits.  For rule
-    III the odd-N and even-N subsequences are reported separately together
-    with the gap between their lowest branches.
-    """
-    q: float
-    regularisation: Regularisation
-    n_values: list
-    eigenvalues: dict
-    branch_limits: np.ndarray | None = None
-    branch_errors: dict | None = None
-    odd_branches: np.ndarray | None = None
-    even_branches: np.ndarray | None = None
-    subsequence_gap: float | None = None
 
 
 SPECTRAL_BRANCHES = 4  # lowest branches the spectral experiment compares
 
 
-def spectral_experiment(q: float, n_values, regularisation: Regularisation) -> SpectralReport:
-    """Diagonalise the truncated operator for each cutoff in ``n_values``.
+def spectral_experiment(q: float, n: int, regularisation: Regularisation) -> np.ndarray:
+    """Eigenvalues of the truncated operator at the one cutoff N = ``n``, sorted by modulus.
 
     The gauge ratio lam/mu is removed by an exact diagonal similarity
-    before solving, so the spectra are computed at ratio 1 with a dense
-    general eigensolver.  A cutoff N with fewer than SPECTRAL_BRANCHES
-    eigenvalues is refused.
+    before solving, so the spectrum is computed at ratio 1 with a dense
+    general eigensolver.  A cutoff with fewer than SPECTRAL_BRANCHES
+    eigenvalues is refused.  Rules I/II compare the lowest branches with
+    ``branch_limits``; rule III compares the lowest branches of an odd and
+    an even N.
     """
     if not 0 < q < 1:
         raise DomainError("the spectral experiment runs at real q in (0, 1)")
-    ctx = QContext(q=q)
-    n_values = sorted(int(n) for n in n_values)
-    if n_values and n_values[0] + 1 < SPECTRAL_BRANCHES:
+    n = int(n)
+    if n + 1 < SPECTRAL_BRANCHES:
         raise DomainError(f"{SPECTRAL_BRANCHES} branches need N + 1 >= {SPECTRAL_BRANCHES} "
-                          f"eigenvalues, got N = {n_values[0]}")
-    eigs = {}
-    for n in n_values:
-        h = build_truncated_H(TruncatedHamiltonian(n, regularisation), ctx)
-        # Reverse the index grading (largest entries to the top-left) so the
-        # QR iteration deflates the small eigenvalues at their own scale;
-        # without this the norm ~ q^{-N} wipes out the low branches.
-        h = h[::-1, ::-1]
-        try:
-            vals = np.linalg.eigvals(h)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverFailure(f"dense eigensolver failed at N = {n}") from exc
-        eigs[n] = vals[np.argsort(np.abs(vals))]
-    report = SpectralReport(q=q, regularisation=regularisation,
-                            n_values=n_values, eigenvalues=eigs)
+                          f"eigenvalues, got N = {n}")
+    h = build_truncated_H(n, regularisation, QContext(q=q))
+    # Reverse the index grading (largest entries to the top-left) so the
+    # QR iteration deflates the small eigenvalues at their own scale;
+    # without this the norm ~ q^{-N} wipes out the low branches.
+    try:
+        vals = np.linalg.eigvals(h[::-1, ::-1])
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(f"dense eigensolver failed at N = {n}") from exc
+    return vals[np.argsort(np.abs(vals))]
+
+
+def branch_limits(q: float, regularisation: Regularisation) -> np.ndarray:
+    """Limits +-(q^{m+1/2} + q^{-(m+1/2)}), m < SPECTRAL_BRANCHES, of the lowest
+    branches under rule I (sign +) or II (sign -); rule III has none."""
+    if regularisation is Regularisation.III:
+        raise DomainError("rule III has no branch limits; compare an odd and an even N")
     ms = np.arange(SPECTRAL_BRANCHES)
-    if regularisation in (Regularisation.I, Regularisation.II):
-        sign = 1.0 if regularisation is Regularisation.I else -1.0
-        limits = sign * (q ** (ms + 0.5) + q ** (-(ms + 0.5)))
-        report.branch_limits = limits
-        report.branch_errors = {
-            n: np.abs(eigs[n][:SPECTRAL_BRANCHES] - limits) for n in n_values
-        }
-    else:
-        odd = [n for n in n_values if n % 2 == 1]
-        even = [n for n in n_values if n % 2 == 0]
-        if odd:
-            report.odd_branches = np.abs(eigs[odd[-1]][:SPECTRAL_BRANCHES])
-        if even:
-            report.even_branches = np.abs(eigs[even[-1]][:SPECTRAL_BRANCHES])
-        if odd and even:
-            report.subsequence_gap = float(
-                np.max(np.abs(report.odd_branches - report.even_branches)))
-    return report
+    sign = 1.0 if regularisation is Regularisation.I else -1.0
+    return sign * (q ** (ms + 0.5) + q ** (-(ms + 0.5)))
 
 
 def fock_norm_const(ctx: QContext) -> complex:
@@ -245,7 +202,7 @@ def _brace_guard(a: int, b: int, c: int, q: complex):
     ln_inv_q = np.log(1.0 / abs(q))
     log_peak = max((2 * k * s + k - 3 * k * k - (a * b + a * c + b * c)) * ln_inv_q
                    for k in range(min(a, b, c) + 1))
-    if log_peak > 690.0 or max(a, b, c) > 30:
+    if log_peak > 690.0:
         raise OverflowGuard("brace indices too large for double precision; reduce (a, b, c)")
 
 
@@ -298,22 +255,16 @@ def brace_spin_sums(triples, ctx: QContext) -> list[complex]:
 
 
 def _brace_recursion(a: int, b: int, c: int, ctx: QContext) -> complex:
-    """The two-term descent in c, memoised within this one call."""
+    """The two-term descent in c, run bottom-up: level k holds {a - j, b - j, k}
+    for j <= c - k, from {x, y, 0} = q^{xy}; a negative index reads 0."""
     q = ctx.q
-    memo = {}
-
-    def rec(a: int, b: int, c: int) -> complex:
-        if a < 0 or b < 0:
-            return 0.0 + 0.0j
-        if c == 0:
-            return q ** (a * b)
-        key = (a, b, c)
-        if key not in memo:
-            memo[key] = (q ** (a + b) * rec(a, b, c - 1)
-                         - (1 - q ** (2 * a)) * (1 - q ** (2 * b)) * rec(a - 1, b - 1, c - 1) / q)
-        return memo[key]
-
-    return rec(a, b, c)
+    pairs = [(a - j, b - j) for j in range(min(a, b, c) + 1)]
+    level = [q ** (x * y) for x, y in pairs] + [0.0 + 0.0j]
+    for k in range(1, c + 1):
+        level = [q ** (x + y) * level[j]
+                 - (1 - q ** (2 * x)) * (1 - q ** (2 * y)) * level[j + 1] / q
+                 for j, (x, y) in enumerate(pairs[:c + 1 - k])] + [0.0 + 0.0j]
+    return level[0]
 
 
 def cg_table(n: int, c: int, params1: FockRepParams, params2: FockRepParams,

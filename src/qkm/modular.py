@@ -50,7 +50,7 @@ import numpy as np
 
 from .context import QContext
 from .errors import DomainError, OverflowGuard, PoleHit, TruncationExhausted, WindowTooSmall
-from .orthopoly import ChiParams, chi
+from .orthopoly import chi
 from .qseries import (ThetaKind, as_complex, complex_math, qpoch_inf, tail_length,
                       theta_product)
 from .report import CheckResult, relative_residual, worst_residual
@@ -165,7 +165,6 @@ def _psi_in_sigma(x, mc: ModularContext):
     lanes (arrays), x is a number.
     """
     x = complex(x)
-    q, qb = mc.q, mc.qbar
     ctxq, ctxqb = mc.ctx_q, mc.ctx_qbar
     u = cmath.exp(cmath.pi * mc.b * x)
     ub = cmath.exp(cmath.pi * x / mc.b)
@@ -176,8 +175,8 @@ def _psi_in_sigma(x, mc: ModularContext):
 
     def at(sigma, z, zb):
         phase = complex_math(sigma).exp(1j * cmath.pi * sigma * x)
-        brack = (phase * chi(ChiParams(iub, zb, qb), ctxqb) * chi(ChiParams(u, z, q), ctxq)
-                 - chi(ChiParams(ub, zb, qb), ctxqb) * chi(ChiParams(iu, z, q), ctxq) / phase)
+        brack = (phase * chi(iub, zb, ctxqb) * chi(u, z, ctxq)
+                 - chi(ub, zb, ctxqb) * chi(iu, z, ctxq) / phase)
         return g * brack
 
     return at

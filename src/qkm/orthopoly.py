@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from itertools import count, islice
@@ -29,7 +28,7 @@ __all__ = [
     "scaled_poly_values", "DecimalComplex", "to_decimal",
     "decimal_sqrt", "lattice_brace_sums", "overlap_sum", "overlap_grid",
     "poly_P_difference_checks", "genfun_checks", "poly_norm_sum_check",
-    "ChiParams", "chi", "chi_equation_checks",
+    "chi", "chi_equation_checks",
 ]
 
 # ln(1e300); exponents beyond this overflow double precision
@@ -458,29 +457,16 @@ def poly_norm_sum_check(m: int, mp: int, ctx: QContext):
     return CheckResult({"m": m, "mp": mp, "q": q}, res)
 
 
-@dataclass(frozen=True)
-class ChiParams:
-    """Arguments of chi(u, z): the point (u, z) and the nome q itself."""
-    u: complex
-    z: complex
-    nome: complex
-
-    def __post_init__(self):
-        if abs(complex(self.nome)) >= 1:
-            raise DomainError("chi needs |nome| < 1")
-
-
-def chi(params: ChiParams, ctx: QContext) -> complex:
-    """chi(u, z) = sum_n (-)^n q^{n(n+1)} (z;q^2)_n / (q^2;q^2)_n u^{2n}.
+def chi(u, z, ctx: QContext) -> complex:
+    """chi(u, z) = sum_n (-)^n q^{n(n+1)} (z;q^2)_n / (q^2;q^2)_n u^{2n}, q = ctx.q.
 
     Entire in u (terms carry q^{n(n+1)}); truncated by the tail rule.  The
     walk carries q^{2n} as a running product.  Arrays u or z give chi in
     each lane of their broadcast, one tail_walk over all lanes.
     """
-    q = complex(params.nome)
-    q2 = q * q
-    u2 = as_complex(params.u) ** 2
-    z = as_complex(params.z)
+    q2 = ctx.q * ctx.q
+    u2 = as_complex(u) ** 2
+    z = as_complex(z)
     first = 1.0 + 0.0j
     if type(u2) is np.ndarray or type(z) is np.ndarray:  # the walk's lanes
         first = np.full(np.broadcast(u2, z).shape, first)
@@ -497,7 +483,7 @@ def chi(params: ChiParams, ctx: QContext) -> complex:
     return tail_sum(terms(), ctx)
 
 
-def chi_equation_checks(params: ChiParams, ctx: QContext):
+def chi_equation_checks(u, z, ctx: QContext):
     """Residuals of the shift equations and the Wronskian of chi.
 
     Checked relations, all at the same (u, z): the three-point shift in u,
@@ -505,12 +491,12 @@ def chi_equation_checks(params: ChiParams, ctx: QContext):
     Wronskian chi(u/q,z) chi(1/u,z) - z chi(u,z) chi(q/u,z) =
     (u^2, q^2/u^2, z; q^2)_inf.
     """
-    q = complex(params.nome)
-    u = complex(params.u)
-    z = complex(params.z)
+    q = ctx.q
+    u = complex(u)
+    z = complex(z)
     if u == 0:
         raise DomainError("chi equations need u != 0")
-    c = lambda uu, zz: chi(ChiParams(uu, zz, q), ctx)
+    c = lambda uu, zz: chi(uu, zz, ctx)
 
     x = c(u, z)
     x_up = c(q * u, z)

@@ -92,10 +92,11 @@ def tail_walk(terms, ctx: QContext) -> Walk:
       of the walk over that lane alone; the walk ends once every lane has
       stopped, and value, peak and terms are arrays;
     * Decimal and DecimalComplex (terms with Decimal real parts), inside
-      decimal_digits(dps): cut = floor = 10^(5 - dps).  A walk whose first
-      term is a DecimalComplex compares squared sizes, |t|^2 against
-      cut^2 |S|^2, so that no term takes a square root.  Since the cut is
-      the floor, the running sum is sized only for a term above the floor.
+      decimal_digits(dps): floor 10^(5 - dps) and no cut, so the running
+      sum is never sized (a cut equal to the floor could end the walk
+      sooner only where |S| > peak).  A walk whose first term is a
+      DecimalComplex compares squared sizes, |t|^2 against floor^2 peak^2,
+      so that no term takes a square root.
 
     peak / |value| is the cancellation of the sum.  Raises OverflowGuard at
     once on a term or running sum that is not finite (in a lane that has
@@ -112,10 +113,9 @@ def tail_walk(terms, ctx: QContext) -> Walk:
             size = _lane_size
     else:
         dps = getcontext().prec - _GUARD_DIGITS  # inside decimal_digits(dps)
-        cut, total = Decimal(10) ** (5 - dps), Decimal(0)
+        floor, total = Decimal(10) ** (5 - dps), Decimal(0)
         if type(first) is not Decimal:
-            size, cut, squared = (lambda t: t.real * t.real + t.imag * t.imag), cut * cut, True
-        floor = cut
+            size, floor, squared = (lambda t: t.real * t.real + t.imag * t.imag), floor * floor, True
     peak = noise = size(total)  # noise: floor * peak
     below, inf = 0, math.inf
     for n, t in enumerate(chain((first,), terms), 1):
@@ -128,8 +128,8 @@ def tail_walk(terms, ctx: QContext) -> Walk:
             noise = floor * peak
         elif now > peak:
             peak, noise = now, floor * now
-        if decimal:  # overflow is trapped, and as cut = floor |S| matters only above the floor
-            rel = cut * size(total) if now > noise else noise
+        if decimal:  # overflow is trapped, and the walk stops at its floor alone
+            rel = noise
         else:
             scale = size(total)
             if not (scale.max() if lanes else scale) < inf:

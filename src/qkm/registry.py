@@ -244,7 +244,7 @@ def _chi_special(run):
     q = ctx.q
     residuals = []
     for m in range(11):
-        lhs = orthopoly.chi(orthopoly.ChiParams(1.1, q ** (-2 * m), q), ctx)
+        lhs = orthopoly.chi(1.1, q ** (-2 * m), ctx)
         rhs = 1.1 ** m * orthopoly.poly_P(m, 1.1, ctx)
         residuals.append(relative_residual(lhs, rhs))
     yield {"u": 1.1, "q": q, "m_max": 10}, worst_residual(residuals)
@@ -254,17 +254,17 @@ def _chi_ratio(run):
     q = run.entry.fixed_q
     ctx = run.context(q)
     m, z = 2, 0.3
-    num = orthopoly.chi(orthopoly.ChiParams(q ** -m, z, q), ctx)
-    den = orthopoly.chi(orthopoly.ChiParams(q ** m, z, q), ctx)
+    num = orthopoly.chi(q ** -m, z, ctx)
+    den = orthopoly.chi(q ** m, z, ctx)
     yield {"m": m, "z": z, "q": q}, relative_residual(num / den, z ** m)
 
 
 def _chi_equations(run):
     ctx = run.ctx
     for u, z in ((1.1, 0.3), (0.8j, 0.2)):
-        yield orthopoly.chi_equation_checks(orthopoly.ChiParams(u, z, ctx.q), ctx)
+        yield orthopoly.chi_equation_checks(u, z, ctx)
     worst = worst_residual(
-        orthopoly.chi_equation_checks(orthopoly.ChiParams(u, z, ctx.q), ctx)
+        orthopoly.chi_equation_checks(u, z, ctx)
         .params["res_wronskian"]
         for u in (0.7, 0.9, 1.2, 1.5, 0.6 + 0.3j)
         for z in (0.1, 0.25, 0.4, 0.15 + 0.1j, 0.55))
@@ -330,13 +330,15 @@ def _spectral(run):
         raise DomainError("the spectral experiment runs at real q in (0, 1)")
     q = q.real
     for reg in (fock.Regularisation.I, fock.Regularisation.II):
-        errs = fock.spectral_experiment(q, [8, 16, 32], reg).branch_errors[32]
+        vals = fock.spectral_experiment(q, 32, reg)[:fock.SPECTRAL_BRANCHES]
+        errs = np.abs(vals - fock.branch_limits(q, reg))
         yield ({"reg": reg.value, "q": q, "N": 32, "errors": [float(e) for e in errs]},
                float(np.max(errs)))
-    rep3 = fock.spectral_experiment(q, [31, 32], fock.Regularisation.III)
-    gap = rep3.subsequence_gap
-    yield ({"q": q, "gap": gap, "odd": [float(v) for v in rep3.odd_branches],
-            "even": [float(v) for v in rep3.even_branches]},
+    odd, even = (np.abs(fock.spectral_experiment(q, n, fock.Regularisation.III)
+                        [:fock.SPECTRAL_BRANCHES]) for n in (31, 32))
+    gap = float(np.max(np.abs(odd - even)))
+    yield ({"q": q, "gap": gap, "odd": [float(v) for v in odd],
+            "even": [float(v) for v in even]},
            0.1 / gap, "fock.spectral_iii.4_8", 1.0)
 
 

@@ -92,8 +92,6 @@ class GammaDecomposition:
     ket: np.ndarray
     bra: np.ndarray
     m_values: np.ndarray
-    gc: GammaContext
-    mu: complex
 
 
 def vgamma_decomposition(gc: GammaContext, mu, a_max: int,
@@ -126,7 +124,7 @@ def vgamma_decomposition(gc: GammaContext, mu, a_max: int,
             parity = np.array([eps if (a + m) % 2 else 1 for a in a_range])
             ket[e, :, j] = mu_pow * parity * rows / n_gamma
             bra[e, j, :] = sign_m * alt_a * parity / mu_pow * q_pow * rows
-    return GammaDecomposition(ket=ket, bra=bra, m_values=m_values, gc=gc, mu=mu)
+    return GammaDecomposition(ket=ket, bra=bra, m_values=m_values)
 
 
 def weight_Veps(x, eps: int, m: int, mp: int, gc: GammaContext,

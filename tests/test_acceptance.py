@@ -58,15 +58,15 @@ def test_criterion_02_star_triangle_fock():
 def test_criterion_03_spectral_experiment():
     started = time.perf_counter()
     q = 0.4
-    rep1 = fock.spectral_experiment(q, [32], fock.Regularisation.I)
-    rep2 = fock.spectral_experiment(q, [32], fock.Regularisation.II)
-    worst = max(float(np.max(rep1.branch_errors[32])),
-                float(np.max(rep2.branch_errors[32])))
-    rep3 = fock.spectral_experiment(q, [31, 32], fock.Regularisation.III)
-    gap_ok = rep3.subsequence_gap > 0.1
+    lowest = lambda n, reg: fock.spectral_experiment(q, n, reg)[:fock.SPECTRAL_BRANCHES]
+    worst = max(float(np.max(np.abs(lowest(32, reg) - fock.branch_limits(q, reg))))
+                for reg in (fock.Regularisation.I, fock.Regularisation.II))
+    gap = float(np.max(np.abs(np.abs(lowest(31, fock.Regularisation.III))
+                              - np.abs(lowest(32, fock.Regularisation.III)))))
+    gap_ok = gap > 0.1
     elapsed = time.perf_counter() - started
     print(f"[criterion  3] spectral branches: reg I/II worst {worst:.3e}, "
-          f"reg III gap {rep3.subsequence_gap:.2f}")
+          f"reg III gap {gap:.2f}")
     assert gap_ok, "odd/even subsequence limits too close"
     _line(3, "spectral limits at N = 32", worst, 1e-6, elapsed, 5.0)
 
@@ -245,12 +245,11 @@ def test_criterion_10_appendix_suite():
         worst = max(worst, max(abs(vals[0] - vals[1]), abs(vals[2] - vals[1]))
                     / max(abs(vals[1]), 1.0))
     for m in range(8):
-        lhs = orthopoly.chi(orthopoly.ChiParams(1.1, 0.4 ** (-2 * m), 0.4), ctx)
+        lhs = orthopoly.chi(1.1, 0.4 ** (-2 * m), ctx)
         rhs = 1.1 ** m * orthopoly.poly_P(m, 1.1, ctx)
         worst = max(worst, relative_residual(lhs, rhs))
     ctx45 = QContext(q=0.45)
-    worst = max(worst, orthopoly.chi_equation_checks(
-        orthopoly.ChiParams(1.1, 0.3, 0.45), ctx45).residual)
+    worst = max(worst, orthopoly.chi_equation_checks(1.1, 0.3, ctx45).residual)
     _line(10, "appendix identity suite", worst, 1e-9,
           time.perf_counter() - started, 60.0)
 

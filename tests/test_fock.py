@@ -16,10 +16,9 @@ import qkm
 from qkm import fock
 from qkm.context import QContext
 from qkm.errors import DomainError, OverflowGuard, TruncationExhausted
-from qkm.fock import (BraceMethod, FockRepParams, Regularisation,
-                      TruncatedHamiltonian, box_intertwining_check,
-                      brace, brace_spin_sums,
-                      build_truncated_H, cg_table, fock_norm_const,
+from qkm.fock import (SPECTRAL_BRANCHES, BraceMethod, FockRepParams, Regularisation,
+                      box_intertwining_check, brace, brace_spin_sums,
+                      branch_limits, build_truncated_H, cg_table, fock_norm_const,
                       kappa_fock, partition_series_fock, rll_check, s_measure,
                       spectral_experiment, sqrt_qpoch2_table, star_triangle_fock,
                       transitivity_check_fock, vbasis_operator_matrices,
@@ -37,40 +36,52 @@ Q = 0.4
 
 def test_truncated_h_transcription():
     # N = 1, boundary rule III: plain 2x2 with no feedback
-    h = build_truncated_H(TruncatedHamiltonian(1, Regularisation.III), CTX)
+    h = build_truncated_H(1, Regularisation.III, CTX)
     assert h[0, 0] == 0 and h[1, 1] == 0
     assert abs(h[0, 1] - Q ** -0.5 * np.sqrt(1 - Q ** 2)) < 1e-15
     assert abs(h[1, 0] + Q ** -1.5 * np.sqrt(1 - Q ** 2)) < 1e-15
 
 
 def test_spectral_branches_reg_i():
-    rep = spectral_experiment(Q, [8, 16, 24], Regularisation.I)
+    vals = {n: spectral_experiment(Q, n, Regularisation.I) for n in (8, 24)}
+    errs = {n: np.abs(v[:SPECTRAL_BRANCHES] - branch_limits(Q, Regularisation.I))
+            for n, v in vals.items()}
     # errors shrink with N and hit the closed-form limits
-    assert np.max(rep.branch_errors[24]) < 1e-5
-    assert np.max(rep.branch_errors[24]) < np.max(rep.branch_errors[8])
-    assert abs(rep.eigenvalues[24][0] - (Q ** 0.5 + Q ** -0.5)) < 1e-6
+    assert np.max(errs[24]) < 1e-5
+    assert np.max(errs[24]) < np.max(errs[8])
+    assert abs(vals[24][0] - (Q ** 0.5 + Q ** -0.5)) < 1e-6
 
 
 def test_spectral_reg_ii_negates_reg_i():
-    rep1 = spectral_experiment(Q, [12], Regularisation.I)
-    rep2 = spectral_experiment(Q, [12], Regularisation.II)
-    for e in rep1.eigenvalues[12]:  # spectra are negatives as multisets
-        assert np.min(np.abs(rep2.eigenvalues[12] + e)) < 1e-9 * max(abs(e), 1.0)
+    vals1 = spectral_experiment(Q, 12, Regularisation.I)
+    vals2 = spectral_experiment(Q, 12, Regularisation.II)
+    for e in vals1:  # spectra are negatives as multisets
+        assert np.min(np.abs(vals2 + e)) < 1e-9 * max(abs(e), 1.0)
     # oracle: conjugating by diag((-1)^a) maps rule I to minus rule II
-    h1 = build_truncated_H(TruncatedHamiltonian(12, Regularisation.I), CTX)
-    h2 = build_truncated_H(TruncatedHamiltonian(12, Regularisation.II), CTX)
+    h1 = build_truncated_H(12, Regularisation.I, CTX)
+    h2 = build_truncated_H(12, Regularisation.II, CTX)
     d = np.diag([(-1.0) ** a for a in range(13)])
     assert np.max(np.abs(d @ h1 @ d + h2)) < 1e-12
 
 
 def test_spectral_reg_iii_splits():
-    rep = spectral_experiment(Q, [29, 30, 31, 32], Regularisation.III)
+    odd_branches, even_branches = (
+        np.abs(spectral_experiment(Q, n, Regularisation.III)[:SPECTRAL_BRANCHES])
+        for n in (31, 32))
     odd = [abs(Q ** (2 * m + 1) - Q ** (-2 * m - 1)) for m in range(2)]
     even = [abs(Q ** (2 * m) - Q ** (-2 * m)) for m in range(2)]
-    assert abs(rep.odd_branches[0] - odd[0]) < 1e-6
-    assert abs(rep.odd_branches[2] - odd[1]) < 1e-4
-    assert abs(rep.even_branches[0] - even[0]) < 1e-6
-    assert rep.subsequence_gap > 0.1
+    assert abs(odd_branches[0] - odd[0]) < 1e-6
+    assert abs(odd_branches[2] - odd[1]) < 1e-4
+    assert abs(even_branches[0] - even[0]) < 1e-6
+    assert np.max(np.abs(odd_branches - even_branches)) > 0.1
+
+
+def test_spectral_experiment_refuses_too_few_eigenvalues_and_rule_iii_limits():
+    with pytest.raises(DomainError, match="N = 2"):
+        spectral_experiment(Q, 2, Regularisation.I)
+    assert len(spectral_experiment(Q, 3, Regularisation.I)) == SPECTRAL_BRANCHES
+    with pytest.raises(DomainError, match="rule III"):
+        branch_limits(Q, Regularisation.III)
 
 
 def test_vform_zero_row():
@@ -217,6 +228,34 @@ def test_q_tables_are_not_retained():
     # the 20 contexts take ~7 KB; caching (q^2;q^2)_n, its square roots
     # and N_F per nome keeps about 6 KB a point, 120 KB in all
     assert retained < 32 * 1024
+
+
+def test_brace_past_index_thirty_on_every_route():
+    # the log-peak test alone bounds double range: {31, 0, 0} = q^0 is a
+    # one-term k-sum, and at (60, 60, 60) the three routes agree
+    for method in BraceMethod:
+        assert abs(brace(31, 0, 0, CTX, method) - 1) < 1e-12
+    vals = [brace(60, 60, 60, CTX, method) for method in BraceMethod]
+    assert abs(vals[0] / 4.775e23 - 1) < 1e-3
+    assert max(abs(v - vals[1]) for v in vals) < 1e-11 * abs(vals[1])
+
+
+def test_brace_recursion_runs_bottom_up_to_any_depth():
+    # {0, 0, c} = 1: a call-stack descent ran out of frames near c = 1000
+    assert brace(0, 0, 1200, CTX, BraceMethod.RECURSION) == 1
+
+    def descent(a, b, c, q):
+        if a < 0 or b < 0:
+            return 0.0 + 0.0j
+        if c == 0:
+            return q ** (a * b)
+        return (q ** (a + b) * descent(a, b, c - 1, q)
+                - (1 - q ** (2 * a)) * (1 - q ** (2 * b)) * descent(a - 1, b - 1, c - 1, q) / q)
+
+    # the same expression at every state, so the same bits as the descent
+    ctx = QContext(q=0.35 * cmath.exp(0.2j))
+    for a, b, c in product(range(5), repeat=3):
+        assert brace(a, b, c, ctx, BraceMethod.RECURSION) == descent(a, b, c, ctx.q)
 
 
 def test_brace_permutation_symmetry():

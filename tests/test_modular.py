@@ -14,7 +14,7 @@ from qkm.modular import (ModularContext, adaptive_midpoint,
                          faddeev_phi, psi,
                          psi_eigen_check, s_weight, summation_check_modular,
                          weight_V_modular, weight_V_modular_integral)
-from qkm.orthopoly import ChiParams, chi
+from qkm.orthopoly import chi
 from qkm.qseries import ThetaKind, qpoch_inf, theta_product
 from qkm.report import relative_residual
 
@@ -45,8 +45,8 @@ def test_derived_point_quantities():
     s, x = 0.3, 0.4
     u, ub = cmath.exp(cmath.pi * b * x), cmath.exp(cmath.pi * x / b)
     z, zb = _z_pair(s)
-    c = lambda uu: chi(ChiParams(uu, z, MC.q), MC.ctx_q)
-    cb = lambda uu: chi(ChiParams(uu, zb, MC.qbar), MC.ctx_qbar)
+    c = lambda uu: chi(uu, z, MC.ctx_q)
+    cb = lambda uu: chi(uu, zb, MC.ctx_qbar)
     phase = cmath.exp(1j * cmath.pi * s * x)
     g = (cmath.exp(-1j * cmath.pi / 8 + 0.5j * cmath.pi * x ** 2)
          / (MC.b_half * MC.q_quarter * theta_product(ThetaKind.H, u, MC.ctx_q)))
@@ -156,8 +156,8 @@ def test_psi_modular_partner_consistency():
     u, ub = cmath.exp(cmath.pi * MC.b * x), cmath.exp(cmath.pi * x / MC.b)
     z, zb = _z_pair(s)
     ctxq, ctxqb = MC.ctx_q, MC.ctx_qbar
-    c = lambda uu: chi(ChiParams(uu, z, MC.q), ctxq)
-    cb = lambda uu: chi(ChiParams(uu, zb, MC.qbar), ctxqb)
+    c = lambda uu: chi(uu, z, ctxq)
+    cb = lambda uu: chi(uu, zb, ctxqb)
     phase = cmath.exp(1j * cmath.pi * s * x)
     bracket_swapped = c(1 / u) * cb(ub) / phase - phase * c(u) * cb(1 / ub)
     h_bar = theta_product(ThetaKind.H, ub, ctxqb)

@@ -13,7 +13,7 @@ import pytest
 from qkm.context import QContext
 from qkm.errors import DegenerateArgument, DomainError, OverflowGuard
 from qkm.fock import brace_spin_sums
-from qkm.orthopoly import (ChiParams, DecimalComplex, PolyEvalMethod, chi,
+from qkm.orthopoly import (DecimalComplex, PolyEvalMethod, chi,
                            chi_equation_checks, decimal_sqrt, genfun_checks,
                            lattice_brace_sums, overlap_grid, overlap_sum,
                            poly_norm_sum_check, poly_P, poly_P_difference_checks,
@@ -250,13 +250,14 @@ def _mp_site_terms(triples, gamma, q, window):
 def _mp_stop_rule(terms, n, gamma, dps):
     """Totals, peaks and sites walked of the one tail rule, read off the
     mpmath terms and exact magnitudes: each part stops after three
-    consecutive terms with |t| <= 10^(5 - dps) max(|S|, peak), walking the
-    sites 0, 1, ... (gamma None) or, on the bilateral lattice, 0, -1, 1, -2, ..."""
+    consecutive terms with |t| <= 10^(5 - dps) peak (the decimal floor; a
+    decimal walk has no cut), walking the sites 0, 1, ... (gamma None) or,
+    on the bilateral lattice, 0, -1, 1, -2, ..."""
     window = max(terms)
     order = (range(window + 1) if gamma is None
              else [m for k in range(window) for m in (k, -k - 1)])
     with mp.workdps(60):
-        cut = mp.mpf(10) ** (5 - dps)
+        floor = mp.mpf(10) ** (5 - dps)
         totals, peaks, sites = [], [], 0
         for i in range(n):
             total, peak, below = mp.mpc(0), mp.mpf(0), 0
@@ -264,7 +265,7 @@ def _mp_stop_rule(terms, n, gamma, dps):
                 t = terms[m][i]
                 total += t
                 peak = max(peak, abs(t))
-                below = below + 1 if abs(t) <= cut * max(abs(total), peak) else 0
+                below = below + 1 if abs(t) <= floor * peak else 0
                 if below == 3:
                     break
             else:
@@ -428,7 +429,7 @@ def test_chi_with_terms_out_of_double_range_is_an_overflow():
     # chi(1.1, q^-20) at q = 1e-8: (z; q^2)_n overflows by the fifth term
     q = 1e-8
     with pytest.raises(OverflowGuard):
-        chi(ChiParams(1.1, q ** -20, q), QContext(q=q))
+        chi(1.1, q ** -20, QContext(q=q))
     [rep] = run_suite(RunConfig(filter="orthopoly.chi_special*", q=q))
     assert rep.params["skip_reason"].startswith("OverflowGuard: ")
 
@@ -448,23 +449,23 @@ def test_chi_over_lanes_matches_each_scalar_call():
         u, ub = cmath.exp(cmath.pi * mc.b * x), cmath.exp(cmath.pi * x / mc.b)
         for uu, zz, ctx in ((u, z, mc.ctx_q), (1 / u, z, mc.ctx_q),
                             (ub, zb, mc.ctx_qbar), (1 / ub, zb, mc.ctx_qbar)):
-            lanes = chi(ChiParams(uu, zz, ctx.q), ctx)
+            lanes = chi(uu, zz, ctx)
             for lane, zi in zip(lanes, zz):
-                scalar = chi(ChiParams(uu, complex(zi), ctx.q), ctx)
+                scalar = chi(uu, complex(zi), ctx)
                 assert abs(lane - scalar) <= 8 * np.finfo(float).eps * abs(scalar)
 
 
 def test_chi_trivial_points():
-    assert chi(ChiParams(1.7, 1.0, 0.4), CTX) == 1.0
+    assert chi(1.7, 1.0, CTX) == 1.0
     u = 0.9 + 0.2j
-    lhs = chi(ChiParams(u, 0.4 ** -2, 0.4), CTX)
+    lhs = chi(u, 0.4 ** -2, CTX)
     assert abs(lhs - u * poly_P(1, u, CTX)) < 1e-12
 
 
 def test_chi_reduces_to_polynomials():
     u = 1.1
     for m in range(11):
-        lhs = chi(ChiParams(u, 0.4 ** (-2 * m), 0.4), CTX)
+        lhs = chi(u, 0.4 ** (-2 * m), CTX)
         rhs = u ** m * poly_P(m, u, CTX)
         assert abs(lhs - rhs) < 1e-9 * max(abs(rhs), 1.0)
 
@@ -472,16 +473,16 @@ def test_chi_reduces_to_polynomials():
 def test_chi_wronskian_ratio():
     ctx = QContext(q=0.5)
     m, z = 2, 0.3
-    num = chi(ChiParams(0.5 ** -m, z, 0.5), ctx)
-    den = chi(ChiParams(0.5 ** m, z, 0.5), ctx)
+    num = chi(0.5 ** -m, z, ctx)
+    den = chi(0.5 ** m, z, ctx)
     assert abs(num / den - z ** m) < 1e-12
 
 
 def test_chi_equations():
     ctx = QContext(q=0.45)
-    assert chi_equation_checks(ChiParams(1.1, 0.3, 0.45), ctx).residual < 1e-9
+    assert chi_equation_checks(1.1, 0.3, ctx).residual < 1e-9
     ctx5 = QContext(q=0.5)
-    assert chi_equation_checks(ChiParams(0.8j, 0.2, 0.5), ctx5).residual < 1e-9
+    assert chi_equation_checks(0.8j, 0.2, ctx5).residual < 1e-9
 
 
 def test_chi_equations_independent_series_oracle():
@@ -502,7 +503,7 @@ def test_chi_equations_independent_series_oracle():
 
 
 def test_chi_wronskian_degenerate_z():
-    r = chi_equation_checks(ChiParams(1.3, 1.0, 0.4), CTX)
+    r = chi_equation_checks(1.3, 1.0, CTX)
     # at z = 1 both sides of the Wronskian vanish identically
     assert r.params["res_wronskian"] < 1e-12
 
@@ -510,7 +511,7 @@ def test_chi_wronskian_degenerate_z():
 def test_chi_wronskian_grid():
     for u in (0.7, 0.9, 1.2, 1.5, 0.6 + 0.3j):
         for z in (0.1, 0.25, 0.4, 0.15 + 0.1j, 0.55):
-            r = chi_equation_checks(ChiParams(u, z, 0.4), CTX)
+            r = chi_equation_checks(u, z, CTX)
             assert r.params["res_wronskian"] < 1e-9
 
 
@@ -528,4 +529,4 @@ def test_chi_matches_a_40_digit_oracle_at_complex_nome(q):
                 ref = complex(mp.fsum((-1) ** n * qq ** (n * (n + 1)) * mp.qp(zz, qq ** 2, n)
                                       / mp.qp(qq ** 2, qq ** 2, n) * uu ** n
                                       for n in range(60)))
-                assert abs(chi(ChiParams(u, z, q), ctx) - ref) < 1e-13 * abs(ref)
+                assert abs(chi(u, z, ctx) - ref) < 1e-13 * abs(ref)

@@ -4,7 +4,7 @@ import cmath
 import math
 import warnings
 from decimal import Decimal
-from itertools import count, islice
+from itertools import chain, count, islice
 
 import numpy as np
 import pytest
@@ -275,11 +275,15 @@ def test_tail_walk_stops_a_sum_that_cancels_at_its_rounding_floor():
 
 def test_tail_walk_stops_decimal_terms_at_the_decimal_rule():
     # in 30 digits a walk of Decimal or DecimalComplex terms stops on the
-    # third term with |t| <= 10^(5 - 30) max(|S|, peak)
+    # third term with |t| <= 10^(5 - 30) peak, its floor; it has no cut
     with decimal_digits(30):
-        # 10^-k sums to 1.11...: 10^-24 is above the cut, 10^-25 below it
+        # 10^-k sums to 1.11...: 10^-24 is above the floor, 10^-25 at it
         walk = tail_walk((Decimal(10) ** -k for k in count()), CTX)
         assert walk == (sum(Decimal(10) ** -k for k in range(28)), 1, 28)
+        # nine 1s first: |S| ~ 10 is ten times the peak, and the walk still
+        # ends only on the third term at or below the floor, 10^-27
+        walk = tail_walk(chain([Decimal(1)] * 9, (Decimal(10) ** -k for k in count())), CTX)
+        assert walk == (9 + sum(Decimal(10) ** -k for k in range(28)), 1, 9 + 28)
         # i 10^-k sums to i 1.11...: |t| takes the imaginary part
         i = DecimalComplex(Decimal(0), Decimal(1))
         walk = tail_walk((i * Decimal(10) ** -k for k in count()), CTX)

@@ -216,7 +216,7 @@ def test_brace_gamma_independence():
 def test_brace_gamma_gives_verdicts_past_nine_indices():
     # the kernel's cancellation refusal is the only index limit: large
     # triples that keep their digits at q = 0.4 are checked
-    for t in ((9, 9, 9), (30, 30, 30)):
+    for t in ((9, 9, 9), (30, 30, 30), (60, 60, 60)):
         rep = brace_gamma_check(*t, [0.6], CTX)
         assert rep.params["res_brace_0"] < 1e-14
         assert rep.residual < 1e-8  # the registry's tolerance
