@@ -31,8 +31,8 @@ from .report import CheckResult, relative_residual, worst_residual
 __all__ = [
     "FockRepParams", "Regularisation", "build_truncated_H",
     "spectral_experiment", "branch_limits",
-    "VFormMatrices", "vform_matrices", "s_measure", "fock_norm_const",
-    "sqrt_qpoch2_table", "BraceMethod", "brace", "brace_spin_sums",
+    "vform_matrices", "s_measure", "fock_norm_const",
+    "sqrt_qpoch2_table", "lattice_rows", "BraceMethod", "brace", "brace_spin_sums",
     "cg_table", "weight_V_fock", "weight_V_fock_from_overlaps",
     "weight_table", "weight_table_from_overlaps",
     "kappa_fock", "refuse_undecayed_sum", "transitivity_check_fock", "star_triangle_fock",
@@ -45,14 +45,12 @@ _SPIN_SUM_DPS = 40  # working digits of the brace spin sums
 
 @dataclass(frozen=True)
 class FockRepParams:
-    """Representation labels: central parameter omega, ladder gauge lam,
-    and the eigenbasis parameter mu."""
+    """Representation labels: central parameter omega and ladder gauge lam."""
     omega: complex = 1.0
     lam: complex = 1.0
-    mu: complex = 1.0
 
     def __post_init__(self):
-        for name in ("omega", "lam", "mu"):
+        for name in ("omega", "lam"):
             if complex(getattr(self, name)) == 0:
                 raise DomainError(f"{name} must be nonzero")
 
@@ -146,47 +144,33 @@ def sqrt_qpoch2_table(ctx: QContext, n: int) -> np.ndarray:
     return np.sqrt(np.array(qpoch_finite_table(q2, q2, n)) + 0j)
 
 
-@dataclass
-class VFormMatrices:
-    """Basis-change matrices between occupation and eigenbasis labels.
+def lattice_rows(xis, scales, a_max: int, ctx: QContext) -> np.ndarray:
+    """The (a_max + 1) x n array of scale_j q^{a^2/2} P_a(xi_j) / sqrt((q^2;q^2)_a).
+
+    Column j is the occupation row of the lattice site xi_j = xis[j] with
+    its site factor scales[j]; the Fock and gamma-lattice bases both read
+    their overlaps from it.
+    """
+    rows = np.column_stack([scaled_poly_values(a_max, xi, ctx, scale=scale)
+                            for xi, scale in zip(xis, scales)])
+    return rows / sqrt_qpoch2_table(ctx, a_max)[:, None]
+
+
+def vform_matrices(a_max: int, m_max: int, ctx: QContext,
+                   m_min: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenbasis overlap matrices ``(chi, chi_bar)`` on a <= a_max, m_min <= m <= m_max.
 
     ``chi[a, j]`` is q^{a^2/2} P_a(q^{m+1/2}) q^{m(m+1)/2} / sqrt((q^2;q^2)_a)
-    at m = m_values[j]; ``chi_bar[j, a]`` carries the extra (-)^a q^a.  The
-    dressed matrix elements (with the (mu/lam)^{+-a} prefactors and the
-    overall 1/N_F on the ket side) are exposed as ``ket``/``bra``.
+    at m = m_min + j; ``chi_bar[j, a]`` carries the extra (-)^a q^a.
     """
-    chi: np.ndarray
-    chi_bar: np.ndarray
-    n_f: complex
-    params: FockRepParams
-    m_values: np.ndarray
-
-    def ket(self, a: int, j: int) -> complex:
-        r = self.params.mu / self.params.lam
-        return r ** a * self.chi[a, j] / self.n_f
-
-    def bra(self, j: int, a: int) -> complex:
-        r = self.params.mu / self.params.lam
-        return r ** (-a) * self.chi_bar[j, a]
-
-
-def vform_matrices(params: FockRepParams, a_max: int, m_max: int,
-                   ctx: QContext, m_min: int = 0) -> VFormMatrices:
-    """Eigenbasis overlap matrices on the window a <= a_max, m_min <= m <= m_max."""
     if a_max < 1 or m_max < 1:
         raise DomainError("need a_max, m_max >= 1")
     q = ctx.q
-    m_values = np.arange(m_min, m_max + 1)
-    n_m = len(m_values)
-    chi = np.empty((a_max + 1, n_m), dtype=complex)
-    for j, m in enumerate(m_values):
-        xi = ctx.q_pow_half(2 * m + 1)
-        chi[:, j] = scaled_poly_values(a_max, xi, ctx, scale=ctx.q_pow_half(m * (m + 1)))
-    chi /= sqrt_qpoch2_table(ctx, a_max)[:, None]
+    ms = np.arange(m_min, m_max + 1)
+    chi = lattice_rows([ctx.q_pow_half(2 * m + 1) for m in ms],
+                       [ctx.q_pow_half(m * (m + 1)) for m in ms], a_max, ctx)
     signs = np.array([(-1) ** a * q ** a for a in range(a_max + 1)])
-    chi_bar = (chi * signs[:, None]).T.copy()
-    return VFormMatrices(chi=chi, chi_bar=chi_bar, n_f=fock_norm_const(ctx),
-                         params=params, m_values=m_values)
+    return chi, (chi * signs[:, None]).T.copy()
 
 
 class BraceMethod(Enum):

@@ -277,20 +277,21 @@ def _completeness(run):
     ctx = run.ctx
     a_max = _default(run.cfg.a_max, 14)
     m_max = _default(run.cfg.m_window, 50)
-    vm = fock.vform_matrices(fock.FockRepParams(omega=1.1, lam=0.9, mu=1.2),
-                             a_max, m_max, ctx)
-    meas = np.array([fock.s_measure(int(m), ctx) for m in vm.m_values])
+    chi, chi_bar = fock.vform_matrices(a_max, m_max, ctx)
+    n_f = fock.fock_norm_const(ctx)
+    meas = np.array([fock.s_measure(m, ctx) for m in range(m_max + 1)])
     # the largest term of the m-sums, against identity entries of size 1
-    peak = np.max(np.abs(vm.chi)[:, :, None] * np.abs(meas)[:, None]
-                  * np.abs(vm.chi_bar)[None]) / abs(vm.n_f)
+    peak = np.max(np.abs(chi)[:, :, None] * np.abs(meas)[:, None]
+                  * np.abs(chi_bar)[None]) / abs(n_f)
     refuse_cancellation(peak, 1.0, run.tol, "the m-sum")
-    ident = np.einsum("am,m,mb->ab", vm.chi, meas, vm.chi_bar) / vm.n_f
+    ident = np.einsum("am,m,mb->ab", chi, meas, chi_bar) / n_f
     res_m = float(np.max(np.abs(ident - np.eye(a_max + 1))))
-    # dressed version exercising the gauge prefactors
-    ket = np.array([[vm.ket(a, j) for j in range(len(vm.m_values))]
+    # dressed version exercising the gauge prefactors (mu/lam)^{+-a}
+    r = 1.2 / 0.9
+    ket = np.array([[r ** a * chi[a, j] / n_f for j in range(m_max + 1)]
                     for a in range(a_max + 1)])
-    bra = np.array([[vm.bra(j, a) for a in range(a_max + 1)]
-                    for j in range(len(vm.m_values))])
+    bra = np.array([[r ** (-a) * chi_bar[j, a] for a in range(a_max + 1)]
+                    for j in range(m_max + 1)])
     res_d = float(np.max(np.abs(np.einsum("am,m,mb->ab", ket, meas, bra)
                                 - np.eye(a_max + 1))))
     # a-direction: sum_a chibar[m, a] chi[a, m'], the overlap sum at x = 1
@@ -298,7 +299,7 @@ def _completeness(run):
     def a_sums():
         for m in range(5):
             xi = ctx.q_pow_half(2 * m + 1)
-            target = (-1) ** m * vm.n_f / qseries.bracket(xi)
+            target = (-1) ** m * n_f / qseries.bracket(xi)
             total = ctx.q_pow_half(2 * m * (m + 1)) * orthopoly.overlap_sum(xi, xi, 1, ctx)
             yield relative_residual(total, target)
             if m >= 1:
@@ -314,12 +315,10 @@ def _completeness(run):
 def _antisym(run):
     ctx = run.ctx
     m_w = _default(run.cfg.m_window, 40)
-    vm = fock.vform_matrices(fock.FockRepParams(), _default(run.cfg.a_max, 10),
-                             m_w - 1, ctx, m_min=-m_w)
-    br = np.array([qseries.bracket(ctx.q_pow_half(2 * int(m) + 1))
-                   for m in vm.m_values])
-    sums = np.einsum("am,m,mb->ab", vm.chi, br, vm.chi_bar)
-    scale = float(np.max(np.abs(vm.chi))) ** 2 * float(np.max(np.abs(br)))
+    chi, chi_bar = fock.vform_matrices(_default(run.cfg.a_max, 10), m_w - 1, ctx, m_min=-m_w)
+    br = np.array([qseries.bracket(ctx.q_pow_half(2 * m + 1)) for m in range(-m_w, m_w)])
+    sums = np.einsum("am,m,mb->ab", chi, br, chi_bar)
+    scale = float(np.max(np.abs(chi))) ** 2 * float(np.max(np.abs(br)))
     yield ({"window": f"[-{m_w},{m_w - 1}]", "q": ctx.q},
            float(np.max(np.abs(sums))) / scale)
 
@@ -497,17 +496,15 @@ def _vg_completeness(run):
     gc = run.gamma_ctx()
     ctr = _centre_block(gc.m_window, 25)
     a_max = _default(run.cfg.a_max, 40)
-    dec = vgamma.vgamma_decomposition(gc, 1.1, a_max, ctx)
-    br = np.array([qseries.bracket(gc.gamma * ctx.q ** int(m))
-                   for m in dec.m_values])
+    ket, bra, br = vgamma.vgamma_decomposition(gc, 1.1, a_max, ctx)
 
     def sector_residual(e, ep):
-        g = np.einsum("am,m,mb->ab", dec.ket[e], br, dec.bra[ep])
+        g = np.einsum("am,m,mb->ab", ket[e], br, bra[ep])
         tgt = np.eye(a_max + 1) if e == ep else 0.0
         return float(np.max(np.abs((g - tgt)[:30, :30])))
 
     res_a = worst_residual(sector_residual(e, ep) for e in range(2) for ep in range(2))
-    g = sum(np.einsum("ma,an->mn", dec.bra[e], dec.ket[e]) for e in range(2))
+    g = sum(np.einsum("ma,an->mn", bra[e], ket[e]) for e in range(2))
     tgt = np.diag(1.0 / br)
     res_m = float(np.max(np.abs((g - tgt)[ctr, ctr]))
                   / np.max(np.abs(tgt[ctr, ctr])))

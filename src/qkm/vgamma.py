@@ -17,15 +17,14 @@ import numpy as np
 
 from .context import QContext
 from .errors import DomainError, OverflowGuard, PoleHit, SingularMeasure
-from .fock import brace, refuse_undecayed_sum, sqrt_qpoch2_table
-from .orthopoly import lattice_brace_sums, overlap_sum, scaled_poly_values
+from .fock import brace, lattice_rows, refuse_undecayed_sum
+from .orthopoly import lattice_brace_sums, overlap_sum
 from .qseries import (ThetaKind, bilateral_walk, bracket, log_qpoch_table,
                       qpoch_inf, qpoch_inf_multi, tail_sum, theta_product)
 from .report import CheckResult, relative_residual, worst_residual
 
 __all__ = [
-    "GammaContext", "gamma_norm_const", "GammaDecomposition",
-    "vgamma_decomposition", "weight_Veps", "weight_Veps_table",
+    "GammaContext", "gamma_norm_const", "vgamma_decomposition", "weight_Veps", "weight_Veps_table",
     "weight_Veps_from_overlaps", "brace_gamma_residuals", "brace_gamma_check",
     "km_V", "km_S", "km_Phi", "km_kappa", "star_triangle_km",
     "km_log_z", "km_partition_checks", "windowed_bilateral_sum",
@@ -81,50 +80,37 @@ def gamma_norm_const(gc: GammaContext, ctx: QContext) -> complex:
     return -2.0 * theta_product(ThetaKind.H, gc.gamma, ctx)
 
 
-@dataclass
-class GammaDecomposition:
-    """Overlap matrices between the spin lattice and the two Fock sectors.
+def vgamma_decomposition(gc: GammaContext, mu, a_max: int, ctx: QContext):
+    """Sector overlaps ``(ket, bra, measure)`` on the window |m| <= m_window.
 
-    ``ket[e, a, j]`` is <eps, a | mu, m_values[j]> and ``bra[e, j, a]``
-    is <mu, m_values[j] | eps, a>, with e = 0 for eps = +1, e = 1 for
-    eps = -1.
+    ``ket[e, a, j]`` is <eps, a | mu, m> and ``bra[e, j, a]`` is
+    <mu, m | eps, a> at m = j - m_window, with e = 0 for eps = +1 and e = 1
+    for eps = -1.  ``measure[j]`` is the site measure [gamma q^m]; a window
+    on which it vanishes is refused with SingularMeasure.
     """
-    ket: np.ndarray
-    bra: np.ndarray
-    m_values: np.ndarray
-
-
-def vgamma_decomposition(gc: GammaContext, mu, a_max: int,
-                         ctx: QContext) -> GammaDecomposition:
-    """Build the sector overlap matrices on the window |m| <= m_window."""
     mu = complex(mu)
     q = ctx.q
     gamma = gc.gamma
-    m_values = np.arange(-gc.m_window, gc.m_window + 1)
-    for m in m_values:
-        if abs(bracket(gamma * q ** int(m))) < 1e-12:
-            raise SingularMeasure(f"[gamma q^m] vanishes at m = {m}")
-    n_m = len(m_values)
-    ket = np.empty((2, a_max + 1, n_m), dtype=complex)
-    bra = np.empty((2, n_m, a_max + 1), dtype=complex)
+    ms = np.arange(-gc.m_window, gc.m_window + 1)
+    xis = [gamma * q ** int(m) for m in ms]
+    measure = np.array([bracket(xi) for xi in xis])
+    singular = np.flatnonzero(np.abs(measure) < 1e-12)
+    if singular.size:
+        raise SingularMeasure(f"[gamma q^m] vanishes at m = {ms[singular[0]]}")
+    # site * q^{a^2/2} P_a / sqrt((q^2;q^2)_a); bounded for all (a, m)
+    rows = lattice_rows(xis, [gamma ** int(m) * ctx.q_pow_half(int(m) ** 2) for m in ms],
+                        a_max, ctx)
     n_gamma = gamma_norm_const(gc, ctx)
-    norms = sqrt_qpoch2_table(ctx, a_max)
-    a_range = np.arange(a_max + 1)
-    mu_pow = mu ** a_range
-    q_pow = q ** a_range
-    alt_a = (-1.0) ** a_range
-    for j, m in enumerate(m_values):
-        m = int(m)
-        xi = gamma * q ** m
-        site = gamma ** m * ctx.q_pow_half(m * m)
-        # site * q^{a^2/2} P_a / sqrt((q^2;q^2)_a); bounded for all (a, m)
-        rows = scaled_poly_values(a_max, xi, ctx, scale=site) / norms
-        sign_m = (-1.0) ** (m % 2)
-        for e, eps in enumerate((1, -1)):
-            parity = np.array([eps if (a + m) % 2 else 1 for a in a_range])
-            ket[e, :, j] = mu_pow * parity * rows / n_gamma
-            bra[e, j, :] = sign_m * alt_a * parity / mu_pow * q_pow * rows
-    return GammaDecomposition(ket=ket, bra=bra, m_values=m_values)
+    a = np.arange(a_max + 1)[:, None]
+    mu_pow = mu ** a
+    sign = np.where(ms % 2, -1.0, 1.0) * (-1.0) ** a  # (-)^m (-)^a
+    ket = np.empty((2, a_max + 1, len(ms)), dtype=complex)
+    bra = np.empty((2, len(ms), a_max + 1), dtype=complex)
+    for e, eps in enumerate((1, -1)):
+        parity = np.where((a + ms) % 2, eps, 1)
+        ket[e] = mu_pow * parity * rows / n_gamma
+        bra[e] = (sign * parity / mu_pow * q ** a * rows).T
+    return ket, bra, measure
 
 
 def weight_Veps(x, eps: int, m: int, mp: int, gc: GammaContext,

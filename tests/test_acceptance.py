@@ -75,16 +75,16 @@ def test_criterion_04_completeness():
     started = time.perf_counter()
     ctx = QContext(q=0.4)
     a_max, m_max = 14, 50
-    vm = fock.vform_matrices(fock.FockRepParams(omega=1.1, lam=0.9, mu=1.2),
-                             a_max, m_max, ctx)
-    meas = np.array([fock.s_measure(int(m), ctx) for m in vm.m_values])
-    ident = np.einsum("am,m,mb->ab", vm.chi, meas, vm.chi_bar) / vm.n_f
+    chi, chi_bar = fock.vform_matrices(a_max, m_max, ctx)
+    n_f = fock.fock_norm_const(ctx)
+    meas = np.array([fock.s_measure(m, ctx) for m in range(m_max + 1)])
+    ident = np.einsum("am,m,mb->ab", chi, meas, chi_bar) / n_f
     worst = float(np.max(np.abs(ident - np.eye(a_max + 1))))
     # dual direction, adaptively truncated in the occupation label
     from qkm.orthopoly import overlap_sum
     for m in range(5):
         xi = ctx.q_pow_half(2 * m + 1)
-        target = (-1) ** m * vm.n_f / qseries.bracket(xi)
+        target = (-1) ** m * n_f / qseries.bracket(xi)
         diag = ctx.q_pow_half(2 * m * (m + 1)) * overlap_sum(xi, xi, 1, ctx)
         worst = max(worst, relative_residual(diag, target))
         if m:
@@ -92,11 +92,10 @@ def test_criterion_04_completeness():
                    * overlap_sum(xi, ctx.q_pow_half(2 * m - 1), 1, ctx))
             worst = max(worst, abs(off) / abs(target))
     # antisymmetric window sum
-    vm2 = fock.vform_matrices(fock.FockRepParams(), 10, 39, ctx, m_min=-40)
-    br = np.array([qseries.bracket(ctx.q_pow_half(2 * int(m) + 1))
-                   for m in vm2.m_values])
-    sums = np.einsum("am,m,mb->ab", vm2.chi, br, vm2.chi_bar)
-    scale = float(np.max(np.abs(vm2.chi))) ** 2 * float(np.max(np.abs(br)))
+    chi2, chi_bar2 = fock.vform_matrices(10, 39, ctx, m_min=-40)
+    br = np.array([qseries.bracket(ctx.q_pow_half(2 * m + 1)) for m in range(-40, 40)])
+    sums = np.einsum("am,m,mb->ab", chi2, br, chi_bar2)
+    scale = float(np.max(np.abs(chi2))) ** 2 * float(np.max(np.abs(br)))
     worst = max(worst, float(np.max(np.abs(sums))) / scale)
     _line(4, "eigenbasis completeness and antisymmetric sum", worst, 1e-8,
           time.perf_counter() - started, 30.0)
@@ -142,11 +141,11 @@ def test_criterion_06_vgamma_suite():
     # completeness for every listed gamma
     for gamma in gammas:
         gc = vgamma.GammaContext(gamma=gamma, m_window=40)
-        dec = vgamma.vgamma_decomposition(gc, 1.1, 40, ctx)
-        br = np.array([qseries.bracket(gamma * q ** int(m)) for m in dec.m_values])
+        ket, bra, br = vgamma.vgamma_decomposition(gc, 1.1, 40, ctx)
+        assert np.array_equal(br, [qseries.bracket(gamma * q ** m) for m in range(-40, 41)])
         for e in range(2):
             for ep in range(2):
-                g = np.einsum("am,m,mb->ab", dec.ket[e], br, dec.bra[ep])
+                g = np.einsum("am,m,mb->ab", ket[e], br, bra[ep])
                 tgt = np.eye(41) if e == ep else 0.0
                 worst = max(worst, float(np.max(np.abs((g - tgt)[:28, :28]))))
     # projector algebra at the generic point

@@ -85,18 +85,18 @@ def test_spectral_experiment_refuses_too_few_eigenvalues_and_rule_iii_limits():
 
 
 def test_vform_zero_row():
-    vm = vform_matrices(FockRepParams(), 6, 10, CTX)
-    for j, m in enumerate(vm.m_values):
-        expect = CTX.q_pow_half(int(m) * (int(m) + 1))
-        assert abs(vm.chi[0, j] - expect) < 1e-14
+    chi, _ = vform_matrices(6, 10, CTX)
+    for m in range(11):
+        expect = CTX.q_pow_half(m * (m + 1))
+        assert abs(chi[0, m] - expect) < 1e-14
 
 
 def test_completeness_m_sum():
     for q in (0.3, 0.4, 0.5):
         ctx = QContext(q=q)
-        vm = vform_matrices(FockRepParams(omega=1.1, lam=0.9, mu=1.2), 12, 50, ctx)
-        meas = np.array([s_measure(int(m), ctx) for m in vm.m_values])
-        ident = np.einsum("am,m,mb->ab", vm.chi, meas, vm.chi_bar) / vm.n_f
+        chi, chi_bar = vform_matrices(12, 50, ctx)
+        meas = np.array([s_measure(m, ctx) for m in range(51)])
+        ident = np.einsum("am,m,mb->ab", chi, meas, chi_bar) / fock_norm_const(ctx)
         assert np.max(np.abs(ident - np.eye(13))) < 1e-8
 
 
@@ -106,19 +106,19 @@ def test_completeness_rows_stay_finite_at_negative_q():
     ctx = QContext(q=-0.3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vm = vform_matrices(FockRepParams(omega=1.1, lam=0.9, mu=1.2), 14, 50, ctx)
-    assert np.all(np.isfinite(vm.chi))
-    meas = np.array([s_measure(int(m), ctx) for m in vm.m_values])
-    ident = np.einsum("am,m,mb->ab", vm.chi, meas, vm.chi_bar) / vm.n_f
+        chi, chi_bar = vform_matrices(14, 50, ctx)
+    assert np.all(np.isfinite(chi))
+    meas = np.array([s_measure(m, ctx) for m in range(51)])
+    ident = np.einsum("am,m,mb->ab", chi, meas, chi_bar) / fock_norm_const(ctx)
     assert np.max(np.abs(ident - np.eye(15))) < 1e-8
 
 
 def test_antisymmetric_window_sum():
     m_w = 30
-    vm = vform_matrices(FockRepParams(), 8, m_w - 1, CTX, m_min=-m_w)
-    br = np.array([bracket(CTX.q_pow_half(2 * int(m) + 1)) for m in vm.m_values])
-    sums = np.einsum("am,m,mb->ab", vm.chi, br, vm.chi_bar)
-    assert np.max(np.abs(sums)) < 1e-10 * np.max(np.abs(vm.chi)) ** 2 * np.max(np.abs(br))
+    chi, chi_bar = vform_matrices(8, m_w - 1, CTX, m_min=-m_w)
+    br = np.array([bracket(CTX.q_pow_half(2 * m + 1)) for m in range(-m_w, m_w)])
+    sums = np.einsum("am,m,mb->ab", chi, br, chi_bar)
+    assert np.max(np.abs(sums)) < 1e-10 * np.max(np.abs(chi)) ** 2 * np.max(np.abs(br))
 
 
 def test_brace_base_values():
@@ -208,7 +208,7 @@ def test_q_tables_are_not_retained():
         ctx = QContext(q=0.3 + 0.01 * k)
         contexts.append(ctx)
         poly_P(8, 0.7 * cmath.exp(0.1j * k), ctx, PolyEvalMethod.EXPLICIT_SUM)
-        vform_matrices(FockRepParams(), 10, 20, ctx)
+        vform_matrices(10, 20, ctx)
         vgamma_decomposition(GammaContext(gamma=0.7 * cmath.exp(0.4j), m_window=10),
                              1.1, 8, ctx)
         cg_table(6, 2, P1, P2, OMEGA, ctx)
@@ -338,12 +338,12 @@ def test_cg_raising_identity():
 
 def test_brace_spin_sum_route_matches_cg_kernel():
     # the weighted eigenbasis triple sum equals (-q)^c {a,b,c} / norms
-    vm = vform_matrices(FockRepParams(), 10, 60, CTX)
-    meas = np.array([s_measure(int(m), CTX) for m in vm.m_values])
+    chi, chi_bar = vform_matrices(10, 60, CTX)
+    meas = np.array([s_measure(m, CTX) for m in range(61)])
     norm = -CTX.q_pow_half(-1) * qpoch_inf(Q, Q, CTX)  # -q^{-1/2} (q; q)_inf
     roots = sqrt_qpoch2_table(CTX, 4)
     for (a, b, c) in ((0, 0, 0), (1, 2, 1), (3, 1, 2), (4, 4, 3)):
-        lhs = np.sum(vm.chi[a] * vm.chi[b] * meas * vm.chi_bar[:, c]) / norm
+        lhs = np.sum(chi[a] * chi[b] * meas * chi_bar[:, c]) / norm
         rhs = (-Q) ** c * brace(a, b, c, CTX) / (roots[a] * roots[b] * roots[c])
         assert abs(lhs - rhs) < 1e-10 * abs(rhs)
 

@@ -11,7 +11,7 @@ import pytest
 
 from qkm.context import QContext
 from qkm.errors import DomainError, OverflowGuard, PoleHit, SingularMeasure
-from qkm.fock import BraceMethod, FockRepParams, brace, vform_matrices
+from qkm.fock import BraceMethod, brace, fock_norm_const, vform_matrices
 from qkm.orthopoly import lattice_brace_sums, poly_rows
 from qkm.qseries import bracket
 from qkm.vgamma import (GammaContext, brace_gamma_check,
@@ -40,16 +40,17 @@ def test_selected_needs_half_integer():
 
 
 def test_completeness_both_directions():
-    dec = vgamma_decomposition(GENERIC, 1.1, 40, CTX)
-    br = np.array([bracket(GENERIC.gamma * Q ** int(m)) for m in dec.m_values])
+    ket, bra, measure = vgamma_decomposition(GENERIC, 1.1, 40, CTX)
+    br = np.array([bracket(GENERIC.gamma * Q ** m) for m in range(-40, 41)])
+    assert np.allclose(measure, br, rtol=1e-14, atol=0)
     for e in range(2):
         for ep in range(2):
-            g = np.einsum("am,m,mb->ab", dec.ket[e], br, dec.bra[ep])
+            g = np.einsum("am,m,mb->ab", ket[e], br, bra[ep])
             tgt = np.eye(41) if e == ep else np.zeros((41, 41))
             assert np.max(np.abs((g - tgt)[:30, :30])) < 1e-8
-    g = sum(np.einsum("ma,an->mn", dec.bra[e], dec.ket[e]) for e in range(2))
+    g = sum(np.einsum("ma,an->mn", bra[e], ket[e]) for e in range(2))
     tgt = np.diag(1.0 / br)
-    n = len(dec.m_values)
+    n = len(br)
     ctr = slice(n // 2 - 25, n // 2 + 26)
     rel = np.max(np.abs((g - tgt)[ctr, ctr])) / np.max(np.abs(tgt[ctr, ctr]))
     assert rel < 1e-8
@@ -63,15 +64,15 @@ def test_singular_measure_detected():
 
 
 def test_parity_action_on_sectors():
-    dec = vgamma_decomposition(GENERIC, 1.0, 8, CTX)
-    mv = dec.m_values
+    _, bra, _ = vgamma_decomposition(GENERIC, 1.0, 8, CTX)
+    mv = np.arange(-GENERIC.m_window, GENERIC.m_window + 1)
     for e, eps in ((0, 1), (1, -1)):
         for j in range(5, len(mv) - 5):
             m = int(mv[j])
             for a in range(6):
-                lhs = dec.bra[e][j - 1, a] - dec.bra[e][j + 1, a]
+                lhs = bra[e][j - 1, a] - bra[e][j + 1, a]
                 rhs = eps * Q ** a * CTX.q_pow_half(1) * bracket(GENERIC.gamma * Q ** m) \
-                    * dec.bra[e][j, a]
+                    * bra[e][j, a]
                 assert abs(lhs - rhs) < 1e-12
 
 
@@ -79,17 +80,18 @@ def test_half_integer_gamma_reduces_to_fock():
     # at gamma = q^{1/2} the even sector reproduces the one-tower basis and
     # the odd sector annihilates symmetrised states
     gc = GammaContext(gamma=CTX.q_pow_half(1), m_window=30)
-    dec = vgamma_decomposition(gc, 1.0, 10, CTX)
-    vm = vform_matrices(FockRepParams(), 10, 30, CTX)
-    j0 = int(np.where(dec.m_values == 0)[0][0])
+    ket, bra, _ = vgamma_decomposition(gc, 1.0, 10, CTX)
+    chi, chi_bar = vform_matrices(10, 30, CTX)
+    n_f = fock_norm_const(CTX)
+    j0 = gc.m_window  # the column of m = 0
     for m in range(8):
         jm, jneg = j0 + m, j0 - 1 - m
         for a in range(8):
-            sym = 0.5 * (dec.ket[0][a, jm] + dec.ket[0][a, jneg])
-            assert abs(sym - 0.5 * vm.ket(a, m)) < 1e-12
-            anti = 0.5 * (dec.ket[1][a, jm] + dec.ket[1][a, jneg])
+            sym = 0.5 * (ket[0][a, jm] + ket[0][a, jneg])
+            assert abs(sym - 0.5 * chi[a, m] / n_f) < 1e-12
+            anti = 0.5 * (ket[1][a, jm] + ket[1][a, jneg])
             assert abs(anti) < 1e-13
-            assert abs(dec.bra[0][jm, a] - (-1) ** m * vm.bra(m, a)) < 1e-12
+            assert abs(bra[0][jm, a] - (-1) ** m * chi_bar[m, a]) < 1e-12
 
 
 def test_gamma_norm_doubles_fock_norm():
