@@ -52,6 +52,11 @@ def _parse(cast, text: str, what: str):
         raise UsageError(f"cannot parse {what} {text!r}") from exc
 
 
+def _check_format(fmt: str, allowed) -> None:
+    if fmt not in allowed:
+        raise UsageError(f"unknown format {fmt!r} (choose {', '.join(allowed)})")
+
+
 def _int_pair(text: str) -> tuple[int, int]:
     lo, hi = text.split(":")
     return int(lo), int(hi)
@@ -108,8 +113,7 @@ def _build_run_config(args) -> RunConfig:
                         ("a-max", cfg.a_max)):
         if value is not None and not value > 0:
             raise UsageError(f"--{flag} must be positive, got {value}")
-    if cfg.fmt not in ("human", "json", "csv"):
-        raise UsageError(f"unknown format {cfg.fmt!r}")
+    _check_format(cfg.fmt, ("human", "json", "csv"))
     return cfg
 
 
@@ -152,9 +156,11 @@ def cmd_verify(args, stream) -> int:
 
 
 def cmd_table(args, stream) -> int:
+    _check_format(args.format, ("csv", "json"))
     m_lo, m_hi = _parse(_int_pair, args.m_range, "--m-range lo:hi")
     mp_lo, mp_hi = _parse(_int_pair, args.mp_range, "--mp-range lo:hi")
-    if m_hi < m_lo or mp_hi < mp_lo or args.points < 1:
+    points = _parse(int, args.points, "--points")
+    if m_hi < m_lo or mp_hi < mp_lo or points < 1:
         raise UsageError("empty grid: each range needs lo <= hi, and --points >= 1")
     rows = []
     if args.weight_id == "fock.V":
@@ -176,11 +182,11 @@ def cmd_table(args, stream) -> int:
             for mp in range(mp_lo, mp_hi + 1):
                 rows.append((m, mp, vgamma.km_V(x, m, mp, gc, ctx)))
     elif args.weight_id == "modular.V":
-        theta = DEFAULT_THETA if args.theta is None else args.theta
+        theta = DEFAULT_THETA if args.theta is None else _parse(float, args.theta, "--theta")
         mc = modular.ModularContext(theta=theta)
         mu = parse_complex(args.mu) if args.mu else 0.15j + mc.eta / 3
-        xs = np.linspace(m_lo, m_hi, args.points)
-        ys = np.linspace(mp_lo, mp_hi, args.points)
+        xs = np.linspace(m_lo, m_hi, points)
+        ys = np.linspace(mp_lo, mp_hi, points)
         for x in xs:
             for y in ys:
                 rows.append((float(x), float(y),
@@ -244,13 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--q", default=None, help="deformation parameter (complex)")
     ver.add_argument("--gamma", default=None,
                      help="gamma: complex, 'generic:C', or 'selected:NU'")
-    ver.add_argument("--theta", type=float, default=None,
-                     help="modular angle, b = exp(i theta)")
-    ver.add_argument("--tol", type=float, default=None, help="tolerance override")
-    ver.add_argument("--seed", type=int, default=None, help="seed for random points")
-    ver.add_argument("--format", default=None, choices=("human", "json", "csv"))
-    ver.add_argument("--m-window", dest="m_window", type=int, default=None)
-    ver.add_argument("--a-max", dest="a_max", type=int, default=None)
+    ver.add_argument("--theta", default=None, help="modular angle, b = exp(i theta)")
+    ver.add_argument("--tol", default=None, help="tolerance override")
+    ver.add_argument("--seed", default=None, help="seed for random points (integer)")
+    ver.add_argument("--format", default=None,
+                     help="report format: human (default), json or csv")
+    ver.add_argument("--m-window", dest="m_window", default=None, help="spin table window")
+    ver.add_argument("--a-max", dest="a_max", default=None, help="occupation table cutoff")
     ver.add_argument("--config", default=None, help="INI config file")
 
     tab = sub.add_parser("table", help="emit weight values over a grid")
@@ -259,12 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--mu", default=None, help="modular weight label (complex)")
     tab.add_argument("--q", default=None)
     tab.add_argument("--gamma", default=None)
-    tab.add_argument("--theta", type=float, default=None)
+    tab.add_argument("--theta", default=None, help="modular angle (modular.V)")
     tab.add_argument("--m-range", dest="m_range", default="0:5", help="lo:hi")
     tab.add_argument("--mp-range", dest="mp_range", default="0:5", help="lo:hi")
-    tab.add_argument("--points", type=int, default=6,
-                     help="grid points per axis (modular.V)")
-    tab.add_argument("--format", default="csv", choices=("csv", "json"))
+    tab.add_argument("--points", default="6", help="grid points per axis (modular.V)")
+    tab.add_argument("--format", default="csv", help="output format: csv (default) or json")
 
     spec = sub.add_parser("spectrum", help="truncated-operator spectral run")
     spec.add_argument("--N-list", dest="n_list", default="8,16,24,32")

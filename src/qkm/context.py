@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import DomainError, OverflowGuard
 
 
 @dataclass(frozen=True)
@@ -39,5 +39,14 @@ class QContext:
         object.__setattr__(self, "q_half", q ** 0.5)
 
     def q_pow_half(self, k: int) -> complex:
-        """q**(k/2) for integer k, on the branch fixed at construction."""
-        return self.q_half ** k
+        """q**(k/2) for integer k, on the branch fixed at construction.
+
+        One arithmetic for every integer type of ``k``: Python's complex
+        power.  A result past double range is refused with OverflowGuard;
+        one that underflows is 0, a value like any other.
+        """
+        try:
+            return self.q_half ** int(k)
+        except (OverflowError, ZeroDivisionError):
+            raise OverflowGuard(f"q^({k}/2) at |q| = {abs(self.q):.3g} "
+                                "leaves double range") from None

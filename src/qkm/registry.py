@@ -330,7 +330,8 @@ def _spectral(run):
     q = q.real
     for reg in (fock.Regularisation.I, fock.Regularisation.II):
         vals = fock.spectral_experiment(q, 32, reg)[:fock.SPECTRAL_BRANCHES]
-        errs = np.abs(vals - fock.branch_limits(q, reg))
+        limits = fock.branch_limits(q, reg)
+        errs = np.abs(vals - limits) / np.abs(limits)  # relative: the limits reach q^{-7/2}
         yield ({"reg": reg.value, "q": q, "N": 32, "errors": [float(e) for e in errs]},
                float(np.max(errs)))
     odd, even = (np.abs(fock.spectral_experiment(q, n, fock.Regularisation.III)

@@ -24,8 +24,8 @@ from .qseries import (ThetaKind, bilateral_walk, bracket, log_qpoch_table,
 from .report import CheckResult, relative_residual, worst_residual
 
 __all__ = [
-    "GammaContext", "gamma_norm_const", "vgamma_decomposition", "weight_Veps", "weight_Veps_table",
-    "weight_Veps_from_overlaps", "brace_gamma_residuals", "brace_gamma_check",
+    "GammaContext", "gamma_norm_const", "vgamma_decomposition", "weight_Veps",
+    "weight_Veps_table", "weight_Veps_from_overlaps", "brace_gamma_residuals", "brace_gamma_check",
     "km_V", "km_S", "km_Phi", "km_kappa", "star_triangle_km",
     "km_log_z", "km_partition_checks", "windowed_bilateral_sum",
 ]
@@ -92,24 +92,26 @@ def vgamma_decomposition(gc: GammaContext, mu, a_max: int, ctx: QContext):
     q = ctx.q
     gamma = gc.gamma
     ms = np.arange(-gc.m_window, gc.m_window + 1)
-    xis = [gamma * q ** int(m) for m in ms]
+    try:
+        xis = [gamma * q ** int(m) for m in ms]
+        sites = [gamma ** int(m) for m in ms]
+    except (OverflowError, ZeroDivisionError):
+        raise OverflowGuard(f"gamma q^m or gamma^m leaves double range on |m| <= "
+                            f"{gc.m_window} at |q| = {abs(q):.3g}") from None
     measure = np.array([bracket(xi) for xi in xis])
     singular = np.flatnonzero(np.abs(measure) < 1e-12)
     if singular.size:
         raise SingularMeasure(f"[gamma q^m] vanishes at m = {ms[singular[0]]}")
     # site * q^{a^2/2} P_a / sqrt((q^2;q^2)_a); bounded for all (a, m)
-    rows = lattice_rows(xis, [gamma ** int(m) * ctx.q_pow_half(int(m) ** 2) for m in ms],
+    rows = lattice_rows(xis, [g * ctx.q_pow_half(int(m) ** 2) for g, m in zip(sites, ms)],
                         a_max, ctx)
     n_gamma = gamma_norm_const(gc, ctx)
     a = np.arange(a_max + 1)[:, None]
     mu_pow = mu ** a
     sign = np.where(ms % 2, -1.0, 1.0) * (-1.0) ** a  # (-)^m (-)^a
-    ket = np.empty((2, a_max + 1, len(ms)), dtype=complex)
-    bra = np.empty((2, len(ms), a_max + 1), dtype=complex)
-    for e, eps in enumerate((1, -1)):
-        parity = np.where((a + ms) % 2, eps, 1)
-        ket[e] = mu_pow * parity * rows / n_gamma
-        bra[e] = (sign * parity / mu_pow * q ** a * rows).T
+    parities = [np.where((a + ms) % 2, eps, 1) for eps in (1, -1)]
+    ket = np.stack([mu_pow * parity * rows / n_gamma for parity in parities])
+    bra = np.stack([(sign * parity / mu_pow * q ** a * rows).T for parity in parities])
     return ket, bra, measure
 
 

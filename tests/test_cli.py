@@ -384,7 +384,33 @@ def test_table_modular_symmetric():
 def test_table_formats_are_csv_and_json(capsys):
     rc, out = run_cli(["table", "fock.V", "--format", "human"])
     assert rc == 2 and out == ""
-    assert "invalid choice: 'human'" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unknown format 'human' (choose csv, json)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theta", "abc"], ["verify", "--seed", "x"], ["verify", "--m-window", "1.5"],
+    ["verify", "--format", "xml"], ["table", "fock.V", "--points", "x"],
+    ["table", "fock.V", "--format", "xml"],
+], ids=" ".join)
+def test_flag_values_parse_like_config_values(argv, capsys):
+    # a flag value takes the config value's parse path: one error line, not
+    # argparse's usage block
+    rc, out = run_cli(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and out == ""
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_catalogue_at_tiny_q_has_no_error_and_no_warning(capsys):
+    # powers of q past double range are OverflowGuard refusals: no ERROR
+    # report and no numpy RuntimeWarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out = run_cli(["verify", "--format", "json", "--q", "1e-8"])
+    assert rc == 1
+    assert "ERROR" not in {r["verdict"] for r in json.loads(out)}
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
 
 
 def test_table_unknown_weight():

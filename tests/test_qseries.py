@@ -535,6 +535,28 @@ def test_context_validation():
     assert ctx.q_pow_half(3) == pytest.approx(complex(0.4) ** 1.5)
 
 
+def test_q_pow_half_one_arithmetic_for_every_integer_type():
+    # numpy's power of an np.int64 and Python's of an int part in the last
+    # bits at q = 0.4 from k = 100 on; both now take Python's
+    ctx = QContext(q=0.4)
+    for k in (100, 117, 200, -200):
+        assert ctx.q_pow_half(np.int64(k)) == ctx.q_pow_half(k) == ctx.q_half ** k
+
+
+def test_q_pow_half_refuses_overflow_and_keeps_underflow():
+    # q^{-k/2} past double range raises OverflowGuard, whether the power
+    # overflows (q = 1e-8) or its reciprocal underflows first (q = 1e-60);
+    # a power that underflows is 0, a value (0.4^820 in fock.completeness)
+    for q, k in ((1e-8, -79), (1e-60, -11)):
+        for kind in (int, np.int64):
+            with pytest.raises(OverflowGuard):
+                QContext(q=q).q_pow_half(kind(k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in (int, np.int64):
+            assert QContext(q=0.4).q_pow_half(kind(1640)) == 0
+
+
 def test_context_branch_consistency_negative_q():
     ctx = QContext(q=-0.3)
     # all half-integer powers share the principal branch fixed at construction

@@ -63,6 +63,12 @@ def test_singular_measure_detected():
         vgamma_decomposition(gc, 1.0, 5, CTX)
 
 
+def test_decomposition_past_double_range_is_refused():
+    # q^m at m = -40 and q = 1e-8 leaves double range: a refusal, not an OverflowError
+    with pytest.raises(OverflowGuard):
+        vgamma_decomposition(GENERIC, 1.1, 8, QContext(q=1e-8))
+
+
 def test_parity_action_on_sectors():
     _, bra, _ = vgamma_decomposition(GENERIC, 1.0, 8, CTX)
     mv = np.arange(-GENERIC.m_window, GENERIC.m_window + 1)
