@@ -166,7 +166,7 @@ def vform_matrices(a_max: int, m_max: int, ctx: QContext,
     if a_max < 1 or m_max < 1:
         raise DomainError("need a_max, m_max >= 1")
     q = ctx.q
-    ms = np.arange(m_min, m_max + 1)
+    ms = range(m_min, m_max + 1)
     chi = lattice_rows([ctx.q_pow_half(2 * m + 1) for m in ms],
                        [ctx.q_pow_half(m * (m + 1)) for m in ms], a_max, ctx)
     signs = np.array([(-1) ** a * q ** a for a in range(a_max + 1)])

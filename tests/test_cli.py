@@ -135,10 +135,12 @@ def test_falsy_or_nonpositive_override_is_usage_error(flags, capsys):
     ["verify", "--gamma", "selected:abc"], ["table", "vgamma.Vbold", "--gamma", "selected:x"],
     ["table", "fock.V", "--m-range", "3"], ["table", "fock.V", "--m-range", "a:b"],
     ["spectrum", "--N-list", "a,b"], ["spectrum", "--q", "0.3+0.1j"],
-    ["verify", "--config", "{ini}"],
+    ["verify", "--config", "{ini}"], ["verify", "--theta", "abc"], ["verify", "--seed", "x"],
+    ["verify", "--m-window", "1.5"], ["table", "fock.V", "--points", "x"],
 ], ids=" ".join)
 def test_malformed_argument_is_usage_error(argv, tmp_path, capsys):
-    # a ValueError from parsing would escape as a traceback with exit 1, FAIL's code
+    # a ValueError from parsing would escape as a traceback with exit 1, FAIL's
+    # code; a flag value takes the config value's parse path, not argparse's
     ini = tmp_path / "run.ini"
     ini.write_text("[run]\nseed = abc\n")
     rc, out = run_cli([a.format(ini=ini) for a in argv])
@@ -387,18 +389,13 @@ def test_table_formats_are_csv_and_json(capsys):
     assert capsys.readouterr().err == "error: unknown format 'human' (choose csv, json)\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--theta", "abc"], ["verify", "--seed", "x"], ["verify", "--m-window", "1.5"],
-    ["verify", "--format", "xml"], ["table", "fock.V", "--points", "x"],
-    ["table", "fock.V", "--format", "xml"],
-], ids=" ".join)
-def test_flag_values_parse_like_config_values(argv, capsys):
-    # a flag value takes the config value's parse path: one error line, not
-    # argparse's usage block
+@pytest.mark.parametrize("argv", [["verify", "--format", "xml"],
+                                  ["table", "fock.V", "--format", "xml"]], ids=" ".join)
+def test_unknown_format_is_one_error_line(argv, capsys):
     rc, out = run_cli(argv)
     err = capsys.readouterr().err.splitlines()
     assert rc == 2 and out == ""
-    assert len(err) == 1 and err[0].startswith("error: ")
+    assert len(err) == 1 and err[0].startswith("error: unknown format 'xml' (choose ")
 
 
 def test_catalogue_at_tiny_q_has_no_error_and_no_warning(capsys):
