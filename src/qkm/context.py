@@ -50,3 +50,11 @@ class QContext:
         except (OverflowError, ZeroDivisionError):
             raise OverflowGuard(f"q^({k}/2) at |q| = {abs(self.q):.3g} "
                                 "leaves double range") from None
+
+    def q_pow(self, k: int) -> complex:
+        """q**k for integer k, by the same arithmetic and refusal as q_pow_half."""
+        try:
+            return self.q ** int(k)
+        except (OverflowError, ZeroDivisionError):
+            raise OverflowGuard(f"q^({k}) at |q| = {abs(self.q):.3g} "
+                                "leaves double range") from None

@@ -324,16 +324,17 @@ def poly_P_difference_checks(n: int, xi, ctx: QContext):
     if min(abs(xi - 1), abs(xi + 1)) < 1e-6:
         raise DegenerateArgument("difference quotient singular at xi = +-1; perturb xi")
     q = ctx.q
+    q_n, q_2n = ctx.q_pow(-n), ctx.q_pow(-2 * n)
     p = poly_P(n, xi, ctx)
     p_up = poly_P(n, q * xi, ctx)
     p_dn = poly_P(n, xi / q, ctx)
     br = xi - 1.0 / xi
-    res_fwd = relative_residual(p, q ** (-n) * (xi * p_up - p_dn / xi) / br)
+    res_fwd = relative_residual(p, q_n * (xi * p_up - p_dn / xi) / br)
     if n == 0:
         res_back = 0.0
     else:
-        lhs = (1 - q ** (-2 * n)) * poly_P(n - 1, xi, ctx)
-        res_back = relative_residual(lhs, q ** (-n) * (p_up - p_dn) / br)
+        lhs = (1 - q_2n) * poly_P(n - 1, xi, ctx)
+        res_back = relative_residual(lhs, q_n * (p_up - p_dn) / br)
     res = worst_residual((res_fwd, res_back))
     return CheckResult({"n": n, "xi": xi, "q": q,
                         "res_difference": res_fwd, "res_backward": res_back}, res)

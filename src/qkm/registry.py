@@ -244,7 +244,7 @@ def _chi_special(run):
     q = ctx.q
     residuals = []
     for m in range(11):
-        lhs = orthopoly.chi(1.1, q ** (-2 * m), ctx)
+        lhs = orthopoly.chi(1.1, ctx.q_pow(-2 * m), ctx)
         rhs = 1.1 ** m * orthopoly.poly_P(m, 1.1, ctx)
         residuals.append(relative_residual(lhs, rhs))
     yield {"u": 1.1, "q": q, "m_max": 10}, worst_residual(residuals)

@@ -10,6 +10,9 @@ generic gamma), and the partition-function functional equations live here.
 from __future__ import annotations
 
 import cmath
+import math
+import operator
+import threading
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -31,9 +34,16 @@ __all__ = [
 ]
 
 _LATTICE_DPS = 30  # working digits of the bilateral brace lattice sums
-# km_V folds its running product into a logarithm outside this band, which
-# leaves 2^523 of head-room on either side for the next factor ratio
+# km_V's chains fold their running products into a logarithm outside this
+# band, which leaves 2^523 of head-room on either side for the next factor
+# ratio, and keeps the product of two running products inside double range
 _FOLD_LOW, _FOLD_HIGH = 2.0 ** -500, 2.0 ** 500
+# a GammaContext keeps the km_V chains of this many (x, q) pairs, dropping
+# the oldest first; a star-triangle check reads six
+_KM_CHAIN_KEYS = 16
+# serialises every change to a chain store, so threads may share a context;
+# reads take no lock
+_KM_CHAIN_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -42,12 +52,14 @@ class GammaContext:
 
     ``nu`` is set only when gamma was constructed exactly as i q^nu with
     2 nu integer (the selected lattice); detection is never attempted by
-    floating-point recognition.
+    floating-point recognition.  ``_km_chains`` is the bounded store of
+    km_V's running-product chains; it is not part of the context's value.
     """
 
     gamma: complex
     m_window: int = 40
     nu: float | None = field(default=None)
+    _km_chains: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if complex(self.gamma) == 0:
@@ -201,54 +213,132 @@ def brace_gamma_check(a: int, b: int, c: int, gamma_list, ctx: QContext):
     return CheckResult(params, worst)
 
 
+class _QRatioChain:
+    """Running products of one finite q-ratio, factor by factor, in one direction.
+
+    State n (n factors taken) is ``(folded log, product)``: the running
+    product of the factor ratios (1 - num)/(1 - den), folded into the log
+    whenever it leaves the band _FOLD_LOW < |product| < _FOLD_HIGH.  After
+    each factor both arguments are shifted by q^2 (``shift`` is operator.mul
+    or operator.truediv).  The chain is extended only when a longer state is
+    read, and it resumes from its stored last arguments, so state n is the
+    same sequence of operations however often and in whatever order it is
+    read.  ``zero`` is the first state past an exactly vanishing numerator
+    factor; ``stop`` is the first state past a vanishing denominator factor
+    (PoleHit) or a factor argument or product outside double range
+    (OverflowGuard), and ends the chain.
+    """
+
+    __slots__ = ("states", "num", "den", "q2", "shift", "zero", "stop")
+
+    def __init__(self, num: complex, den: complex, q2: complex, shift):
+        self.states = [(0j, 1.0 + 0.0j)]
+        self.num, self.den, self.q2, self.shift = num, den, q2, shift
+        self.zero = math.inf
+        self.stop = None  # (exception class, message) once the chain has ended
+
+    def state(self, n: int):
+        """(folded log, product) after n factors; raises past a pole or bad factor."""
+        if n >= len(self.states):
+            with _KM_CHAIN_LOCK:
+                self._extend(n)
+            if n >= len(self.states):
+                error, message = self.stop
+                raise error(message)
+        return self.states[n]
+
+    def _extend(self, n: int):
+        states = self.states
+        log, prod = states[-1]
+        num, den, q2, shift = self.num, self.den, self.q2, self.shift
+        low, high = _FOLD_LOW, _FOLD_HIGH
+        while self.stop is None and len(states) <= n:
+            if not (cmath.isfinite(num) and cmath.isfinite(den)):
+                self.stop = (OverflowGuard, "a factor argument leaves double range")
+                break
+            b = 1.0 - den
+            if abs(b) < 1e-14:
+                self.stop = (PoleHit, f"vanishing denominator factor {b!r} in a finite q-ratio")
+                break
+            t = 1.0 - num
+            if t == 0:
+                self.zero = min(self.zero, len(states))
+            else:
+                prod *= t / b
+                if not low < abs(prod) < high:
+                    if prod == 0 or not cmath.isfinite(prod):
+                        self.stop = (OverflowGuard, "a factor ratio leaves double range")
+                        break
+                    log += cmath.log(prod)
+                    prod = 1.0 + 0.0j
+            states.append((log, prod))
+            num = shift(num, q2)
+            den = shift(den, q2)
+        self.num, self.den = num, den
+
+
+def _qratio_chains(top: complex, bot: complex, q2: complex):
+    """The chains of (top; q^2)_n / (bot; q^2)_n for n >= 0 and for -n < 0.
+
+    For n < 0 the reciprocal extension gives the factor ratios
+    (1 - bot q^{-2j}) / (1 - top q^{-2j}), j = 1 ... |n|, whose arguments
+    are divided by q^2 step by step.  Where q^2 underflows to 0 every one
+    of them is outside double range.
+    """
+    up = _QRatioChain(top, bot, q2, operator.mul)
+    if q2 == 0:
+        return up, _QRatioChain(cmath.inf, cmath.inf, q2, operator.truediv)
+    return up, _QRatioChain(bot / q2, top / q2, q2, operator.truediv)
+
+
 def km_V(x, m: int, mp: int, gc: GammaContext, ctx: QContext) -> complex:
     """Bold edge weight of the rational Kashiwara-Miwa model.
 
     V_x(m, m') = (q/x)^{2m} (x;q^2)_{m-m'} / (q^2/x;q^2)_{m-m'}
     times (g^2 x;q^2)_{m+m'} / (g^2 q^2/x;q^2)_{m+m'} with g = gamma;
     negative Pochhammer indices use the standard reciprocal extension
-    (a;p)_{-n} = 1/(a p^{-n};p)_n.  Each ratio is one loop over its bounded
-    factor ratios (1 - top q^{2k})/(1 - bot q^{2k}); the running product is
-    folded into a logarithm whenever it nears the ends of double range, and
-    one exp at the end gives the weight.  A vanishing denominator factor
-    raises PoleHit, an exactly vanishing numerator factor makes the weight
-    0, and a weight or a factor argument outside double range raises
-    OverflowGuard.
+    (a;p)_{-n} = 1/(a p^{-n};p)_n.  Each of the two q-ratios depends on one
+    integer only, so it is read from running-product chains (one per ratio
+    and sign of its index, see _QRatioChain) that the GammaContext ``gc``
+    holds for each (x, q) it has seen; a grid of M x M spins costs O(M)
+    factor ratios.  The store keeps the chains of the last _KM_CHAIN_KEYS
+    (x, q) pairs and dies with the context.  A chain is built by the same
+    operations whenever it is built, so every weight depends on
+    (x, gamma, q, m, m') alone: the same bits cold or warm, in any call
+    order and after eviction.  One exp of the two folded logs and the
+    product of the two bounded running products gives the weight.  A
+    vanishing denominator factor raises PoleHit, an exactly vanishing
+    numerator factor makes the weight 0, and a weight or a factor argument
+    outside double range raises OverflowGuard.
     """
     x = complex(x)
     if x == 0:
         raise DomainError("weight needs x != 0")
     q = ctx.q
-    q2 = q * q
-    g2 = gc.gamma ** 2
-    prod = 1.0 + 0.0j
-    zero = False
-    low, high = _FOLD_LOW, _FOLD_HIGH
+    store = gc._km_chains
+    chains = store.get((x, q))
+    if chains is None:
+        q2 = q * q
+        g2 = gc.gamma ** 2
+        chains = (*_qratio_chains(x, q2 / x, q2), *_qratio_chains(g2 * x, g2 * q2 / x, q2))
+        with _KM_CHAIN_LOCK:
+            if len(store) >= _KM_CHAIN_KEYS:
+                del store[next(iter(store))]
+            store[x, q] = chains
+    up1, down1, up2, down2 = chains
+    n1, n2 = m - mp, m + mp
+    r1, n1 = (up1, n1) if n1 >= 0 else (down1, -n1)
+    r2, n2 = (up2, n2) if n2 >= 0 else (down2, -n2)
     try:
         log_v = 2 * m * cmath.log(q / x)
-        for top, bot, n in ((x, q2 / x, m - mp), (g2 * x, g2 * q2 / x, m + mp)):
-            if n < 0:
-                top, bot, n = bot * q2 ** n, top * q2 ** n, -n
-            for _ in range(n):
-                b = 1.0 - bot
-                if abs(b) < 1e-14:
-                    raise PoleHit(f"vanishing denominator factor {b!r} in a finite q-ratio")
-                t = 1.0 - top
-                if t == 0:
-                    zero = True
-                else:
-                    prod *= t / b
-                    if not low < abs(prod) < high:
-                        log_v += cmath.log(prod)
-                        prod = 1.0 + 0.0j
-                top *= q2
-                bot *= q2
-        if zero:
+        log1, prod1 = r1.state(n1)
+        log2, prod2 = r2.state(n2)
+        if n1 >= r1.zero or n2 >= r2.zero:
             return 0.0 + 0.0j
-        v = cmath.exp(log_v + cmath.log(prod))
+        v = cmath.exp(log_v + log1 + log2 + cmath.log(prod1 * prod2))
         if cmath.isfinite(v):
             return v
-    except (OverflowError, ValueError, ZeroDivisionError):
+    except (OverflowError, ValueError, OverflowGuard):
         pass
     raise OverflowGuard(f"km_V at (m, m') = ({m}, {mp}): the weight or a factor "
                         "of it leaves double range")
@@ -374,15 +464,16 @@ def km_log_z(x, gc: GammaContext, ctx: QContext) -> complex:
     q = ctx.q
     if not abs(q) ** 3 < abs(x) < 1 / abs(q):
         raise DomainError(f"partition series needs |q|^3 < |x| < 1/|q|, got |x| = {abs(x):.6g}")
+    dual = q * q / x  # (q^2/x)^k, not q^{2k}/x^k: the two powers apart underflow at tiny q
     if gc.nu == 0:
         def terms():
             for n in count(1):
-                yield (-(q ** (2 * n)) * (x ** (2 * n) - q ** (4 * n) / x ** (2 * n))
+                yield (-(q ** (2 * n)) * (x ** (2 * n) - dual ** (2 * n))
                        / (n * (1 - q ** (4 * n)) * (1 + q ** (2 * n))))
     elif abs(gc.nu) == 0.5:
         def terms():
             for n in count(1):
-                yield (-(q ** n + (-(q * q)) ** n) * (x ** n - q ** (2 * n) / x ** n)
+                yield (-(q ** n + (-(q * q)) ** n) * (x ** n - dual ** n)
                        / (n * (1 - q ** (2 * n)) * (1 + q ** n)))
     else:
         raise DomainError("partition series implemented for nu in {0, +-1/2}")

@@ -3,6 +3,7 @@
 import decimal
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -407,6 +408,17 @@ def test_catalogue_at_tiny_q_has_no_error_and_no_warning(capsys):
     assert rc == 1
     assert "ERROR" not in {r["verdict"] for r in json.loads(out)}
     assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+
+
+def test_whole_catalogue_at_q_1e_minus_60_has_no_error(capsys):
+    # every entry gives a verdict or a classified refusal, and no verdict
+    # carries a NaN residual
+    rc, out = run_cli(["verify", "--format", "json", "--q", "1e-60"])
+    reports = json.loads(out)
+    assert rc == 1
+    assert [r["identity_id"] for r in reports if r["verdict"] == "ERROR"
+            or (r["verdict"] != "SKIPPED" and math.isnan(r["residual"]))] == []
     assert capsys.readouterr().err == ""
 
 

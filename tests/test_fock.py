@@ -28,7 +28,7 @@ from qkm.orthopoly import PolyEvalMethod, lattice_brace_sums, poly_P
 from qkm.report import relative_residual
 from qkm.qseries import (bracket, qpoch_finite_table, qpoch_inf,
                          qpoch_inf_multi, tail_walk)
-from qkm.vgamma import GammaContext, vgamma_decomposition
+from qkm.vgamma import GammaContext, km_V, vgamma_decomposition
 
 CTX = QContext(q=0.4)
 Q = 0.4
@@ -213,6 +213,7 @@ def test_q_tables_are_not_retained():
                              1.1, 8, ctx)
         cg_table(6, 2, P1, P2, OMEGA, ctx)
         weight_V_fock(0.7, 1, 2, ctx)
+        km_V(0.7, 5, -3, GammaContext(gamma=0.7 * cmath.exp(0.4j)), ctx)
 
     point(-1)  # imports and first-use set-up
     contexts.clear()

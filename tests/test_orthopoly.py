@@ -359,6 +359,25 @@ def test_difference_check_keeps_a_nan_component():
     assert r.residual < 1e-9
 
 
+def test_difference_checks_refuse_powers_past_double_range():
+    # q^{-6} = 1e360 at q = 1e-60
+    with pytest.raises(OverflowGuard):
+        poly_P_difference_checks(3, 1.3, QContext(q=1e-60))
+
+
+def test_difference_default_reports_are_pinned():
+    # the (res_difference, res_backward) of the default orthopoly.difference
+    # reports; a change that moves them lists the move in CHANGES.md and
+    # updates them here
+    pinned = {(3, 1.3): (2.8859386225249544e-15, 1.9621922505170054e-16),
+              (5, 0.7 + 0.2j): (3.587503122274286e-14, 2.4791783381166786e-16),
+              (0, 2.0): (0.0, 0.0),
+              (8, 1.7): (7.067445744395367e-13, 4.889293693531533e-16)}
+    for (n, xi), want in pinned.items():
+        r = poly_P_difference_checks(n, xi, CTX)
+        assert (r.params["res_difference"], r.params["res_backward"]) == want, (n, xi)
+
+
 def test_difference_oracle_explicit_sum():
     # both sides of the three-point relation assembled from the explicit sum
     n, xi, q = 4, 1.2, 0.4

@@ -2,6 +2,8 @@
 
 import cmath
 import gc
+import sys
+import threading
 import tracemalloc
 from itertools import combinations_with_replacement, islice
 
@@ -14,7 +16,7 @@ from qkm.errors import DomainError, OverflowGuard, PoleHit, SingularMeasure
 from qkm.fock import BraceMethod, brace, fock_norm_const, vform_matrices
 from qkm.orthopoly import lattice_brace_sums, poly_rows
 from qkm.qseries import bracket
-from qkm.vgamma import (GammaContext, brace_gamma_check,
+from qkm.vgamma import (_KM_CHAIN_KEYS, GammaContext, brace_gamma_check,
                         brace_gamma_residuals, gamma_norm_const,
                         km_inversion_check, km_kappa, km_log_z,
                         km_partition_checks, km_Phi, km_S, km_summation_check,
@@ -376,6 +378,74 @@ def test_km_weight_outside_double_range_is_classified():
         km_V(0.7, 0, 3, gc, QContext(q=1e-60))
 
 
+def test_km_weight_is_the_same_in_any_order():
+    # the 41 x 41 grid read entry by entry from fresh contexts, backwards
+    # from one context, and again after that context's store dropped it
+    x = 0.62 * cmath.exp(2.2j)
+    spins = [(a, b) for a in range(-20, 21) for b in range(-20, 21)]
+    fresh = {s: km_V(x, *s, GammaContext.make_selected(0.5, CTX), CTX) for s in spins}
+    gc = GammaContext.make_selected(0.5, CTX)
+    assert {s: km_V(x, *s, gc, CTX) for s in reversed(spins)} == fresh
+    for k in range(_KM_CHAIN_KEYS):
+        km_V(0.5 + 0.001 * k, 3, -2, gc, CTX)
+    assert (x, CTX.q) not in gc._km_chains
+    assert {s: km_V(x, *s, gc, CTX) for s in spins} == fresh
+
+
+def test_km_weight_threads_sharing_a_context():
+    # four threads extend the same 120-factor chains of one context at once,
+    # switching every microsecond; each reads the bits of a fresh context
+    xs = [0.62 * cmath.exp(0.37j * k) for k in range(16)]
+    fresh = [km_V(x, 60, 60, GammaContext.make_selected(0.5, CTX), CTX) for x in xs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            gc = GammaContext.make_selected(0.5, CTX)
+            got = []
+            threads = [threading.Thread(target=lambda: got.append(
+                [km_V(x, 60, 60, gc, CTX) for x in xs])) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [fresh] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_km_refusals_leave_later_weights_alone():
+    # at gamma = 1 and x = q^2 both q-ratios have a pole in their first
+    # factor, and at x = 1e-6 the weight (40, 40) leaves double range
+    gc = GammaContext(gamma=1.0 + 0.0j)
+    for _ in range(2):
+        with pytest.raises(PoleHit):
+            km_V(Q * Q, 1, 1, gc, CTX)
+        with pytest.raises(OverflowGuard):
+            km_V(1e-6, 40, 40, gc, CTX)
+    for x, m, mp_ in ((Q * Q, 0, 0), (1e-6, 0, 0), (1e-6, 3, -2), (0.7, 2, -1)):
+        assert km_V(x, m, mp_, gc, CTX) == km_V(x, m, mp_, GammaContext(gamma=1.0 + 0.0j), CTX)
+
+
+def test_km_weight_where_q_squared_underflows():
+    # q^2 = 0: the factors of a negative index, q^{-2j} apart, are refused
+    ctx = QContext(q=1e-200)
+    gc = GammaContext.make_selected(0.5, ctx)
+    with pytest.raises(OverflowGuard):
+        km_V(0.7, 0, 3, gc, ctx)
+    assert km_V(0.7, 0, 0, gc, ctx) == 1.0
+    assert km_V(0.7, 3, 0, gc, ctx) == 0.0  # (q/x)^6 underflows
+
+
+def test_km_chain_store_is_bounded():
+    gc = GammaContext.make_selected(0.5, CTX)
+    for k in range(100):
+        km_V(0.5 * cmath.exp(0.06j * k), 4, -3, gc, CTX)
+    assert len(gc._km_chains) == _KM_CHAIN_KEYS
+    assert GammaContext.make_selected(0.5, CTX) == gc  # the store is not part of its value
+
+
 def test_km_weight_set_bundle():
     gc = GammaContext.make_selected(0.0, CTX)
     assert abs(km_V(Q, 2, -1, gc, CTX) - 1.0) < 1e-13
@@ -454,6 +524,32 @@ def test_partition_function_equations():
             r = km_partition_checks(x, gc, CTX)
             assert r.residual < 1e-9
             assert r.params["res_site"] < 1e-10
+
+
+def test_partition_checks_at_tiny_q_give_a_verdict():
+    # q^{2n} / x^n as a quotient of two powers is 0/0 at q = 1e-60 and
+    # x = q/0.6; the series takes (q^2/x)^n
+    ctx = QContext(q=1e-60)
+    for nu in (0.0, 0.5):
+        gc = GammaContext.make_selected(nu, ctx)
+        for x in (0.6, 0.75):
+            assert km_partition_checks(x, gc, ctx).residual < 1e-9
+
+
+def test_partition_default_reports_are_pinned():
+    # the residuals of the default vgamma.partition reports; a change that
+    # moves them lists the move in CHANGES.md and updates them here
+    pinned = {(0.0, 0.6): (1.1102230246251565e-16, 2.1878336902917917e-16, 0.0,
+                           1.1102230246251565e-16),
+              (0.0, 0.75): (0.0, 2.3317296232434356e-16, 0.0, 0.0),
+              (0.5, 0.6): (0.0, 9.27228592704974e-15, 2.220446049250313e-16,
+                           1.1102230246251565e-16),
+              (0.5, 0.75): (0.0, 5.804272111195346e-14, 2.220446049250313e-16, 0.0)}
+    for (nu, x), want in pinned.items():
+        r = km_partition_checks(x, GammaContext.make_selected(nu, CTX), CTX)
+        got = tuple(r.params[k] for k in ("res_inversion", "res_kappa", "res_site",
+                                          "res_gamma_shift"))
+        assert got == want, (nu, x)
 
 
 def test_partition_series_brute_force_oracle():
