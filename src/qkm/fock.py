@@ -161,14 +161,19 @@ def vform_matrices(a_max: int, m_max: int, ctx: QContext,
     """Eigenbasis overlap matrices ``(chi, chi_bar)`` on a <= a_max, m_min <= m <= m_max.
 
     ``chi[a, j]`` is q^{a^2/2} P_a(q^{m+1/2}) q^{m(m+1)/2} / sqrt((q^2;q^2)_a)
-    at m = m_min + j; ``chi_bar[j, a]`` carries the extra (-)^a q^a.
+    at m = m_min + j; ``chi_bar[j, a]`` carries the extra (-)^a q^a.  A site
+    q^{m+1/2} or its inverse outside double range is refused with OverflowGuard.
     """
     if a_max < 1 or m_max < 1:
         raise DomainError("need a_max, m_max >= 1")
     q = ctx.q
     ms = range(m_min, m_max + 1)
-    chi = lattice_rows([ctx.q_pow_half(2 * m + 1) for m in ms],
-                       [ctx.q_pow_half(m * (m + 1)) for m in ms], a_max, ctx)
+    xis = [ctx.q_pow_half(2 * m + 1) for m in ms]
+    lost = [m for m, xi in zip(ms, xis) if xi == 0 or cmath.isinf(1 / xi)]
+    if lost:
+        raise OverflowGuard(f"the site q^(m+1/2) or its inverse leaves double range for "
+                            f"{lost[0]} <= m <= {lost[-1]} at |q| = {abs(q):.3g}")
+    chi = lattice_rows(xis, [ctx.q_pow_half(m * (m + 1)) for m in ms], a_max, ctx)
     signs = np.array([(-1) ** a * q ** a for a in range(a_max + 1)])
     return chi, (chi * signs[:, None]).T.copy()
 
@@ -180,12 +185,13 @@ class BraceMethod(Enum):
 
 
 def _brace_guard(a: int, b: int, c: int, q: complex):
-    if min(a, b, c) < 0:
+    # the log-size (2ks + k - 3k^2 - p) ln(1/|q|) of the k-sum's term k rises up to its
+    # vertex k = (2s + 1)/6 > s/3 >= min(a, b, c), so its peak is at k = min(a, b, c)
+    k = min(a, b, c)
+    if k < 0:
         raise DomainError("brace indices must be nonnegative")
     s = a + b + c
-    ln_inv_q = np.log(1.0 / abs(q))
-    log_peak = max((2 * k * s + k - 3 * k * k - (a * b + a * c + b * c)) * ln_inv_q
-                   for k in range(min(a, b, c) + 1))
+    log_peak = (2 * k * s + k - 3 * k * k - (a * b + a * c + b * c)) * np.log(1.0 / abs(q))
     if log_peak > 690.0:
         raise OverflowGuard("brace indices too large for double precision; reduce (a, b, c)")
 

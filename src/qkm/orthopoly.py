@@ -318,7 +318,9 @@ def poly_P_difference_checks(n: int, xi, ctx: QContext):
 
     First: P_n(xi) = q^{-n} (xi P_n(q xi) - xi^{-1} P_n(xi/q)) / (xi - 1/xi).
     Second (backward): (1 - q^{-2n}) P_{n-1}(xi) =
-    q^{-n} (P_n(q xi) - P_n(xi/q)) / (xi - 1/xi).
+    q^{-n} (P_n(q xi) - P_n(xi/q)) / (xi - 1/xi).  A side outside double
+    range (at tiny |q|, q^{-n} times a difference of overflowed P_n values)
+    is refused with OverflowGuard.
     """
     xi = complex(xi)
     if min(abs(xi - 1), abs(xi + 1)) < 1e-6:
@@ -329,12 +331,14 @@ def poly_P_difference_checks(n: int, xi, ctx: QContext):
     p_up = poly_P(n, q * xi, ctx)
     p_dn = poly_P(n, xi / q, ctx)
     br = xi - 1.0 / xi
-    res_fwd = relative_residual(p, q_n * (xi * p_up - p_dn / xi) / br)
-    if n == 0:
-        res_back = 0.0
-    else:
-        lhs = (1 - q_2n) * poly_P(n - 1, xi, ctx)
-        res_back = relative_residual(lhs, q_n * (p_up - p_dn) / br)
+    sides = [p, q_n * (xi * p_up - p_dn / xi) / br]
+    if n:
+        sides += [(1 - q_2n) * poly_P(n - 1, xi, ctx), q_n * (p_up - p_dn) / br]
+    if not all(map(cmath.isfinite, sides)):
+        raise OverflowGuard(f"a side of the difference equations for P_{n} leaves double "
+                            f"range at |q| = {abs(q):.3g}")
+    res_fwd = relative_residual(*sides[:2])
+    res_back = relative_residual(*sides[2:]) if n else 0.0
     res = worst_residual((res_fwd, res_back))
     return CheckResult({"n": n, "xi": xi, "q": q,
                         "res_difference": res_fwd, "res_backward": res_back}, res)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import threading
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from itertools import count
 
 import numpy as np
@@ -34,16 +34,13 @@ __all__ = [
 ]
 
 _LATTICE_DPS = 30  # working digits of the bilateral brace lattice sums
-# km_V's chains fold their running products into a logarithm outside this
+# km_V's runs fold their running products into a logarithm outside this
 # band, which leaves 2^523 of head-room on either side for the next factor
 # ratio, and keeps the product of two running products inside double range
 _FOLD_LOW, _FOLD_HIGH = 2.0 ** -500, 2.0 ** 500
-# a GammaContext keeps the km_V chains of this many (x, q) pairs, dropping
-# the oldest first; a star-triangle check reads six
+# a GammaContext keeps the km_V runs of this many (x, q) pairs, dropping
+# the least recently used first; a star-triangle check reads six
 _KM_CHAIN_KEYS = 16
-# serialises every change to a chain store, so threads may share a context;
-# reads take no lock
-_KM_CHAIN_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -52,20 +49,21 @@ class GammaContext:
 
     ``nu`` is set only when gamma was constructed exactly as i q^nu with
     2 nu integer (the selected lattice); detection is never attempted by
-    floating-point recognition.  ``_km_chains`` is the bounded store of
-    km_V's running-product chains; it is not part of the context's value.
+    floating-point recognition.  The attribute ``_km_runs``, no field and
+    so no part of the context's value, is km_V's store of runs (see km_V).
     """
 
     gamma: complex
     m_window: int = 40
     nu: float | None = field(default=None)
-    _km_chains: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if complex(self.gamma) == 0:
             raise DomainError("gamma must be nonzero")
         if self.nu is not None and abs(2 * self.nu - round(2 * self.nu)) > 1e-12:
             raise DomainError("selected gamma needs nu in Z/2")
+        runs = lru_cache(_KM_CHAIN_KEYS)(partial(_km_runs, gamma=self.gamma))
+        object.__setattr__(self, "_km_runs", runs)
 
     @property
     def selected(self) -> bool:
@@ -213,82 +211,57 @@ def brace_gamma_check(a: int, b: int, c: int, gamma_list, ctx: QContext):
     return CheckResult(params, worst)
 
 
-class _QRatioChain:
-    """Running products of one finite q-ratio, factor by factor, in one direction.
+def _ratio_run(num: complex, den: complex, q2: complex, shift, n: int):
+    """States 0 ... n of the running product of (1 - num)/(1 - den): ``(states, zero, stop)``.
 
-    State n (n factors taken) is ``(folded log, product)``: the running
-    product of the factor ratios (1 - num)/(1 - den), folded into the log
-    whenever it leaves the band _FOLD_LOW < |product| < _FOLD_HIGH.  After
-    each factor both arguments are shifted by q^2 (``shift`` is operator.mul
-    or operator.truediv).  The chain is extended only when a longer state is
-    read, and it resumes from its stored last arguments, so state n is the
-    same sequence of operations however often and in whatever order it is
-    read.  ``zero`` is the first state past an exactly vanishing numerator
-    factor; ``stop`` is the first state past a vanishing denominator factor
-    (PoleHit) or a factor argument or product outside double range
-    (OverflowGuard), and ends the chain.
+    State k is ``(folded log, product)`` after k factors, folded outside the
+    band _FOLD_LOW < |product| < _FOLD_HIGH; both arguments are shifted by
+    q^2 (operator.mul or operator.truediv) after each factor, so a longer
+    run repeats every operation of a shorter one.  ``zero`` is the first
+    state past a vanishing numerator factor; ``stop``, ``(exception class,
+    message)``, ends the states at a vanishing denominator factor (PoleHit)
+    or a factor argument or product outside double range (OverflowGuard).
     """
-
-    __slots__ = ("states", "num", "den", "q2", "shift", "zero", "stop")
-
-    def __init__(self, num: complex, den: complex, q2: complex, shift):
-        self.states = [(0j, 1.0 + 0.0j)]
-        self.num, self.den, self.q2, self.shift = num, den, q2, shift
-        self.zero = math.inf
-        self.stop = None  # (exception class, message) once the chain has ended
-
-    def state(self, n: int):
-        """(folded log, product) after n factors; raises past a pole or bad factor."""
-        if n >= len(self.states):
-            with _KM_CHAIN_LOCK:
-                self._extend(n)
-            if n >= len(self.states):
-                error, message = self.stop
-                raise error(message)
-        return self.states[n]
-
-    def _extend(self, n: int):
-        states = self.states
-        log, prod = states[-1]
-        num, den, q2, shift = self.num, self.den, self.q2, self.shift
-        low, high = _FOLD_LOW, _FOLD_HIGH
-        while self.stop is None and len(states) <= n:
-            if not (cmath.isfinite(num) and cmath.isfinite(den)):
-                self.stop = (OverflowGuard, "a factor argument leaves double range")
-                break
-            b = 1.0 - den
-            if abs(b) < 1e-14:
-                self.stop = (PoleHit, f"vanishing denominator factor {b!r} in a finite q-ratio")
-                break
-            t = 1.0 - num
-            if t == 0:
-                self.zero = min(self.zero, len(states))
-            else:
-                prod *= t / b
-                if not low < abs(prod) < high:
-                    if prod == 0 or not cmath.isfinite(prod):
-                        self.stop = (OverflowGuard, "a factor ratio leaves double range")
-                        break
-                    log += cmath.log(prod)
-                    prod = 1.0 + 0.0j
-            states.append((log, prod))
-            num = shift(num, q2)
-            den = shift(den, q2)
-        self.num, self.den = num, den
+    log, prod = 0j, 1.0 + 0.0j
+    states = [(log, prod)]
+    zero = math.inf
+    while len(states) <= n:
+        if not (cmath.isfinite(num) and cmath.isfinite(den)):
+            return tuple(states), zero, (OverflowGuard, "a factor argument leaves double range")
+        b = 1.0 - den
+        if abs(b) < 1e-14:
+            return tuple(states), zero, (PoleHit, f"vanishing denominator factor {b!r} "
+                                                  "in a finite q-ratio")
+        t = 1.0 - num
+        if t == 0:
+            zero = min(zero, len(states))
+        else:
+            prod *= t / b
+            if not _FOLD_LOW < abs(prod) < _FOLD_HIGH:
+                if prod == 0 or not cmath.isfinite(prod):
+                    return tuple(states), zero, (OverflowGuard, "a product leaves double range")
+                log += cmath.log(prod)
+                prod = 1.0 + 0.0j
+        states.append((log, prod))
+        num = shift(num, q2)
+        den = shift(den, q2)
+    return tuple(states), zero, None
 
 
-def _qratio_chains(top: complex, bot: complex, q2: complex):
-    """The chains of (top; q^2)_n / (bot; q^2)_n for n >= 0 and for -n < 0.
+def _km_runs(x: complex, q: complex, gamma: complex):
+    """km_V's four ``_ratio_run`` argument tuples and their runs so far (state 0).
 
-    For n < 0 the reciprocal extension gives the factor ratios
-    (1 - bot q^{-2j}) / (1 - top q^{-2j}), j = 1 ... |n|, whose arguments
-    are divided by q^2 step by step.  Where q^2 underflows to 0 every one
-    of them is outside double range.
+    A ratio's n < 0 run takes (1 - bot q^{-2j}) / (1 - top q^{-2j}), j = 1 ... |n|,
+    dividing by q^2 step by step; where q^2 underflows to 0 each factor is refused.
     """
-    up = _QRatioChain(top, bot, q2, operator.mul)
-    if q2 == 0:
-        return up, _QRatioChain(cmath.inf, cmath.inf, q2, operator.truediv)
-    return up, _QRatioChain(bot / q2, top / q2, q2, operator.truediv)
+    q2 = q * q
+    g2 = gamma ** 2
+    args = []
+    for top, bot in ((x, q2 / x), (g2 * x, g2 * q2 / x)):
+        args.append((top, bot, q2, operator.mul))
+        args.append((cmath.inf, cmath.inf, q2, operator.truediv) if q2 == 0
+                    else (bot / q2, top / q2, q2, operator.truediv))
+    return args, [_ratio_run(*a, 0) for a in args]
 
 
 def km_V(x, m: int, mp: int, gc: GammaContext, ctx: QContext) -> complex:
@@ -297,44 +270,41 @@ def km_V(x, m: int, mp: int, gc: GammaContext, ctx: QContext) -> complex:
     V_x(m, m') = (q/x)^{2m} (x;q^2)_{m-m'} / (q^2/x;q^2)_{m-m'}
     times (g^2 x;q^2)_{m+m'} / (g^2 q^2/x;q^2)_{m+m'} with g = gamma;
     negative Pochhammer indices use the standard reciprocal extension
-    (a;p)_{-n} = 1/(a p^{-n};p)_n.  Each of the two q-ratios depends on one
-    integer only, so it is read from running-product chains (one per ratio
-    and sign of its index, see _QRatioChain) that the GammaContext ``gc``
-    holds for each (x, q) it has seen; a grid of M x M spins costs O(M)
-    factor ratios.  The store keeps the chains of the last _KM_CHAIN_KEYS
-    (x, q) pairs and dies with the context.  A chain is built by the same
-    operations whenever it is built, so every weight depends on
-    (x, gamma, q, m, m') alone: the same bits cold or warm, in any call
-    order and after eviction.  One exp of the two folded logs and the
-    product of the two bounded running products gives the weight.  A
-    vanishing denominator factor raises PoleHit, an exactly vanishing
-    numerator factor makes the weight 0, and a weight or a factor argument
-    outside double range raises OverflowGuard.
+    (a;p)_{-n} = 1/(a p^{-n};p)_n.  Each q-ratio depends on one integer, so
+    it is read from a run of running products (one per ratio and sign of
+    its index, see _ratio_run) that ``gc`` keeps for its last
+    _KM_CHAIN_KEYS values of (x, q); an M x M spin grid costs O(M) factor
+    ratios.  A run read past its end is rebuilt to at least twice its length
+    and replaced whole, never changed in place, so threads may share a
+    context without a lock, and every weight has the same bits cold or warm,
+    in any call order and after eviction.  A vanishing denominator factor
+    raises PoleHit, an exactly vanishing numerator factor makes the weight
+    0, and a weight or a factor argument outside double range raises
+    OverflowGuard.
     """
     x = complex(x)
     if x == 0:
         raise DomainError("weight needs x != 0")
     q = ctx.q
-    store = gc._km_chains
-    chains = store.get((x, q))
-    if chains is None:
-        q2 = q * q
-        g2 = gc.gamma ** 2
-        chains = (*_qratio_chains(x, q2 / x, q2), *_qratio_chains(g2 * x, g2 * q2 / x, q2))
-        with _KM_CHAIN_LOCK:
-            if len(store) >= _KM_CHAIN_KEYS:
-                del store[next(iter(store))]
-            store[x, q] = chains
-    up1, down1, up2, down2 = chains
+    args, runs = gc._km_runs(x, q)
     n1, n2 = m - mp, m + mp
-    r1, n1 = (up1, n1) if n1 >= 0 else (down1, -n1)
-    r2, n2 = (up2, n2) if n2 >= 0 else (down2, -n2)
+    k1, n1 = (0, n1) if n1 >= 0 else (1, -n1)
+    k2, n2 = (2, n2) if n2 >= 0 else (3, -n2)
     try:
         log_v = 2 * m * cmath.log(q / x)
-        log1, prod1 = r1.state(n1)
-        log2, prod2 = r2.state(n2)
-        if n1 >= r1.zero or n2 >= r2.zero:
+        (states1, zero1, stop1), (states2, zero2, stop2) = runs[k1], runs[k2]
+        if n1 >= len(states1) or n2 >= len(states2):
+            if n1 >= len(states1) and stop1 is None:
+                runs[k1] = states1, zero1, stop1 = _ratio_run(*args[k1], max(n1, 2 * len(states1)))
+            if n2 >= len(states2) and stop2 is None:
+                runs[k2] = states2, zero2, stop2 = _ratio_run(*args[k2], max(n2, 2 * len(states2)))
+            if n1 >= len(states1) or n2 >= len(states2):
+                error, message = stop1 if n1 >= len(states1) else stop2
+                raise error(message)
+        if n1 >= zero1 or n2 >= zero2:
             return 0.0 + 0.0j
+        log1, prod1 = states1[n1]
+        log2, prod2 = states2[n2]
         v = cmath.exp(log_v + log1 + log2 + cmath.log(prod1 * prod2))
         if cmath.isfinite(v):
             return v

@@ -113,6 +113,16 @@ def test_completeness_rows_stay_finite_at_negative_q():
     assert np.max(np.abs(ident - np.eye(15))) < 1e-8
 
 
+def test_completeness_refuses_sites_that_underflow():
+    # xi = q^{m+1/2} = 1e-(8m+4) at q = 1e-8: 1/xi overflows from m = 39 and
+    # xi is 0 from m = 40, lost range rather than a domain refusal of P_n
+    with pytest.raises(OverflowGuard, match=r"39 <= m <= 50 at \|q\| = 1e-08"):
+        vform_matrices(12, 50, QContext(q=1e-8))
+    with pytest.raises(OverflowGuard, match=r"5 <= m <= 50"):
+        vform_matrices(12, 50, QContext(q=1e-60))
+    assert np.all(np.isfinite(vform_matrices(12, 38, QContext(q=1e-8))[0]))
+
+
 def test_antisymmetric_window_sum():
     m_w = 30
     chi, chi_bar = vform_matrices(8, m_w - 1, CTX, m_min=-m_w)
@@ -239,6 +249,24 @@ def test_brace_past_index_thirty_on_every_route():
     vals = [brace(60, 60, 60, CTX, method) for method in BraceMethod]
     assert abs(vals[0] / 4.775e23 - 1) < 1e-3
     assert max(abs(v - vals[1]) for v in vals) < 1e-11 * abs(vals[1])
+
+
+def test_brace_guard_is_its_k_loop():
+    # the guard reads the log-peak at k = min(a, b, c) alone; it refuses
+    # exactly where the largest term of the k-loop leaves double range
+    for q in (1e-60, 1e-8, 0.05, 0.4, -0.97, 0.3 + 0.1j):
+        ln_inv_q = np.log(1.0 / abs(q))
+        for a, b, c in product(range(21), repeat=3):
+            loop = max((2 * k * (a + b + c) + k - 3 * k * k - (a * b + a * c + b * c)) * ln_inv_q
+                       for k in range(min(a, b, c) + 1))
+            try:
+                fock._brace_guard(a, b, c, q)
+                refused = False
+            except OverflowGuard:
+                refused = True
+            assert refused == (loop > 690.0), (q, a, b, c)
+    with pytest.raises(DomainError):
+        fock._brace_guard(2, -1, 3, 0.4)
 
 
 def test_brace_recursion_runs_bottom_up_to_any_depth():

@@ -345,16 +345,14 @@ def test_difference_equations():
     assert poly_P_difference_checks(0, 1.7, CTX).residual == 0.0
 
 
-def test_difference_check_keeps_a_nan_component():
-    # at q = 1e-8 the backward equation of P_8 evaluates to NaN; the check
-    # carries it as its residual, and the registry fails that point,
-    # whatever the other component
-    rep = poly_P_difference_checks(8, 1.7, QContext(q=1e-8))
-    assert np.isnan(rep.params["res_backward"])
-    assert np.isnan(rep.residual)
-    [reg] = [r for r in run_suite(RunConfig(q=1e-8, filter="orthopoly.difference*"))
-             if r.params["n"] == 8]
-    assert np.isnan(reg.residual) and reg.verdict == "FAIL"
+def test_difference_check_refuses_a_side_past_double_range():
+    # at q = 1e-8 the backward equation of P_8 is q^{-8} times a difference
+    # of overflowed P_8 values, inf - inf; the check refuses it rather than
+    # carry a NaN, and the registry skips the entry
+    with pytest.raises(OverflowGuard, match=r"P_8 leaves double range at \|q\| = 1e-08"):
+        poly_P_difference_checks(8, 1.7, QContext(q=1e-8))
+    [reg] = run_suite(RunConfig(q=1e-8, filter="orthopoly.difference*"))
+    assert reg.verdict == "SKIPPED" and reg.params["skip_reason"].startswith("OverflowGuard: ")
     r = poly_P_difference_checks(5, 0.7 + 0.2j, QContext(q=0.35))
     assert r.residual < 1e-9
 

@@ -16,6 +16,7 @@ from qkm.errors import DomainError, OverflowGuard, PoleHit, SingularMeasure
 from qkm.fock import BraceMethod, brace, fock_norm_const, vform_matrices
 from qkm.orthopoly import lattice_brace_sums, poly_rows
 from qkm.qseries import bracket
+from qkm.registry import RunConfig, run_suite
 from qkm.vgamma import (_KM_CHAIN_KEYS, GammaContext, brace_gamma_check,
                         brace_gamma_residuals, gamma_norm_const,
                         km_inversion_check, km_kappa, km_log_z,
@@ -325,6 +326,16 @@ def test_km_weight_symmetry_box():
                 assert abs(km_V(1.0, a, b, gc, CTX) - expect) < 1e-12
 
 
+def test_weight_symmetry_entry_is_relative_near_one():
+    # at q = 0.97 the generic-gamma weights on the [-5, 5]^2 box reach
+    # |V| ~ 1e8, so the symmetry component is relative to them; the default
+    # residual is set by the V(q) component
+    [near_one] = run_suite(RunConfig(q=0.97, filter="vgamma.weight_symmetry*"))
+    assert near_one.verdict == "PASS" and near_one.residual < 1e-12
+    [default] = run_suite(RunConfig(filter="vgamma.weight_symmetry*"))
+    assert default.verdict == "PASS" and default.residual == 2.220446049250313e-15
+
+
 def _mp_qratio(top, bot, p, n):
     """(top; p)_n / (bot; p)_n in mpmath, with (a; p)_{-n} = 1/(a p^{-n}; p)_n."""
     if n < 0:
@@ -388,8 +399,9 @@ def test_km_weight_is_the_same_in_any_order():
     assert {s: km_V(x, *s, gc, CTX) for s in reversed(spins)} == fresh
     for k in range(_KM_CHAIN_KEYS):
         km_V(0.5 + 0.001 * k, 3, -2, gc, CTX)
-    assert (x, CTX.q) not in gc._km_chains
+    misses = gc._km_runs.cache_info().misses
     assert {s: km_V(x, *s, gc, CTX) for s in spins} == fresh
+    assert gc._km_runs.cache_info().misses == misses + 1  # x had been dropped
 
 
 def test_km_weight_threads_sharing_a_context():
@@ -442,7 +454,9 @@ def test_km_chain_store_is_bounded():
     gc = GammaContext.make_selected(0.5, CTX)
     for k in range(100):
         km_V(0.5 * cmath.exp(0.06j * k), 4, -3, gc, CTX)
-    assert len(gc._km_chains) == _KM_CHAIN_KEYS
+    info = gc._km_runs.cache_info()
+    assert info.maxsize == _KM_CHAIN_KEYS == 16
+    assert info.currsize == _KM_CHAIN_KEYS and info.misses == 100
     assert GammaContext.make_selected(0.5, CTX) == gc  # the store is not part of its value
 
 
